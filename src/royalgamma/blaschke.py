@@ -20,7 +20,7 @@ from .pick import (
     BlaschkeData,
     ExceptionalSet,
     PickMatrix,
-    exceptional_set,
+    exceptional_from_solves,
     kernel_vectors,
     solve_pd,
 )
@@ -44,7 +44,6 @@ __all__ = [
     "to_blaschke_product",
     "circle_grid",
     "disc_grid",
-    "kernel_numerator_polynomials",
 ]
 
 # Band on the defining scalar alpha_j - zeta * beta_j inside which a parameter
@@ -129,7 +128,9 @@ class Parametrization:
     For every unimodular zeta off the exceptional set, (a zeta + b)/(c zeta + d)
     is the unique degree-n solution of the interpolation problem taking the
     value zeta at tau.  ``exceptional`` caches the defining scalars so
-    membership can be tested without the original Pick matrix.
+    membership can be tested without the original Pick matrix, and
+    ``kernel_numerators`` keeps (n_xx, n_xy, n_yx, n_yy), the kernel sums at
+    tau over the common product, from which (a, b, c, d) were assembled.
     """
 
     a: Poly
@@ -139,6 +140,7 @@ class Parametrization:
     tau: complex
     data_hash: str
     exceptional: ExceptionalSet
+    kernel_numerators: tuple[Poly, Poly, Poly, Poly]
 
     @property
     def degree(self) -> int:
@@ -163,17 +165,15 @@ class Parametrization:
         }
 
 
-def kernel_numerator_polynomials(M: PickMatrix, data: BlaschkeData, tau: complex, tol: TolerancePolicy = DEFAULT_TOLERANCES):
+def _kernel_numerator_polynomials(data: BlaschkeData, wx: np.ndarray, wy: np.ndarray):
     """Numerator polynomials of the four kernel sums over the common product
-    prod_j (1 - conj(sigma_j) lambda).
+    prod_j (1 - conj(sigma_j) lambda), from the kernel solves wx = M^-1 x_tau
+    and wy = M^-1 y_tau.
 
     Returns (n_xx, n_xy, n_yx, n_yy, product), each of degree at most n-1
     except the product itself.  The kernels are expanded symbolically; the
     simple poles never get sampled numerically.
     """
-    kv = kernel_vectors(data, tau, tol)
-    wx = solve_pd(M, kv.x, tol)
-    wy = solve_pd(M, kv.y, tol)
     sigma = np.array(data.sigma)
     eta_bar = np.conj(np.array(data.eta))
     n = data.n
@@ -216,11 +216,13 @@ def build_parametrization(
     zero, |c| <= |d| on the closed disc) are validated before returning.
     """
     tau = complex(tau / abs(tau))
-    exc = exceptional_set(M, data, tau, tol)
+    kv = kernel_vectors(data, tau, tol)
+    wx, wy = solve_pd(M, kv.x, tol), solve_pd(M, kv.y, tol)
+    exc = exceptional_from_solves(data, wx, wy, tol)
     if exc.whole_circle:
         raise UnsuitableTau("every unimodular parameter is exceptional for this base point")
 
-    n_xx, n_xy, n_yx, n_yy, product = kernel_numerator_polynomials(M, data, tau, tol)
+    n_xx, n_xy, n_yx, n_yy, product = _kernel_numerator_polynomials(data, wx, wy)
     one_minus_tau = Poly([1.0, -np.conj(tau)])
     scale = poly_eval(product, tau)
 
@@ -230,7 +232,8 @@ def build_parametrization(
     d = (product + one_minus_tau * n_yy) / scale
 
     param = Parametrization(
-        a=a, b=b, c=c, d=d, tau=tau, data_hash=data.canonical_digest(), exceptional=exc
+        a=a, b=b, c=c, d=d, tau=tau, data_hash=data.canonical_digest(), exceptional=exc,
+        kernel_numerators=(n_xx, n_xy, n_yx, n_yy),
     )
 
     res = param.normalization_residual()
@@ -244,22 +247,21 @@ def build_parametrization(
 
 
 def _check_no_common_zero(param: Parametrization, tol: TolerancePolicy) -> None:
-    quad = [param.a, param.b, param.c, param.d]
-    if param.a.is_zero or param.a.degree < 1:
+    """Narrow the zeros of a to those that b, c and d share in turn, finding
+    the roots of each at most once; the zero polynomial shares every zero."""
+    if param.a.degree < 1:
         return
-    for rc in poly_roots(param.a, tol):
-        shared = True
-        for q in quad[1:]:
-            if q.is_zero:
-                continue
-            if q.degree < 1:
-                shared = False
-                break
-            if all(abs(rc.value - other.value) > tol.root_cluster_tol for other in poly_roots(q, tol)):
-                shared = False
-                break
-        if shared:
-            raise NumericalFailure(f"a, b, c, d share the zero {rc.value}")
+    shared = [rc.value for rc in poly_roots(param.a, tol)]
+    for q in (param.b, param.c, param.d):
+        if q.is_zero:
+            continue
+        if q.degree < 1:
+            return
+        roots = [rc.value for rc in poly_roots(q, tol)]
+        shared = [z for z in shared if any(abs(z - w) <= tol.root_cluster_tol for w in roots)]
+        if not shared:
+            return
+    raise NumericalFailure(f"a, b, c, d share the zero {shared[0]}")
 
 
 def _check_c_dominated_by_d(param: Parametrization, tol: TolerancePolicy) -> None:

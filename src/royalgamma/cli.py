@@ -59,44 +59,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-@dataclasses.dataclass
-class JobConfig:
-    command: str
-    input: str | None
-    output: str | None
-    tol: float | None
-    omega_grid: int
-    plot: bool
-    generator: str | None
-    nu: int
-    r: float
-
-    def validate(self) -> None:
-        if not 8 <= self.omega_grid <= 65536:
-            raise InvalidData(f"--omega-grid must lie in [8, 65536], got {self.omega_grid}")
-        if self.tol is not None and not self.tol > 0:
-            raise InvalidData("--tol must be strictly positive")
-        needs_input = {
-            "solve": True,
-            "sweep": True,
-            "blaschke": True,
-            "verify": self.generator is None,
-            "roundtrip": self.generator is None,
-        }[self.command]
-        if needs_input and not self.input:
-            raise InvalidData(f"{self.command} requires --input (or --generator where supported)")
-        if self.command == "sweep" and not self.output:
-            raise InvalidData("sweep requires --output for the CSV table")
-        if self.generator is not None and self.generator != "h_nu":
-            raise InvalidData(f"unknown generator {self.generator!r}; supported: h_nu")
-
-    @property
-    def policy(self):
-        if self.tol is None:
-            return DEFAULT_TOLERANCES
-        return dataclasses.replace(DEFAULT_TOLERANCES, residual_tol=self.tol)
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="royalgamma", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -118,6 +80,26 @@ def _build_parser() -> _Parser:
         p.add_argument("--nu", type=int, default=0, help="generator index parameter")
         p.add_argument("--r", type=float, default=0.5, help="generator radius parameter in (0, 1)")
     return parser
+
+
+def _validate(args: argparse.Namespace) -> None:
+    if not 8 <= args.omega_grid <= 65536:
+        raise InvalidData(f"--omega-grid must lie in [8, 65536], got {args.omega_grid}")
+    if args.tol is not None and not args.tol > 0:
+        raise InvalidData("--tol must be strictly positive")
+    needs_input = args.command in ("solve", "sweep", "blaschke") or args.generator is None
+    if needs_input and not args.input:
+        raise InvalidData(f"{args.command} requires --input (or --generator where supported)")
+    if args.command == "sweep" and not args.output:
+        raise InvalidData("sweep requires --output for the CSV table")
+    if args.generator is not None and args.generator != "h_nu":
+        raise InvalidData(f"unknown generator {args.generator!r}; supported: h_nu")
+
+
+def _policy(args: argparse.Namespace):
+    if args.tol is None:
+        return DEFAULT_TOLERANCES
+    return dataclasses.replace(DEFAULT_TOLERANCES, residual_tol=args.tol)
 
 
 def _tau_start() -> int:
@@ -162,17 +144,31 @@ def _load_gamma_inner(obj, tol):
     raise InvalidData('expected a map object with "s" and "p" components')
 
 
-def _obtain_h(config: JobConfig):
-    if config.generator == "h_nu":
-        if not 0.0 < config.r < 1.0:
+def _obtain_h(args: argparse.Namespace):
+    if args.generator == "h_nu":
+        if not 0.0 < args.r < 1.0:
             raise InvalidData("--r must lie strictly between 0 and 1")
-        if config.nu < 0:
+        if args.nu < 0:
             raise InvalidData("--nu must be a non-negative integer")
-        return generate_h_nu(config.nu, config.r, config.policy)
-    payload = _read_json(config.input)
+        return generate_h_nu(args.nu, args.r, _policy(args))
+    payload = _read_json(args.input)
     if isinstance(payload, dict) and "h" in payload:
         payload = payload["h"]
-    return _load_gamma_inner(payload, config.policy)
+    return _load_gamma_inner(payload, _policy(args))
+
+
+def _solve(args: argparse.Namespace, data: BlaschkeData, extra_omegas_fn=None):
+    """The pipeline with the command-line settings; a failed step is reported on stderr."""
+    result = solve_royal_problem(
+        data,
+        tol=_policy(args),
+        omega_grid=args.omega_grid,
+        tau_start=_tau_start(),
+        extra_omegas_fn=extra_omegas_fn,
+    )
+    if result.status != "solved":
+        print(f"not solvable at step {result.failed_step}: {result.reason}", file=sys.stderr)
+    return result
 
 
 def _solution_json(sol) -> dict:
@@ -186,22 +182,15 @@ def _solution_json(sol) -> dict:
     }
 
 
-def cmd_solve(config: JobConfig) -> int:
-    data = BlaschkeData.from_json_dict(_read_json(config.input))
-    result = solve_royal_problem(
-        data,
-        tol=config.policy,
-        omega_grid=config.omega_grid,
-        tau_start=_tau_start(),
-    )
+def cmd_solve(args: argparse.Namespace) -> int:
+    result = _solve(args, BlaschkeData.from_json_dict(_read_json(args.input)))
     if result.status != "solved":
         payload = {
             "status": "not_solvable",
             "failed_step": result.failed_step,
             "reason": result.reason,
         }
-        _write_text(config.output, _dump(payload))
-        print(f"not solvable at step {result.failed_step}: {result.reason}", file=sys.stderr)
+        _write_text(args.output, _dump(payload))
         return EXIT_UNSOLVABLE
     payload = {
         "status": "solved",
@@ -212,20 +201,20 @@ def cmd_solve(config: JobConfig) -> int:
         "solutions": [_solution_json(s) for s in result.solutions],
         "verified_count": len(result.verified),
     }
-    _write_text(config.output, _dump(payload))
+    _write_text(args.output, _dump(payload))
     if not result.verified:
         print("solutions constructed but none verified", file=sys.stderr)
         return EXIT_VERIFICATION
     return EXIT_OK
 
 
-def cmd_verify(config: JobConfig) -> int:
-    tol = config.policy
+def cmd_verify(args: argparse.Namespace) -> int:
+    tol = _policy(args)
     data = None
-    if config.generator is not None:
-        h = _obtain_h(config)
+    if args.generator is not None:
+        h = _obtain_h(args)
     else:
-        payload = _read_json(config.input)
+        payload = _read_json(args.input)
         if isinstance(payload, dict) and "h" in payload:
             h = _load_gamma_inner(payload["h"], tol)
             if payload.get("data") is not None:
@@ -239,7 +228,7 @@ def cmd_verify(config: JobConfig) -> int:
         except RoyalRange:
             payload = {"pass": False, "royal_range": True,
                        "failures": ["royal_range: the map sends the disc into the royal variety"]}
-            _write_text(config.output, _dump(payload))
+            _write_text(args.output, _dump(payload))
             print("verification failed: royal range", file=sys.stderr)
             return EXIT_VERIFICATION
         except MultiplicityAboveOne as exc:
@@ -254,7 +243,7 @@ def cmd_verify(config: JobConfig) -> int:
         counts[label] = counts.get(label, 0) + 1
     payload = report.to_json_dict()
     payload["boundary_classification_counts"] = dict(sorted(counts.items()))
-    _write_text(config.output, _dump(payload))
+    _write_text(args.output, _dump(payload))
     if not report.passed:
         print("verification failed: " + "; ".join(report.failures), file=sys.stderr)
         return EXIT_VERIFICATION
@@ -300,16 +289,9 @@ def _sweep_plot(path: str, result) -> None:
     write_panels_svg(path, [s_panel, p_panel])
 
 
-def cmd_sweep(config: JobConfig) -> int:
-    data = BlaschkeData.from_json_dict(_read_json(config.input))
-    result = solve_royal_problem(
-        data,
-        tol=config.policy,
-        omega_grid=config.omega_grid,
-        tau_start=_tau_start(),
-    )
+def cmd_sweep(args: argparse.Namespace) -> int:
+    result = _solve(args, BlaschkeData.from_json_dict(_read_json(args.input)))
     if result.status != "solved":
-        print(f"not solvable at step {result.failed_step}: {result.reason}", file=sys.stderr)
         return EXIT_UNSOLVABLE
     if result.s0p0.kind != "family":
         print(f"nothing to sweep: base values are {result.s0p0.kind}", file=sys.stderr)
@@ -318,16 +300,16 @@ def cmd_sweep(config: JobConfig) -> int:
     buf = []
     for row in rows:
         buf.append(",".join(row))
-    _write_text(config.output, "\n".join(buf) + "\n")
-    if config.plot:
-        stem, _, _ = config.output.rpartition(".")
-        _sweep_plot((stem or config.output) + ".svg", result)
+    _write_text(args.output, "\n".join(buf) + "\n")
+    if args.plot:
+        stem, _, _ = args.output.rpartition(".")
+        _sweep_plot((stem or args.output) + ".svg", result)
     return EXIT_OK
 
 
-def cmd_blaschke(config: JobConfig) -> int:
-    tol = config.policy
-    data = BlaschkeData.from_json_dict(_read_json(config.input))
+def cmd_blaschke(args: argparse.Namespace) -> int:
+    tol = _policy(args)
+    data = BlaschkeData.from_json_dict(_read_json(args.input))
     M = build_pick_matrix(data, tol)
     positivity = check_positive_definite(M, tol)
     if positivity.kind != "definite":
@@ -336,7 +318,7 @@ def cmd_blaschke(config: JobConfig) -> int:
     tau = choose_tau(M, data, tol, start=_tau_start())
     param = build_parametrization(M, data, tau, tol)
     solutions = []
-    for zeta in circle_grid(min(config.omega_grid, 64)):
+    for zeta in circle_grid(min(args.omega_grid, 64)):
         try:
             phi = solve_blaschke(param, zeta, tol)
         except ExceptionalZeta:
@@ -364,13 +346,13 @@ def cmd_blaschke(config: JobConfig) -> int:
         "exceptional_points": [_c(z) for z in param.exceptional.points],
         "solutions": solutions,
     }
-    _write_text(config.output, _dump(payload))
+    _write_text(args.output, _dump(payload))
     return EXIT_OK
 
 
-def cmd_roundtrip(config: JobConfig) -> int:
-    tol = config.policy
-    h = _obtain_h(config)
+def cmd_roundtrip(args: argparse.Namespace) -> int:
+    tol = _policy(args)
+    h = _obtain_h(args)
     try:
         data = extract_royal_data(h, tol)
     except (MultiplicityAboveOne, RoyalRange) as exc:
@@ -381,15 +363,8 @@ def cmd_roundtrip(config: JobConfig) -> int:
         # the family member reproducing h has p0 = p(tau); omega is its root
         return (complex(np.sqrt(h.p(tau))),)
 
-    result = solve_royal_problem(
-        data,
-        tol=tol,
-        omega_grid=config.omega_grid,
-        tau_start=_tau_start(),
-        extra_omegas_fn=exact_parameters,
-    )
+    result = _solve(args, data, extra_omegas_fn=exact_parameters)
     if result.status != "solved":
-        print(f"not solvable at step {result.failed_step}: {result.reason}", file=sys.stderr)
         return EXIT_UNSOLVABLE
     distances = [gamma_inner_distance(h, sol.h) for sol in result.solutions]
     best = int(np.argmin(distances))
@@ -401,7 +376,7 @@ def cmd_roundtrip(config: JobConfig) -> int:
         "best_omega": None if result.solutions[best].omega is None else _c(result.solutions[best].omega),
         "match": bool(distances[best] <= ROUNDTRIP_MATCH_TOL),
     }
-    _write_text(config.output, _dump(payload))
+    _write_text(args.output, _dump(payload))
     if distances[best] > ROUNDTRIP_MATCH_TOL:
         print(f"no family member matches the input map (best distance {distances[best]:.3e})", file=sys.stderr)
         return EXIT_VERIFICATION
@@ -418,22 +393,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    config = JobConfig(
-        command=args.command,
-        input=args.input,
-        output=args.output,
-        tol=args.tol,
-        omega_grid=args.omega_grid,
-        plot=args.plot,
-        generator=args.generator,
-        nu=args.nu,
-        r=args.r,
-    )
+    args = _build_parser().parse_args(argv)
     try:
-        config.validate()
-        return _COMMANDS[config.command](config)
+        _validate(args)
+        return _COMMANDS[args.command](args)
     except InvalidData as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

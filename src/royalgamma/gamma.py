@@ -21,7 +21,6 @@ from .blaschke import (
     Parametrization,
     build_parametrization,
     circle_grid,
-    kernel_numerator_polynomials,
     phasar_derivative,
 )
 from .errors import (
@@ -46,6 +45,7 @@ from .polyrat import (
     Poly,
     RationalFn,
     TolerancePolicy,
+    joint_reduce,
     poly_eval,
     poly_roots,
     rat_reduce,
@@ -147,22 +147,18 @@ class GammaInnerFn:
         num_p: Poly,
         den: Poly,
         tol: TolerancePolicy = DEFAULT_TOLERANCES,
-        reduce: bool = True,
-        validate: bool = True,
     ) -> "GammaInnerFn":
         """Build from the shared-denominator representation.
 
         Joint reduction cancels a denominator root only when both numerators
-        share it; the denominator is then made monic.
+        share it; the denominator is then made monic and the map validated.
         """
         if den.is_zero:
             raise ZeroDivisionError("shared denominator is the zero polynomial")
-        if reduce:
-            num_s, num_p, den = _joint_reduce(num_s, num_p, den, tol)
+        (num_s, num_p), den = joint_reduce((num_s, num_p), den, tol)
         lead = den.leading
         num_s, num_p, den = num_s / lead, num_p / lead, den / lead
-        if validate:
-            _validate_gamma_inner(num_s, num_p, den, tol)
+        _validate_gamma_inner(num_s, num_p, den, tol)
         return cls(s=RationalFn(num_s, den), p=RationalFn(num_p, den))
 
     def to_json_dict(self) -> dict:
@@ -197,46 +193,6 @@ def _coeff_max(p: Poly) -> float:
     if p.is_zero:
         return 0.0
     return float(np.max(np.abs(p.coeffs)))
-
-
-def _mult_near(clusters, value: complex, tol: TolerancePolicy) -> int:
-    for rc in clusters:
-        if abs(rc.value - value) <= tol.root_cluster_tol:
-            return rc.multiplicity
-    return 0
-
-
-def _joint_reduce(num_s: Poly, num_p: Poly, den: Poly, tol: TolerancePolicy):
-    if den.degree < 1:
-        return num_s, num_p, den
-    den_clusters = poly_roots(den, tol)
-    s_clusters = poly_roots(num_s, tol) if num_s.degree >= 1 else []
-    p_clusters = poly_roots(num_p, tol) if num_p.degree >= 1 else []
-    cancels: list[tuple[complex, int]] = []
-    for rc in den_clusters:
-        ms = rc.multiplicity if num_s.is_zero else _mult_near(s_clusters, rc.value, tol)
-        mp = rc.multiplicity if num_p.is_zero else _mult_near(p_clusters, rc.value, tol)
-        m = min(rc.multiplicity, ms, mp)
-        if m > 0:
-            cancels.append((rc.value, m))
-    if not cancels:
-        return num_s, num_p, den
-
-    def strip(poly: Poly, clusters) -> Poly:
-        if poly.is_zero:
-            return poly
-        if poly.degree < 1:
-            return poly
-        roots: list[complex] = []
-        for rc in clusters:
-            m = rc.multiplicity
-            for value, cut in cancels:
-                if abs(rc.value - value) <= tol.root_cluster_tol:
-                    m -= cut
-            roots.extend([rc.value] * max(m, 0))
-        return Poly.from_roots(roots, leading=poly.leading)
-
-    return strip(num_s, s_clusters), strip(num_p, p_clusters), strip(den, den_clusters)
 
 
 def _validate_gamma_inner(num_s: Poly, num_p: Poly, den: Poly, tol: TolerancePolicy) -> None:
@@ -443,8 +399,7 @@ def solve_s0_p0(
     """
     if param.data_hash != data.canonical_digest():
         raise InvalidData("parametrization was built from different interpolation data")
-    M = build_pick_matrix(data, tol)
-    n_xx, n_xy, n_yx, n_yy, _ = kernel_numerator_polynomials(M, data, param.tau, tol)
+    n_xx, n_xy, n_yx, n_yy = param.kernel_numerators
     q_g = n_xx + n_yy
     n = data.n
     stacked = np.zeros((n, 3), dtype=complex)
@@ -755,7 +710,6 @@ def solve_royal_problem(
     tol: TolerancePolicy = DEFAULT_TOLERANCES,
     omega_grid: int = 256,
     tau_start: int = 1,
-    extra_omegas: tuple[complex, ...] = (),
     extra_omegas_fn: Callable[[complex], tuple[complex, ...]] | None = None,
     pass_tol: float | None = None,
 ) -> RoyalPipelineResult:
@@ -763,8 +717,9 @@ def solve_royal_problem(
     base values, construction, verification.
 
     A unique base-value pair gives one solution; a family is sampled on an
-    ``omega_grid``-point circle grid (plus any caller-supplied extras, e.g.
-    an exact parameter computed from a candidate solution)."""
+    ``omega_grid``-point circle grid, plus the parameters that
+    ``extra_omegas_fn`` returns for the chosen base point (e.g. an exact
+    parameter computed from a candidate solution)."""
     M = build_pick_matrix(data, tol)
     positivity = check_positive_definite(M, tol)
     if positivity.kind != "definite":
@@ -792,7 +747,7 @@ def solve_royal_problem(
     if s0p0.kind == "unique":
         members = [FamilyMember(s0p0.omega, s0p0.t, s0p0.s0, s0p0.p0)]
     else:
-        omegas = list(circle_grid(omega_grid)) + list(extra_omegas)
+        omegas = list(circle_grid(omega_grid))
         if extra_omegas_fn is not None:
             omegas.extend(extra_omegas_fn(tau))
         members = []

@@ -9,6 +9,7 @@ parametrization of all solutions.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -36,6 +37,7 @@ __all__ = [
     "augmented_rho",
     "augmented_pick_matrix",
     "exceptional_set",
+    "exceptional_from_solves",
     "choose_tau",
 ]
 
@@ -162,7 +164,8 @@ class BlaschkeData:
 
 @dataclass(frozen=True, eq=False)
 class PickMatrix:
-    """Hermitian Pick matrix; the minimum eigenvalue is cached at construction."""
+    """Hermitian Pick matrix; the minimum eigenvalue is cached at construction,
+    the lower Cholesky factor on first use."""
 
     entries: np.ndarray
     min_eigenvalue: float
@@ -170,6 +173,13 @@ class PickMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
+
+    @functools.cached_property
+    def cholesky_factor(self) -> np.ndarray:
+        try:
+            return np.linalg.cholesky(self.entries)
+        except np.linalg.LinAlgError as exc:
+            raise SingularPick(f"Cholesky factorization failed: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -223,15 +233,14 @@ def build_pick_matrix(data: BlaschkeData, tol: TolerancePolicy = DEFAULT_TOLERAN
 
 
 def check_positive_definite(M: PickMatrix, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> PositivityResult:
-    """Classify by eigenvalues against ``tol.pd_tol``; rank counts eigenvalues above it."""
-    eigs = np.linalg.eigvalsh(M.entries)
-    min_eig = float(eigs[0])
-    rank = int(np.count_nonzero(eigs > tol.pd_tol))
+    """Classify by the cached minimum eigenvalue against ``tol.pd_tol``; for a
+    matrix that is not definite, rank counts the eigenvalues above it."""
+    min_eig = M.min_eigenvalue
     if min_eig > tol.pd_tol:
         return PositivityResult("definite", min_eig, M.n)
-    if min_eig >= -tol.pd_tol:
-        return PositivityResult("semidefinite", min_eig, rank)
-    return PositivityResult("indefinite", min_eig, rank)
+    rank = int(np.count_nonzero(np.linalg.eigvalsh(M.entries) > tol.pd_tol))
+    kind = "semidefinite" if min_eig >= -tol.pd_tol else "indefinite"
+    return PositivityResult(kind, min_eig, rank)
 
 
 def kernel_vectors(data: BlaschkeData, lam: complex, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> KernelVectors:
@@ -248,13 +257,10 @@ def kernel_vectors(data: BlaschkeData, lam: complex, tol: TolerancePolicy = DEFA
 
 
 def solve_pd(M: PickMatrix, rhs: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Apply the inverse of a positive definite ``M`` through its Cholesky factor."""
+    """Apply the inverse of a positive definite ``M`` through its cached Cholesky factor."""
     if M.min_eigenvalue <= tol.pd_tol:
         raise SingularPick(f"Pick matrix fails Cholesky at pd_tol: min eigenvalue {M.min_eigenvalue:.3e}")
-    try:
-        lower = np.linalg.cholesky(M.entries)
-    except np.linalg.LinAlgError as exc:
-        raise SingularPick(f"Cholesky factorization failed: {exc}") from exc
+    lower = M.cholesky_factor
     y = np.linalg.solve(lower, rhs)
     return np.linalg.solve(lower.conj().T, y)
 
@@ -310,8 +316,16 @@ def exceptional_set(
     node the whole circle is exceptional.
     """
     kv = kernel_vectors(data, tau, tol)
-    wx = solve_pd(M, kv.x, tol)
-    wy = solve_pd(M, kv.y, tol)
+    return exceptional_from_solves(data, solve_pd(M, kv.x, tol), solve_pd(M, kv.y, tol), tol)
+
+
+def exceptional_from_solves(
+    data: BlaschkeData,
+    wx: np.ndarray,
+    wy: np.ndarray,
+    tol: TolerancePolicy = DEFAULT_TOLERANCES,
+) -> ExceptionalSet:
+    """The exceptional set from the kernel solves wx = M^-1 x_tau, wy = M^-1 y_tau."""
     scale = max(1.0, float(np.max(np.abs(wx))), float(np.max(np.abs(wy))))
     points: list[complex] = []
     pairs = []

@@ -23,6 +23,7 @@ __all__ = [
     "poly_derivative",
     "poly_roots",
     "rat_reduce",
+    "joint_reduce",
 ]
 
 
@@ -245,13 +246,6 @@ def poly_roots(p: Poly, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> list[RootC
     return out
 
 
-def _expand_clusters(clusters: list[RootCluster]) -> list[complex]:
-    out: list[complex] = []
-    for rc in clusters:
-        out.extend([rc.value] * rc.multiplicity)
-    return out
-
-
 class RationalFn:
     """Quotient of two :class:`Poly`; the denominator is never the zero polynomial."""
 
@@ -273,10 +267,6 @@ class RationalFn:
     def __call__(self, z):
         return _rat_eval(self.num, self.den, z)
 
-    def derivative(self) -> "RationalFn":
-        n, d = self.num, self.den
-        return RationalFn(n.derivative() * d - n * d.derivative(), d * d)
-
     def normalized(self) -> "RationalFn":
         """Scale numerator and denominator so the denominator is monic."""
         lead = self.den.leading
@@ -297,23 +287,56 @@ def _rat_eval(num: Poly, den: Poly, z):
     return poly_eval(num, z) / poly_eval(den, z)
 
 
-def _cancel_common(num_clusters, den_clusters, tol: TolerancePolicy):
-    """Pair numerator root clusters with denominator clusters and cancel the overlap."""
-    num_left = [[rc.value, rc.multiplicity] for rc in num_clusters]
+def _pair_roots(den_clusters, num_clusters, pair_tol: float):
+    """Cancel the denominator roots that every numerator shares, respecting multiplicities.
+
+    ``num_clusters`` holds the root clusters of each numerator, or None for
+    the zero numerator, which shares every root.  Roots pair when they lie
+    within ``pair_tol``.  Returns the remaining denominator roots, the
+    remaining roots of each numerator (None stays None) and the number of
+    roots cancelled.
+    """
     den_left = [[rc.value, rc.multiplicity] for rc in den_clusters]
-    cancelled = []
+    nums_left = [None if clusters is None else [[rc.value, rc.multiplicity] for rc in clusters]
+                 for clusters in num_clusters]
+    cancelled = 0
     for d_entry in den_left:
-        for n_entry in num_left:
-            if n_entry[1] == 0 or d_entry[1] == 0:
-                continue
-            if abs(n_entry[0] - d_entry[0]) <= tol.root_cluster_tol:
-                m = min(n_entry[1], d_entry[1])
-                n_entry[1] -= m
-                d_entry[1] -= m
-                cancelled.append((d_entry[0], m))
-    num_roots = [v for v, m in num_left for _ in range(m)]
-    den_roots = [v for v, m in den_left for _ in range(m)]
-    return num_roots, den_roots, cancelled
+        near = [[e for e in left if abs(e[0] - d_entry[0]) <= pair_tol]
+                for left in nums_left if left is not None]
+        m = min([d_entry[1]] + [sum(e[1] for e in entries) for entries in near])
+        d_entry[1] -= m
+        cancelled += m
+        for entries in near:
+            rest = m
+            for e in entries:
+                cut = min(e[1], rest)
+                e[1] -= cut
+                rest -= cut
+
+    def expand(left):
+        return [v for v, mult in left for _ in range(mult)]
+
+    return expand(den_left), [None if left is None else expand(left) for left in nums_left], cancelled
+
+
+def joint_reduce(nums: tuple[Poly, ...], den: Poly, tol: TolerancePolicy = DEFAULT_TOLERANCES):
+    """Cancel the denominator roots shared by every numerator over ``den``.
+
+    A zero numerator shares every root.  Each stripped polynomial keeps its
+    leading coefficient; unlike :func:`rat_reduce` there is no sampled check.
+    Returns (numerators, denominator), the inputs themselves when nothing
+    cancels.
+    """
+    if den.degree < 1:
+        return nums, den
+    den_clusters = poly_roots(den, tol)
+    num_clusters = [None if q.is_zero else poly_roots(q, tol) if q.degree >= 1 else [] for q in nums]
+    den_roots, num_roots, cancelled = _pair_roots(den_clusters, num_clusters, tol.root_cluster_tol)
+    if not cancelled:
+        return nums, den
+    stripped = tuple(q if roots is None else Poly.from_roots(roots, leading=q.leading)
+                     for q, roots in zip(nums, num_roots))
+    return stripped, Poly.from_roots(den_roots, leading=den.leading)
 
 
 def _sampled_drift(reference: RationalFn, candidate: RationalFn, avoid, tol: TolerancePolicy) -> float:
@@ -356,14 +379,8 @@ def rat_reduce(f: RationalFn, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> Rati
     avoid = [rc.value for rc in num_clusters] + [rc.value for rc in den_clusters]
 
     worst = None
-    for pair_tol in (tol.root_cluster_tol, tol.root_cluster_tol * 1e-2, tol.root_cluster_tol * 1e-4, 0.0):
-        pairing = TolerancePolicy(
-            trim_tol=tol.trim_tol,
-            root_cluster_tol=pair_tol if pair_tol > 0 else 1e-300,
-            residual_tol=tol.residual_tol,
-            pd_tol=tol.pd_tol,
-        )
-        num_roots, den_roots, cancelled = _cancel_common(num_clusters, den_clusters, pairing)
+    for pair_tol in (tol.root_cluster_tol, tol.root_cluster_tol * 1e-2, tol.root_cluster_tol * 1e-4, 1e-300):
+        den_roots, (num_roots,), cancelled = _pair_roots(den_clusters, [num_clusters], pair_tol)
         if cancelled:
             lead_ratio = f.num.leading / f.den.leading
             out = RationalFn(Poly.from_roots(num_roots, leading=lead_ratio), Poly.from_roots(den_roots, leading=1.0))

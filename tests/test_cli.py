@@ -1,8 +1,13 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import royalgamma
 from royalgamma.cli import main
 from royalgamma.gamma import extract_royal_data, generate_h_nu
 
@@ -78,6 +83,16 @@ class TestSolveCommand:
         assert main(["solve", "--input", boundary_file, "--output", str(out1), "--omega-grid", "16"]) == 0
         assert main(["solve", "--input", boundary_file, "--output", str(out2), "--omega-grid", "16"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_module_entry_point(self, interior_file):
+        src = str(pathlib.Path(royalgamma.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "royalgamma", "solve", "--input", interior_file, "--omega-grid", "8"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["status"] == "solved"
 
     def test_omega_grid_bounds(self, interior_file):
         assert main(["solve", "--input", interior_file, "--omega-grid", "4"]) == 1

@@ -345,6 +345,59 @@ class TestGammaInnerFnSerialization:
             GammaInnerFn.from_json_dict(obj)
 
 
+class TestJointReduction:
+    def test_factor_shared_by_all_three_cancels(self):
+        extra = Poly([-3.0, 1.0])
+        h = GammaInnerFn.from_numerators(Poly([0.0, 2.0]) * extra, Poly([0.0, 0.0, 1.0]) * extra, extra)
+        assert h.den.degree == 0
+        assert poly_allclose(h.s.num, Poly([0.0, 2.0]), atol=1e-12)
+        assert poly_allclose(h.p.num, Poly([0.0, 0.0, 1.0]), atol=1e-12)
+
+    def test_factor_shared_with_one_numerator_kept(self):
+        # z = w = B for the degree-1 Blaschke factor B: s = 2B and p = B^2 over
+        # the shared denominator (1 - conj(a) lambda)^2; num_s shares one root
+        # with it, num_p shares none, so nothing cancels
+        a = 0.5
+        blaschke_num, blaschke_den = Poly([-a, 1.0]), Poly([1.0, -a])
+        h = GammaInnerFn.from_numerators(
+            2.0 * (blaschke_num * blaschke_den), blaschke_num * blaschke_num, blaschke_den * blaschke_den
+        )
+        assert h.den.degree == 2
+        assert h.s.num.degree == 2
+        assert h.degree == 2
+
+    def test_zero_numerator_shares_every_root(self):
+        extra = Poly([-3.0, 1.0])
+        h = GammaInnerFn.from_numerators(Poly([]), Poly([0.0, 0.0, 1.0]) * extra, extra)
+        assert h.s.num.is_zero
+        assert h.den.degree == 0
+        assert poly_allclose(h.p.num, Poly([0.0, 0.0, 1.0]), atol=1e-12)
+
+
+class TestPipelineComputesOnce:
+    def test_one_pick_matrix_and_one_cholesky_per_solve(self, monkeypatch):
+        import royalgamma.gamma
+        import royalgamma.pick
+
+        counts = {"build_pick_matrix": 0, "cholesky": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        original_build = royalgamma.pick.build_pick_matrix
+        for module in (royalgamma.pick, royalgamma.gamma):
+            monkeypatch.setattr(module, "build_pick_matrix", counting("build_pick_matrix", original_build))
+        monkeypatch.setattr(np.linalg, "cholesky", counting("cholesky", np.linalg.cholesky))
+
+        data = extract_royal_data(generate_h_nu(1, 0.5))
+        result = solve_royal_problem(data)
+        assert result.status == "solved"
+        assert counts == {"build_pick_matrix": 1, "cholesky": 1}
+
+
 class TestConstructionInvariants:
     def test_construction_correctness_random_data(self, solvable_instances):
         # wherever base values exist, the constructed map verifies at 1e-7
