@@ -12,7 +12,8 @@ solves for explicitly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -123,15 +124,22 @@ class GammaInnerFn:
 
     Invariants (validated by :meth:`from_numerators`): the denominator has no
     zeros in the closed unit disc, and on the circle |p| = 1, s = conj(s) p
-    and |s| <= 2 hold within the residual tolerance.
+    and |s| <= 2 hold within the residual tolerance.  ``tol`` is the policy
+    the map was built and validated with.
     """
 
     s: RationalFn
     p: RationalFn
+    tol: TolerancePolicy = field(default=DEFAULT_TOLERANCES, repr=False)
 
     @property
     def den(self) -> Poly:
         return self.p.den
+
+    @functools.cached_property
+    def denominator_min_root_modulus(self) -> float:
+        """Smallest modulus of a root of the shared denominator under ``self.tol``; inf if constant."""
+        return _min_root_modulus(self.den, self.tol)
 
     @property
     def degree(self) -> int:
@@ -158,8 +166,9 @@ class GammaInnerFn:
         (num_s, num_p), den = joint_reduce((num_s, num_p), den, tol)
         lead = den.leading
         num_s, num_p, den = num_s / lead, num_p / lead, den / lead
-        _validate_gamma_inner(num_s, num_p, den, tol)
-        return cls(s=RationalFn(num_s, den), p=RationalFn(num_p, den))
+        h = cls(s=RationalFn(num_s, den), p=RationalFn(num_p, den), tol=tol)
+        _validate_gamma_inner(h)
+        return h
 
     def to_json_dict(self) -> dict:
         return {
@@ -195,15 +204,21 @@ def _coeff_max(p: Poly) -> float:
     return float(np.max(np.abs(p.coeffs)))
 
 
-def _validate_gamma_inner(num_s: Poly, num_p: Poly, den: Poly, tol: TolerancePolicy) -> None:
-    if den.degree >= 1:
-        min_mod = min(abs(rc.value) for rc in poly_roots(den, tol))
-        if min_mod <= 1.0 + tol.root_cluster_tol:
-            raise DenominatorZeroInDisc(f"denominator root of modulus {min_mod:.12g} in the closed disc")
+def _min_root_modulus(den: Poly, tol: TolerancePolicy) -> float:
+    if den.degree < 1:
+        return float("inf")
+    return min(abs(rc.value) for rc in poly_roots(den, tol))
+
+
+def _validate_gamma_inner(h: GammaInnerFn) -> None:
+    tol = h.tol
+    min_mod = h.denominator_min_root_modulus
+    if min_mod <= 1.0 + tol.root_cluster_tol:
+        raise DenominatorZeroInDisc(f"denominator root of modulus {min_mod:.12g} in the closed disc")
     grid = circle_grid(256)
-    dv = poly_eval(den, grid)
-    sv = poly_eval(num_s, grid) / dv
-    pv = poly_eval(num_p, grid) / dv
+    dv = poly_eval(h.den, grid)
+    sv = poly_eval(h.s.num, grid) / dv
+    pv = poly_eval(h.p.num, grid) / dv
     p_uni = float(np.max(np.abs(np.abs(pv) - 1.0)))
     sym = float(np.max(np.abs(sv - np.conj(sv) * pv)))
     s_excess = float(np.max(np.abs(sv)) - 2.0)
@@ -654,10 +669,7 @@ def verify_royal_solution(
     else:
         failures.append("royal_range")
 
-    if h.den.degree >= 1:
-        den_min = min(abs(rc.value) for rc in poly_roots(h.den, tol))
-    else:
-        den_min = float("inf")
+    den_min = h.denominator_min_root_modulus if tol == h.tol else _min_root_modulus(h.den, tol)
     if den_min <= 1.0:
         failures.append(f"denominator root of modulus {den_min:.12g} inside the closed disc")
 

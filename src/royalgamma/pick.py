@@ -370,7 +370,8 @@ def choose_tau(
         tau = tau_candidate(m)
         if boundary and min(abs(tau - s) for s in boundary) <= MIN_TAU_NODE_DISTANCE:
             continue
-        if exceptional_set(M, data, tau, tol).whole_circle:
+        # without boundary nodes the exceptional set is empty
+        if data.k and exceptional_set(M, data, tau, tol).whole_circle:
             continue
         return tau
     raise NoSuitableTau(f"no usable base point among {max_candidates} candidates")

@@ -33,7 +33,7 @@ from royalgamma.gamma import (
     verify_royal_solution,
 )
 from royalgamma.pick import BlaschkeData, build_pick_matrix, choose_tau
-from royalgamma.polyrat import Poly, poly_allclose, poly_roots
+from royalgamma.polyrat import Poly, TolerancePolicy, poly_allclose, poly_roots
 
 
 def pipeline_parts(data):
@@ -396,6 +396,49 @@ class TestPipelineComputesOnce:
         result = solve_royal_problem(data)
         assert result.status == "solved"
         assert counts == {"build_pick_matrix": 1, "cholesky": 1}
+
+    def test_no_exceptional_set_without_boundary_nodes(self, monkeypatch):
+        import royalgamma.pick
+
+        calls = []
+        original = royalgamma.pick.exceptional_set
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(royalgamma.pick, "exceptional_set", counting)
+        data = interior_example_data()
+        assert data.k == 0
+        assert choose_tau(build_pick_matrix(data), data) == royalgamma.pick.tau_candidate(1)
+        assert calls == []
+
+    def _den_root_calls(self, monkeypatch, h, data, tol):
+        import royalgamma.gamma
+
+        dens = []
+        original = royalgamma.gamma.poly_roots
+
+        def counting(p, *args, **kwargs):
+            if p is h.den:
+                dens.append(p)
+            return original(p, *args, **kwargs)
+
+        monkeypatch.setattr(royalgamma.gamma, "poly_roots", counting)
+        report = verify_royal_solution(h, data, tol)
+        monkeypatch.undo()
+        assert report.denominator_min_root_modulus == min(abs(rc.value) for rc in poly_roots(h.den, tol))
+        return len(dens)
+
+    def test_verify_reuses_the_validated_denominator_roots(self, monkeypatch):
+        h = generate_h_nu(0, 0.5)
+        data = extract_royal_data(h)
+        assert self._den_root_calls(monkeypatch, h, data, h.tol) == 0
+
+    def test_verify_under_another_policy_finds_the_roots_again(self, monkeypatch):
+        h = generate_h_nu(0, 0.5)
+        data = extract_royal_data(h)
+        assert self._den_root_calls(monkeypatch, h, data, TolerancePolicy(root_cluster_tol=1e-9)) == 1
 
 
 class TestConstructionInvariants:

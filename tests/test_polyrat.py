@@ -6,9 +6,13 @@ from hypothesis import strategies as st
 from royalgamma import generate_h_nu
 from royalgamma.errors import ZeroPolynomial
 from royalgamma.polyrat import (
+    DEFAULT_TOLERANCES,
     Poly,
     RationalFn,
+    RootCluster,
     TolerancePolicy,
+    _drift_candidates,
+    _sampled_drift,
     poly_allclose,
     poly_derivative,
     poly_eval,
@@ -177,6 +181,130 @@ class TestRatReduce:
         g = rat_reduce(RationalFn(Poly([]), Poly([2.0, 1.0])))
         assert g.num.is_zero
         assert poly_allclose(g.den, Poly([1.0]))
+
+    def test_near_common_root_is_not_cancelled(self):
+        # 5e-8 apart pairs at root_cluster_tol = 1e-7, but cancelling the pair
+        # moves the sampled values, so the pairing backs off
+        a = 0.3 + 0.4j
+        g = rat_reduce(RationalFn(Poly.from_roots([a + 5e-8, 0.7j]), Poly.from_roots([a, -0.5])))
+        assert g.den.degree == 2
+        assert g.num.degree == 2
+
+    def test_true_common_root_is_cancelled(self):
+        a = 0.3 + 0.4j
+        g = rat_reduce(RationalFn(Poly.from_roots([a, 0.7j]), Poly.from_roots([a, -0.5])))
+        assert g.den.degree == 1
+        assert g.num.degree == 1
+        assert abs(g.den.coeffs[0] - 0.5) < 1e-12
+
+
+def _scalar_drift_candidates():
+    rng = np.random.default_rng(20311)
+    return [rng.uniform(0.1, 2.5) * np.exp(2j * np.pi * rng.uniform()) for _ in range(4000)]
+
+
+def _scalar_sampled_drift(reference, candidate, avoid):
+    """The one-point-at-a-time sampled check that the array version must reproduce."""
+    rng = np.random.default_rng(20311)
+    checked = 0
+    worst = 0.0
+    attempts = 0
+    while checked < 32 and attempts < 4000:
+        attempts += 1
+        z = rng.uniform(0.1, 2.5) * np.exp(2j * np.pi * rng.uniform())
+        if any(abs(z - a) < 5e-2 for a in avoid):
+            continue
+        ref = reference(z)
+        worst = max(worst, abs(ref - candidate(z)) / max(1.0, abs(ref)))
+        checked += 1
+    return worst
+
+
+def _scalar_polish_roots(p, tol=DEFAULT_TOLERANCES):
+    """poly_roots with the Newton polish evaluated at one root at a time."""
+    polished = []
+    dp = poly_derivative(p)
+    for r in np.roots(p.coeffs[::-1]):
+        fr = poly_eval(p, r)
+        dfr = poly_eval(dp, r)
+        if dfr != 0:
+            step = fr / dfr
+            if abs(step) < 1e-4:
+                r = r - step
+        polished.append(complex(r))
+    polished.sort(key=lambda w: (w.real, w.imag))
+    clusters = []
+    for r in polished:
+        for members in clusters:
+            if abs(r - sum(members) / len(members)) <= tol.root_cluster_tol:
+                members.append(r)
+                break
+        else:
+            clusters.append([r])
+    out = []
+    for members in clusters:
+        centroid = complex(sum(members) / len(members))
+        m = len(members)
+        if m >= 2:
+            q = p
+            for _ in range(m - 1):
+                q = poly_derivative(q)
+            dq = poly_derivative(q)
+            for _ in range(2):
+                dqv = poly_eval(dq, centroid)
+                if dqv == 0:
+                    break
+                step = poly_eval(q, centroid) / dqv
+                if abs(step) > 1e-3:
+                    break
+                centroid -= step
+        out.append(RootCluster(centroid, m, abs(poly_eval(p, centroid))))
+    out.sort(key=lambda rc: (rc.value.real, rc.value.imag))
+    return out
+
+
+class TestArrayEvaluationIsBitIdentical:
+    """The array evaluations give exactly the values of the scalar loops they replaced."""
+
+    def test_drift_candidates_match_scalar_draws(self):
+        assert np.array_equal(_drift_candidates(), np.array(_scalar_drift_candidates()))
+
+    def _pairs(self):
+        # reference and a perturbed candidate, nonzero drift at every scale
+        rng = np.random.default_rng(41)
+        for eps in (1e-6, 1e-9, 1e-13):
+            for _ in range(4):
+                num = rng.normal(size=6) + 1j * rng.normal(size=6)
+                den = rng.normal(size=5) + 1j * rng.normal(size=5)
+                yield RationalFn(Poly(num), Poly(den)), RationalFn(Poly(num * (1.0 + eps)), Poly(den))
+
+    def test_drift_with_empty_avoid(self):
+        for reference, candidate in self._pairs():
+            drift = _sampled_drift(reference, candidate, [], DEFAULT_TOLERANCES)
+            assert drift > 0.0
+            assert drift == _scalar_sampled_drift(reference, candidate, [])
+
+    def test_drift_when_avoid_rejects_early_candidates(self):
+        early = [complex(z) + 1e-3 for z in _drift_candidates()[:3]] + [0.5j, -1.0]
+        for reference, candidate in self._pairs():
+            avoid = early + [rc.value for rc in poly_roots(reference.num) + poly_roots(reference.den)]
+            drift = _sampled_drift(reference, candidate, avoid, DEFAULT_TOLERANCES)
+            assert drift > 0.0
+            assert drift == _scalar_sampled_drift(reference, candidate, avoid)
+
+    def test_drift_of_a_faithful_reduction(self):
+        f = RationalFn(Poly.from_roots([0.2, 0.7j, -1.1]), Poly.from_roots([0.2, -0.5]))
+        g = rat_reduce(f)
+        avoid = [0.2, 0.7j, -1.1, -0.5]
+        assert _sampled_drift(f, g, avoid, DEFAULT_TOLERANCES) == _scalar_sampled_drift(f, g, avoid)
+
+    def test_poly_roots_match_scalar_polish(self):
+        rng = np.random.default_rng(2024)
+        polys = [Poly(rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)) for n in range(1, 14) for _ in range(8)]
+        polys.append(Poly.from_roots([0.3 + 0.2j, 0.3 + 0.2j, -0.5, 0.9j], leading=2.0 - 1j))
+        for p in polys:
+            assert poly_roots(p) == _scalar_polish_roots(p)
+        assert [rc.multiplicity for rc in poly_roots(polys[-1])].count(2) == 1
 
 
 @seed(988)
