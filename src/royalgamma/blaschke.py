@@ -4,7 +4,7 @@ boundary-augmented interpolation problem."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -128,9 +128,10 @@ class Parametrization:
     For every unimodular zeta off the exceptional set, (a zeta + b)/(c zeta + d)
     is the unique degree-n solution of the interpolation problem taking the
     value zeta at tau.  ``exceptional`` caches the defining scalars so
-    membership can be tested without the original Pick matrix, and
+    membership can be tested without the original Pick matrix,
     ``kernel_numerators`` keeps (n_xx, n_xy, n_yx, n_yy), the kernel sums at
-    tau over the common product, from which (a, b, c, d) were assembled.
+    tau over the common product, from which (a, b, c, d) were assembled, and
+    ``tol`` is the Pick matrix's policy, carried on to the maps built from it.
     """
 
     a: Poly
@@ -141,6 +142,7 @@ class Parametrization:
     data_hash: str
     exceptional: ExceptionalSet
     kernel_numerators: tuple[Poly, Poly, Poly, Poly]
+    tol: TolerancePolicy = field(default=DEFAULT_TOLERANCES, repr=False)
 
     @property
     def degree(self) -> int:
@@ -202,12 +204,7 @@ def _kernel_numerator_polynomials(data: BlaschkeData, wx: np.ndarray, wy: np.nda
     return n_xx, n_xy, n_yx, n_yy, product
 
 
-def build_parametrization(
-    M: PickMatrix,
-    data: BlaschkeData,
-    tau: complex,
-    tol: TolerancePolicy = DEFAULT_TOLERANCES,
-) -> Parametrization:
+def build_parametrization(M: PickMatrix, data: BlaschkeData, tau: complex) -> Parametrization:
     """Assemble the normalized quadruple (a, b, c, d) for base point tau.
 
     The assembly multiplies the kernel sums through by the common product of
@@ -215,9 +212,10 @@ def build_parametrization(
     The documented invariants (normalization at tau, max degree n, no common
     zero, |c| <= |d| on the closed disc) are validated before returning.
     """
+    tol = M.tol
     tau = complex(tau / abs(tau))
     kv = kernel_vectors(data, tau, tol)
-    wx, wy = solve_pd(M, kv.x, tol), solve_pd(M, kv.y, tol)
+    wx, wy = solve_pd(M, kv.x), solve_pd(M, kv.y)
     exc = exceptional_from_solves(data, wx, wy, tol)
     if exc.whole_circle:
         raise UnsuitableTau("every unimodular parameter is exceptional for this base point")
@@ -233,7 +231,7 @@ def build_parametrization(
 
     param = Parametrization(
         a=a, b=b, c=c, d=d, tau=tau, data_hash=data.canonical_digest(), exceptional=exc,
-        kernel_numerators=(n_xx, n_xy, n_yx, n_yy),
+        kernel_numerators=(n_xx, n_xy, n_yx, n_yy), tol=tol,
     )
 
     res = param.normalization_residual()
@@ -241,14 +239,15 @@ def build_parametrization(
         raise NumericalFailure(f"normalization at tau off by {res:.3e}")
     if param.degree != data.n:
         raise NumericalFailure(f"max degree {param.degree} != n = {data.n}")
-    _check_no_common_zero(param, tol)
-    _check_c_dominated_by_d(param, tol)
+    _check_no_common_zero(param)
+    _check_c_dominated_by_d(param)
     return param
 
 
-def _check_no_common_zero(param: Parametrization, tol: TolerancePolicy) -> None:
+def _check_no_common_zero(param: Parametrization) -> None:
     """Narrow the zeros of a to those that b, c and d share in turn, finding
     the roots of each at most once; the zero polynomial shares every zero."""
+    tol = param.tol
     if param.a.degree < 1:
         return
     shared = [rc.value for rc in poly_roots(param.a, tol)]
@@ -264,19 +263,15 @@ def _check_no_common_zero(param: Parametrization, tol: TolerancePolicy) -> None:
     raise NumericalFailure(f"a, b, c, d share the zero {shared[0]}")
 
 
-def _check_c_dominated_by_d(param: Parametrization, tol: TolerancePolicy) -> None:
+def _check_c_dominated_by_d(param: Parametrization) -> None:
     grid = disc_grid(256)
     excess = np.abs(poly_eval(param.c, grid)) - np.abs(poly_eval(param.d, grid))
     worst = float(np.max(excess))
-    if worst > tol.residual_tol:
+    if worst > param.tol.residual_tol:
         raise NumericalFailure(f"|c| exceeds |d| on the closed disc by {worst:.3e}")
 
 
-def solve_blaschke(
-    param: Parametrization,
-    zeta: complex,
-    tol: TolerancePolicy = DEFAULT_TOLERANCES,
-) -> RationalFn:
+def solve_blaschke(param: Parametrization, zeta: complex) -> RationalFn:
     """Reduced solution (a zeta + b)/(c zeta + d) for a unimodular parameter zeta.
 
     Raises ExceptionalZeta when zeta sits inside the tolerance band of the
@@ -291,7 +286,7 @@ def solve_blaschke(
             raise ExceptionalZeta(f"zeta = {zeta} is within tolerance of the exceptional set")
     num = zeta * param.a + param.b
     den = zeta * param.c + param.d
-    return rat_reduce(RationalFn(num, den), tol)
+    return rat_reduce(RationalFn(num, den), param.tol)
 
 
 def to_blaschke_product(f: RationalFn, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> BlaschkeProduct:

@@ -224,7 +224,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     if data is None:
         try:
-            data = extract_royal_data(h, tol)
+            data = extract_royal_data(h)
         except RoyalRange:
             payload = {"pass": False, "royal_range": True,
                        "failures": ["royal_range: the map sends the disc into the royal variety"]}
@@ -235,7 +235,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"inapplicable: {exc}", file=sys.stderr)
             return EXIT_UNSOLVABLE
 
-    report = verify_royal_solution(h, data, tol)
+    report = verify_royal_solution(h, data)
     grid = circle_grid(256)
     counts: dict[str, int] = {}
     for z in grid:
@@ -311,16 +311,16 @@ def cmd_blaschke(args: argparse.Namespace) -> int:
     tol = _policy(args)
     data = BlaschkeData.from_json_dict(_read_json(args.input))
     M = build_pick_matrix(data, tol)
-    positivity = check_positive_definite(M, tol)
+    positivity = check_positive_definite(M)
     if positivity.kind != "definite":
         print(f"not solvable at step 1: Pick matrix is {positivity.kind}", file=sys.stderr)
         return EXIT_UNSOLVABLE
-    tau = choose_tau(M, data, tol, start=_tau_start())
-    param = build_parametrization(M, data, tau, tol)
+    tau = choose_tau(M, data, start=_tau_start())
+    param = build_parametrization(M, data, tau)
     solutions = []
     for zeta in circle_grid(min(args.omega_grid, 64)):
         try:
-            phi = solve_blaschke(param, zeta, tol)
+            phi = solve_blaschke(param, zeta)
         except ExceptionalZeta:
             continue
         interp = max(abs(phi(s) - e) for s, e in zip(data.sigma, data.eta))
@@ -351,10 +351,9 @@ def cmd_blaschke(args: argparse.Namespace) -> int:
 
 
 def cmd_roundtrip(args: argparse.Namespace) -> int:
-    tol = _policy(args)
     h = _obtain_h(args)
     try:
-        data = extract_royal_data(h, tol)
+        data = extract_royal_data(h)
     except (MultiplicityAboveOne, RoyalRange) as exc:
         print(f"inapplicable: {exc}", file=sys.stderr)
         return EXIT_UNSOLVABLE

@@ -125,7 +125,8 @@ class GammaInnerFn:
     Invariants (validated by :meth:`from_numerators`): the denominator has no
     zeros in the closed unit disc, and on the circle |p| = 1, s = conj(s) p
     and |s| <= 2 hold within the residual tolerance.  ``tol`` is the policy
-    the map was built and validated with.
+    the map was built and validated with; the functions taking the map read it
+    from there, so each fact about the map below is computed at most once.
     """
 
     s: RationalFn
@@ -139,7 +140,34 @@ class GammaInnerFn:
     @functools.cached_property
     def denominator_min_root_modulus(self) -> float:
         """Smallest modulus of a root of the shared denominator under ``self.tol``; inf if constant."""
-        return _min_root_modulus(self.den, self.tol)
+        if self.den.degree < 1:
+            return float("inf")
+        return min(abs(rc.value) for rc in poly_roots(self.den, self.tol))
+
+    @functools.cached_property
+    def circle_residuals(self) -> tuple[float, float, float]:
+        """| |p| - 1 |, |s - conj(s) p| and |s| - 2, each at its maximum over a 256-point circle grid."""
+        grid = circle_grid(256)
+        dv = poly_eval(self.den, grid)
+        sv = poly_eval(self.s.num, grid) / dv
+        pv = poly_eval(self.p.num, grid) / dv
+        return (
+            float(np.max(np.abs(np.abs(pv) - 1.0))),
+            float(np.max(np.abs(sv - np.conj(sv) * pv))),
+            float(np.max(np.abs(sv)) - 2.0),
+        )
+
+    @functools.cached_property
+    def royal(self) -> tuple[Poly, float]:
+        """The royal polynomial and its scale, as :func:`royal_polynomial` returns them."""
+        return royal_polynomial(self)
+
+    @functools.cached_property
+    def royal_range(self) -> bool:
+        """Whether s^2 - 4p vanishes identically under ``self.tol``, i.e. the
+        map sends the disc into the royal variety."""
+        royal, scale = self.royal
+        return royal.is_zero or _coeff_max(royal) <= 100 * self.tol.trim_tol * scale
 
     @property
     def degree(self) -> int:
@@ -204,24 +232,12 @@ def _coeff_max(p: Poly) -> float:
     return float(np.max(np.abs(p.coeffs)))
 
 
-def _min_root_modulus(den: Poly, tol: TolerancePolicy) -> float:
-    if den.degree < 1:
-        return float("inf")
-    return min(abs(rc.value) for rc in poly_roots(den, tol))
-
-
 def _validate_gamma_inner(h: GammaInnerFn) -> None:
     tol = h.tol
     min_mod = h.denominator_min_root_modulus
     if min_mod <= 1.0 + tol.root_cluster_tol:
         raise DenominatorZeroInDisc(f"denominator root of modulus {min_mod:.12g} in the closed disc")
-    grid = circle_grid(256)
-    dv = poly_eval(h.den, grid)
-    sv = poly_eval(h.s.num, grid) / dv
-    pv = poly_eval(h.p.num, grid) / dv
-    p_uni = float(np.max(np.abs(np.abs(pv) - 1.0)))
-    sym = float(np.max(np.abs(sv - np.conj(sv) * pv)))
-    s_excess = float(np.max(np.abs(sv)) - 2.0)
+    p_uni, sym, s_excess = h.circle_residuals
     if p_uni > tol.residual_tol or sym > tol.residual_tol or s_excess > tol.residual_tol:
         raise NumericalFailure(
             f"boundary identities violated: | |p|-1 | = {p_uni:.3e}, "
@@ -238,17 +254,12 @@ def royal_polynomial(h: GammaInnerFn) -> tuple[Poly, float]:
     return ss - pd4, scale
 
 
-def _is_royal_range(h: GammaInnerFn, tol: TolerancePolicy) -> bool:
-    royal, scale = royal_polynomial(h)
-    return royal.is_zero or _coeff_max(royal) <= 100 * tol.trim_tol * scale
-
-
-def compose_phi_omega(omega: complex, h: GammaInnerFn, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> RationalFn:
+def compose_phi_omega(omega: complex, h: GammaInnerFn) -> RationalFn:
     """The rational function (2 omega p - s)/(2 - omega s), reduced."""
     omega = complex(omega)
     num = 2.0 * omega * h.p.num - h.s.num
     den = 2.0 * h.den - omega * h.s.num
-    return rat_reduce(RationalFn(num, den), tol)
+    return rat_reduce(RationalFn(num, den), h.tol)
 
 
 @dataclass(frozen=True)
@@ -274,7 +285,7 @@ def _angle_key(z: complex) -> float:
     return float(np.angle(z) % (2.0 * np.pi))
 
 
-def royal_nodes(h: GammaInnerFn, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> RoyalData:
+def royal_nodes(h: GammaInnerFn) -> RoyalData:
     """Locate the royal nodes of ``h`` inside the closed disc.
 
     Zeros of the royal polynomial within 10 * root_cluster_tol of the circle
@@ -285,13 +296,13 @@ def royal_nodes(h: GammaInnerFn, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> R
     Raises RoyalRange when s^2 - 4p vanishes identically: then every point of
     the disc is royal and enumeration is meaningless.
     """
-    royal, scale = royal_polynomial(h)
-    if royal.is_zero or _coeff_max(royal) <= 100 * tol.trim_tol * scale:
+    if h.royal_range:
         raise RoyalRange("s^2 - 4p vanishes identically; the map sends the disc into the royal variety")
+    tol = h.tol
     snap_band = 10.0 * tol.root_cluster_tol
     boundary: list[tuple[complex, int]] = []
     interior: list[tuple[complex, int]] = []
-    for rc in poly_roots(royal, tol):
+    for rc in poly_roots(h.royal[0], tol):
         mod = abs(rc.value)
         if abs(mod - 1.0) <= snap_band:
             if rc.multiplicity % 2 != 0:
@@ -335,10 +346,10 @@ def royal_nodes(h: GammaInnerFn, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> R
     )
 
 
-def extract_royal_data(h: GammaInnerFn, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> BlaschkeData:
+def extract_royal_data(h: GammaInnerFn) -> BlaschkeData:
     """Interpolation data read off a map: nodes, values, and half the phasar
     derivative of p at each boundary node.  All multiplicities must be one."""
-    rd = royal_nodes(h, tol)
+    rd = royal_nodes(h)
     if any(m > 1 for _, m in rd.nodes):
         worst = max(m for _, m in rd.nodes)
         raise MultiplicityAboveOne(f"royal node of multiplicity {worst}; only simple nodes are supported")
@@ -398,11 +409,7 @@ class S0P0Solution:
         return FamilyMember(omega, t, 2.0 * t * omega, u)
 
 
-def solve_s0_p0(
-    param: Parametrization,
-    data: BlaschkeData,
-    tol: TolerancePolicy = DEFAULT_TOLERANCES,
-) -> S0P0Solution:
+def solve_s0_p0(param: Parametrization, data: BlaschkeData) -> S0P0Solution:
     """Solve for base values (s0, p0) on the distinguished boundary with |s0| < 2.
 
     Writing s0 = 2 t omega, p0 = omega^2, the degree-(n-1) coefficient
@@ -414,6 +421,7 @@ def solve_s0_p0(
     """
     if param.data_hash != data.canonical_digest():
         raise InvalidData("parametrization was built from different interpolation data")
+    tol = param.tol
     n_xx, n_xy, n_yx, n_yy = param.kernel_numerators
     q_g = n_xx + n_yy
     n = data.n
@@ -498,12 +506,7 @@ def solve_s0_p0(
     )
 
 
-def construct_h(
-    param: Parametrization,
-    s0: complex,
-    p0: complex,
-    tol: TolerancePolicy = DEFAULT_TOLERANCES,
-) -> GammaInnerFn:
+def construct_h(param: Parametrization, s0: complex, p0: complex) -> GammaInnerFn:
     """Assemble the map with base values (s0, p0) from the parametrization:
 
         s = 2 (2 p0 c - s0 d)/(s0 c - 2 d),  p = (-2 p0 a + s0 b)/(s0 c - 2 d).
@@ -511,7 +514,7 @@ def construct_h(
     The inputs must satisfy |p0| = 1, s0 = conj(s0) p0, |s0| < 2 and the
     defining identity s0 a - 2 b + 2 p0 c - s0 d = 0 within tolerance.
     """
-    s0, p0 = complex(s0), complex(p0)
+    s0, p0, tol = complex(s0), complex(p0), param.tol
     if abs(abs(p0) - 1.0) > tol.residual_tol:
         raise PreconditionViolated(f"|p0| = {abs(p0):.12g} is not 1")
     p0 = p0 / abs(p0)
@@ -530,7 +533,7 @@ def construct_h(
     num_p = -2.0 * p0 * param.a + s0 * param.b
     den = s0 * param.c - 2.0 * param.d
     h = GammaInnerFn.from_numerators(num_s, num_p, den, tol)
-    if _is_royal_range(h, tol):
+    if h.royal_range:
         raise RoyalRange("constructed map degenerates into the royal variety")
     anchor_gap = max(abs(h.s(param.tau) - s0), abs(h.p(param.tau) - p0))
     if anchor_gap > 1e-6:
@@ -605,10 +608,7 @@ def _phi_check_omegas(h: GammaInnerFn, data: BlaschkeData) -> np.ndarray:
 
 
 def verify_royal_solution(
-    h: GammaInnerFn,
-    data: BlaschkeData,
-    tol: TolerancePolicy = DEFAULT_TOLERANCES,
-    pass_tol: float | None = None,
+    h: GammaInnerFn, data: BlaschkeData, *, pass_tol: float | None = None
 ) -> VerificationReport:
     """Structured residuals for every requirement the constructed map must meet.
 
@@ -616,13 +616,13 @@ def verify_royal_solution(
     p at boundary nodes, the three boundary identities on a 256-point circle
     grid, reduced degree, the composed linear-fractional cross-check at eight
     probe parameters, and the pole locations.  ``passed`` is true iff every
-    residual is at most ``pass_tol`` and the structural checks hold.
+    residual is at most ``pass_tol`` (by default the map's residual
+    tolerance) and the structural checks hold.
     """
+    tol = h.tol
     pass_tol = tol.residual_tol if pass_tol is None else float(pass_tol)
     residuals: dict[str, float] = {}
     failures: list[str] = []
-
-    royal_range = _is_royal_range(h, tol)
 
     sigma = np.array(data.sigma)
     eta = np.array(data.eta)
@@ -638,24 +638,22 @@ def verify_royal_solution(
             worst = max(worst, abs(ap - 2.0 * data.rho[j]))
         residuals["phasar_p_max"] = worst
 
-    grid = circle_grid(256)
-    sv = h.s(grid)
-    pv = h.p(grid)
-    residuals["circle_p_unimodular_max"] = float(np.max(np.abs(np.abs(pv) - 1.0)))
-    residuals["circle_s_symmetry_max"] = float(np.max(np.abs(sv - np.conj(sv) * pv)))
-    residuals["circle_s_bound_excess"] = float(max(np.max(np.abs(sv)) - 2.0, 0.0))
+    p_uni, sym, s_excess = h.circle_residuals
+    residuals["circle_p_unimodular_max"] = p_uni
+    residuals["circle_s_symmetry_max"] = sym
+    residuals["circle_s_bound_excess"] = max(s_excess, 0.0)
 
     degree_actual = h.degree
     if degree_actual != data.n:
         failures.append(f"degree {degree_actual} != {data.n}")
 
-    if not royal_range:
+    if not h.royal_range:
         try:
             probes = _phi_check_omegas(h, data)
             interp_worst = 0.0
             phasar_worst = 0.0
             for omega in probes:
-                composed = compose_phi_omega(omega, h, tol)
+                composed = compose_phi_omega(omega, h)
                 values = composed(sigma)
                 interp_worst = max(interp_worst, float(np.max(np.abs(values - eta))))
                 for j in range(data.k):
@@ -669,7 +667,7 @@ def verify_royal_solution(
     else:
         failures.append("royal_range")
 
-    den_min = h.denominator_min_root_modulus if tol == h.tol else _min_root_modulus(h.den, tol)
+    den_min = h.denominator_min_root_modulus
     if den_min <= 1.0:
         failures.append(f"denominator root of modulus {den_min:.12g} inside the closed disc")
 
@@ -682,7 +680,7 @@ def verify_royal_solution(
         degree_expected=data.n,
         degree_actual=degree_actual,
         denominator_min_root_modulus=den_min,
-        royal_range=royal_range,
+        royal_range=h.royal_range,
         passed=passed,
         failures=tuple(failures),
         pass_tol=pass_tol,
@@ -733,7 +731,7 @@ def solve_royal_problem(
     ``extra_omegas_fn`` returns for the chosen base point (e.g. an exact
     parameter computed from a candidate solution)."""
     M = build_pick_matrix(data, tol)
-    positivity = check_positive_definite(M, tol)
+    positivity = check_positive_definite(M)
     if positivity.kind != "definite":
         return RoyalPipelineResult(
             status="not_solvable",
@@ -742,9 +740,9 @@ def solve_royal_problem(
             data=data,
             positivity=positivity,
         )
-    tau = choose_tau(M, data, tol, start=tau_start)
-    param = build_parametrization(M, data, tau, tol)
-    s0p0 = solve_s0_p0(param, data, tol)
+    tau = choose_tau(M, data, start=tau_start)
+    param = build_parametrization(M, data, tau)
+    s0p0 = solve_s0_p0(param, data)
     if s0p0.kind == "none":
         return RoyalPipelineResult(
             status="not_solvable",
@@ -771,11 +769,11 @@ def solve_royal_problem(
     skipped: list[str] = []
     for mem in members:
         try:
-            h = construct_h(param, mem.s0, mem.p0, tol)
+            h = construct_h(param, mem.s0, mem.p0)
         except RoyalGammaError as exc:
             skipped.append(f"omega = {mem.omega}: {exc}")
             continue
-        report = verify_royal_solution(h, data, tol, pass_tol)
+        report = verify_royal_solution(h, data, pass_tol=pass_tol)
         solutions.append(RoyalSolution(mem.omega, mem.t, mem.s0, mem.p0, h, report))
     if not solutions:
         detail = "the family accepted no member with real t in (-1, 1) on the sampled grid"

@@ -2,13 +2,15 @@
 
 The Pick matrix carries the boundary phasar-derivative bounds on its diagonal.
 Positive definiteness certifies solvability of the interpolation problem; the
-bordered augmentation, the exceptional parameter set and the deterministic
-base-point selection implemented here feed the linear-fractional
-parametrization of all solutions.
+exceptional parameter set and the deterministic base-point selection
+implemented here feed the linear-fractional parametrization of all solutions.
+The tolerance policy is fixed when the Pick matrix is built, and every
+function taking the matrix reads it from there.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import hashlib
 import json
@@ -34,8 +36,6 @@ __all__ = [
     "build_pick_matrix",
     "check_positive_definite",
     "kernel_vectors",
-    "augmented_rho",
-    "augmented_pick_matrix",
     "exceptional_set",
     "exceptional_from_solves",
     "choose_tau",
@@ -74,6 +74,10 @@ class BlaschkeData:
         sigma = tuple(complex(s) for s in self.sigma)
         eta = tuple(complex(e) for e in self.eta)
         rho = tuple(float(r) for r in self.rho)
+        for name, values in (("sigma", sigma), ("eta", eta), ("rho", rho)):
+            for j, v in enumerate(values):
+                if not cmath.isfinite(v):
+                    raise InvalidData(f"{name}[{j}] = {v} is not finite")
         n, k = len(sigma), self.k
         if len(eta) != n:
             raise InvalidData(f"{n} nodes but {len(eta)} target values")
@@ -142,7 +146,10 @@ class BlaschkeData:
                 e = complex(node["eta"][0], node["eta"][1])
             except (KeyError, TypeError, IndexError) as exc:
                 raise InvalidData(f"node {idx}: malformed sigma/eta ({exc})") from exc
-            r = node.get("rho")
+            try:
+                r = None if node.get("rho") is None else float(node["rho"])
+            except (TypeError, ValueError) as exc:
+                raise InvalidData(f"node {idx}: malformed rho ({exc})") from exc
             on_circle = abs(abs(s) - 1.0) <= BOUNDARY_INPUT_TOL
             if r is None and on_circle:
                 raise InvalidData(f"node {idx}: |sigma| = 1 requires a rho value")
@@ -151,7 +158,7 @@ class BlaschkeData:
             if r is None:
                 interior.append((s, e))
             else:
-                boundary.append((s, e, float(r)))
+                boundary.append((s, e, r))
         sigma = [b[0] for b in boundary] + [i[0] for i in interior]
         eta = [b[1] for b in boundary] + [i[1] for i in interior]
         rho = [b[2] for b in boundary]
@@ -165,10 +172,12 @@ class BlaschkeData:
 @dataclass(frozen=True, eq=False)
 class PickMatrix:
     """Hermitian Pick matrix; the minimum eigenvalue is cached at construction,
-    the lower Cholesky factor on first use."""
+    the lower Cholesky factor on first use.  ``tol`` is the policy of the
+    solve, carried on to everything derived from the matrix."""
 
     entries: np.ndarray
     min_eigenvalue: float
+    tol: TolerancePolicy = field(default=DEFAULT_TOLERANCES, repr=False)
 
     @property
     def n(self) -> int:
@@ -229,13 +238,13 @@ def build_pick_matrix(data: BlaschkeData, tol: TolerancePolicy = DEFAULT_TOLERAN
     m = 0.5 * (m + m.conj().T)
     m.setflags(write=False)
     min_eig = float(np.linalg.eigvalsh(m)[0])
-    return PickMatrix(entries=m, min_eigenvalue=min_eig)
+    return PickMatrix(entries=m, min_eigenvalue=min_eig, tol=tol)
 
 
-def check_positive_definite(M: PickMatrix, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> PositivityResult:
-    """Classify by the cached minimum eigenvalue against ``tol.pd_tol``; for a
+def check_positive_definite(M: PickMatrix) -> PositivityResult:
+    """Classify by the cached minimum eigenvalue against ``M.tol.pd_tol``; for a
     matrix that is not definite, rank counts the eigenvalues above it."""
-    min_eig = M.min_eigenvalue
+    min_eig, tol = M.min_eigenvalue, M.tol
     if min_eig > tol.pd_tol:
         return PositivityResult("definite", min_eig, M.n)
     rank = int(np.count_nonzero(np.linalg.eigvalsh(M.entries) > tol.pd_tol))
@@ -256,67 +265,24 @@ def kernel_vectors(data: BlaschkeData, lam: complex, tol: TolerancePolicy = DEFA
     return KernelVectors(x=x, y=y, at=lam)
 
 
-def solve_pd(M: PickMatrix, rhs: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
+def solve_pd(M: PickMatrix, rhs: np.ndarray) -> np.ndarray:
     """Apply the inverse of a positive definite ``M`` through its cached Cholesky factor."""
-    if M.min_eigenvalue <= tol.pd_tol:
+    if M.min_eigenvalue <= M.tol.pd_tol:
         raise SingularPick(f"Pick matrix fails Cholesky at pd_tol: min eigenvalue {M.min_eigenvalue:.3e}")
     lower = M.cholesky_factor
     y = np.linalg.solve(lower, rhs)
     return np.linalg.solve(lower.conj().T, y)
 
 
-def augmented_rho(
-    M: PickMatrix,
-    data: BlaschkeData,
-    zeta: complex,
-    tau: complex,
-    tol: TolerancePolicy = DEFAULT_TOLERANCES,
-) -> float:
-    """The value <M^-1 u, u> for u = x_tau - zeta * y_tau.
-
-    Used as the extra diagonal entry that makes the bordered (n+1) x (n+1)
-    matrix singular with rank n.
-    """
-    kv = kernel_vectors(data, tau, tol)
-    u = kv.x - complex(zeta) * kv.y
-    w = solve_pd(M, u, tol)
-    return float(np.vdot(u, w).real)
-
-
-def augmented_pick_matrix(
-    M: PickMatrix,
-    data: BlaschkeData,
-    zeta: complex,
-    tau: complex,
-    tol: TolerancePolicy = DEFAULT_TOLERANCES,
-) -> np.ndarray:
-    """Bordered matrix [[M, u], [u*, <M^-1 u, u>]]; singular with rank n by design."""
-    kv = kernel_vectors(data, tau, tol)
-    u = kv.x - complex(zeta) * kv.y
-    rho = augmented_rho(M, data, zeta, tau, tol)
-    n = M.n
-    out = np.empty((n + 1, n + 1), dtype=complex)
-    out[:n, :n] = M.entries
-    out[:n, n] = u
-    out[n, :n] = u.conj()
-    out[n, n] = rho
-    return out
-
-
-def exceptional_set(
-    M: PickMatrix,
-    data: BlaschkeData,
-    tau: complex,
-    tol: TolerancePolicy = DEFAULT_TOLERANCES,
-) -> ExceptionalSet:
+def exceptional_set(M: PickMatrix, data: BlaschkeData, tau: complex) -> ExceptionalSet:
     """Solve alpha_j = zeta * beta_j per boundary node, keeping unimodular solutions.
 
     With the inner product <u, v> = sum u_i conj(v_i), alpha_j and beta_j are
     the j-th entries of M^-1 x_tau and M^-1 y_tau.  If both vanish for some
     node the whole circle is exceptional.
     """
-    kv = kernel_vectors(data, tau, tol)
-    return exceptional_from_solves(data, solve_pd(M, kv.x, tol), solve_pd(M, kv.y, tol), tol)
+    kv = kernel_vectors(data, tau, M.tol)
+    return exceptional_from_solves(data, solve_pd(M, kv.x), solve_pd(M, kv.y), M.tol)
 
 
 def exceptional_from_solves(
@@ -355,7 +321,7 @@ def tau_candidate(m: int) -> complex:
 def choose_tau(
     M: PickMatrix,
     data: BlaschkeData,
-    tol: TolerancePolicy = DEFAULT_TOLERANCES,
+    *,
     start: int = 1,
     max_candidates: int = 1000,
 ) -> complex:
@@ -371,7 +337,7 @@ def choose_tau(
         if boundary and min(abs(tau - s) for s in boundary) <= MIN_TAU_NODE_DISTANCE:
             continue
         # without boundary nodes the exceptional set is empty
-        if data.k and exceptional_set(M, data, tau, tol).whole_circle:
+        if data.k and exceptional_set(M, data, tau).whole_circle:
             continue
         return tau
     raise NoSuitableTau(f"no usable base point among {max_candidates} candidates")

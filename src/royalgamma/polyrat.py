@@ -35,9 +35,10 @@ class TolerancePolicy:
     Parameters
     ----------
     trim_tol : float
-        Relative threshold for trimming trailing polynomial coefficients;
-        a coefficient is negligible when its modulus is below
-        ``trim_tol * max(|coeffs|)``.
+        Relative threshold below which a quantity counts as zero in the pole,
+        degeneracy and vanishing tests (the royal-range test among them).  It
+        does not trim polynomial coefficients: ``Poly`` always trims at its
+        own default of 1e-12.
     root_cluster_tol : float
         Radius used to merge nearby roots into one cluster; the cluster size
         is the reported multiplicity.

@@ -78,6 +78,18 @@ class TestSolveCommand:
     def test_missing_file_is_input_error(self, tmp_path):
         assert main(["solve", "--input", str(tmp_path / "nope.json")]) == 1
 
+    @pytest.mark.parametrize("node", [
+        {"sigma": [1.0, 0.0], "eta": [0.0, 1.0], "rho": "x"},
+        {"sigma": [1.0, 0.0], "eta": [0.0, 1.0], "rho": [1]},
+        {"sigma": [float("nan"), 0.0], "eta": [0.5, 0.0], "rho": None},
+        {"sigma": [0.0, 0.0], "eta": [float("nan"), 0.0], "rho": None},
+        {"sigma": [1.0, 0.0], "eta": [0.0, 1.0], "rho": float("inf")},
+    ], ids=["rho-string", "rho-list", "sigma-nan", "eta-nan", "rho-infinity"])
+    def test_non_numeric_or_non_finite_data_is_input_error(self, node, tmp_path, capsys):
+        path = write_json(tmp_path / "bad.json", {"nodes": [node]})
+        assert main(["solve", "--input", path]) == 1
+        assert capsys.readouterr().err.startswith("input error: ")
+
     def test_deterministic_output(self, boundary_file, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["solve", "--input", boundary_file, "--output", str(out1), "--omega-grid", "16"]) == 0

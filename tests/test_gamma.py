@@ -33,7 +33,7 @@ from royalgamma.gamma import (
     verify_royal_solution,
 )
 from royalgamma.pick import BlaschkeData, build_pick_matrix, choose_tau
-from royalgamma.polyrat import Poly, TolerancePolicy, poly_allclose, poly_roots
+from royalgamma.polyrat import DEFAULT_TOLERANCES, Poly, TolerancePolicy, poly_allclose, poly_roots
 
 
 def pipeline_parts(data):
@@ -413,9 +413,11 @@ class TestPipelineComputesOnce:
         assert choose_tau(build_pick_matrix(data), data) == royalgamma.pick.tau_candidate(1)
         assert calls == []
 
-    def _den_root_calls(self, monkeypatch, h, data, tol):
+    def test_verify_reuses_the_validated_denominator_roots(self, monkeypatch):
         import royalgamma.gamma
 
+        h = generate_h_nu(0, 0.5)
+        data = extract_royal_data(h)
         dens = []
         original = royalgamma.gamma.poly_roots
 
@@ -425,20 +427,49 @@ class TestPipelineComputesOnce:
             return original(p, *args, **kwargs)
 
         monkeypatch.setattr(royalgamma.gamma, "poly_roots", counting)
-        report = verify_royal_solution(h, data, tol)
+        report = verify_royal_solution(h, data)
         monkeypatch.undo()
-        assert report.denominator_min_root_modulus == min(abs(rc.value) for rc in poly_roots(h.den, tol))
-        return len(dens)
+        assert report.denominator_min_root_modulus == min(abs(rc.value) for rc in poly_roots(h.den, h.tol))
+        assert dens == []
 
-    def test_verify_reuses_the_validated_denominator_roots(self, monkeypatch):
-        h = generate_h_nu(0, 0.5)
-        data = extract_royal_data(h)
-        assert self._den_root_calls(monkeypatch, h, data, h.tol) == 0
+    def test_the_policy_is_carried_from_the_entry_point(self):
+        tol = TolerancePolicy(residual_tol=1e-7)
+        data = extract_royal_data(generate_h_nu(0, 0.5))
+        result = solve_royal_problem(data, tol=tol, omega_grid=16)
+        assert result.status == "solved"
+        assert result.parametrization.tol is tol
+        assert all(sol.h.tol is tol for sol in result.solutions)
 
-    def test_verify_under_another_policy_finds_the_roots_again(self, monkeypatch):
-        h = generate_h_nu(0, 0.5)
-        data = extract_royal_data(h)
-        assert self._den_root_calls(monkeypatch, h, data, TolerancePolicy(root_cluster_tol=1e-9)) == 1
+    def test_circle_residuals_and_royal_polynomial_once_per_map(self, monkeypatch):
+        import royalgamma.gamma
+
+        counts = {"circle": 0, "royal": 0}
+        original_grid = royalgamma.gamma.circle_grid
+        original_royal = royalgamma.gamma.royal_polynomial
+
+        def counting_grid(m):
+            counts["circle"] += m == 256
+            return original_grid(m)
+
+        def counting_royal(h):
+            counts["royal"] += 1
+            return original_royal(h)
+
+        monkeypatch.setattr(royalgamma.gamma, "circle_grid", counting_grid)
+        monkeypatch.setattr(royalgamma.gamma, "royal_polynomial", counting_royal)
+        data = extract_royal_data(generate_h_nu(0, 0.5))
+        counts.update(circle=0, royal=0)
+        result = solve_royal_problem(data, omega_grid=16)
+        assert result.solutions
+        assert counts == {"circle": len(result.solutions), "royal": len(result.solutions)}
+
+    def test_a_second_policy_is_a_type_error(self):
+        data = extract_royal_data(generate_h_nu(0, 0.5))
+        m = build_pick_matrix(data)
+        with pytest.raises(TypeError):
+            choose_tau(m, data, DEFAULT_TOLERANCES)
+        with pytest.raises(TypeError):
+            verify_royal_solution(generate_h_nu(0, 0.5), data, DEFAULT_TOLERANCES)
 
 
 class TestConstructionInvariants:

@@ -8,8 +8,6 @@ from royalgamma.gamma import extract_royal_data
 from royalgamma.pick import (
     MIN_TAU_NODE_DISTANCE,
     BlaschkeData,
-    augmented_pick_matrix,
-    augmented_rho,
     build_pick_matrix,
     check_positive_definite,
     choose_tau,
@@ -18,7 +16,7 @@ from royalgamma.pick import (
     solve_pd,
     tau_candidate,
 )
-from royalgamma.polyrat import DEFAULT_TOLERANCES, TolerancePolicy
+from royalgamma.polyrat import TolerancePolicy
 
 
 def hnu_data():
@@ -57,6 +55,20 @@ class TestBlaschkeData:
     def test_rejects_nonpositive_rho(self):
         with pytest.raises(InvalidData):
             BlaschkeData(sigma=(1.0 + 0j,), eta=(1j,), rho=(0.0,), k=1)
+
+    @pytest.mark.parametrize("name, value", [
+        ("sigma", complex("nan")), ("eta", complex("nan")), ("rho", float("inf")),
+    ])
+    def test_rejects_non_finite(self, name, value):
+        fields = {"sigma": (1.0 + 0j, 0.5 + 0j), "eta": (1j, 0j), "rho": (1.0,)}
+        fields[name] = (value,) + fields[name][1:]
+        with pytest.raises(InvalidData, match="not finite"):
+            BlaschkeData(**fields, k=1)
+
+    @pytest.mark.parametrize("rho", ["x", [1]])
+    def test_json_rejects_non_numeric_rho(self, rho):
+        with pytest.raises(InvalidData, match="malformed rho"):
+            BlaschkeData.from_json_dict({"nodes": [{"sigma": [1.0, 0.0], "eta": [0.0, 1.0], "rho": rho}]})
 
     def test_json_roundtrip_reorders_boundary_first(self):
         obj = {
@@ -175,42 +187,6 @@ class TestKernelVectors:
 
 
 class TestAugmentedRho:
-    def test_trivial_everything_one(self):
-        d = BlaschkeData(sigma=(0j,), eta=(0j,), rho=(), k=0)
-        m = build_pick_matrix(d)
-        assert augmented_rho(m, d, 1.0, 1.0) == pytest.approx(1.0)
-
-    def test_scalar_formula(self):
-        d = interior_example_data()
-        m = build_pick_matrix(d)
-        assert augmented_rho(m, d, 1.0, 1.0) == pytest.approx(1.0 / 3.0)
-
-    def test_bordered_matrix_singular(self):
-        d = hnu_data()
-        m = build_pick_matrix(d)
-        b = augmented_pick_matrix(m, d, np.exp(0.4j), np.exp(2.2j))
-        eigs = np.linalg.eigvalsh(b)
-        assert abs(eigs[0]) <= DEFAULT_TOLERANCES.pd_tol
-
-    def test_bordered_matrix_rank_statistics(self):
-        rng = np.random.default_rng(909)
-        instances = random_solvable_instances(seed=31, count=10)
-        checks = 0
-        while checks < 50:
-            data, _ = instances[checks % len(instances)]
-            m = build_pick_matrix(data)
-            zeta = complex(np.exp(2j * np.pi * rng.uniform()))
-            tau = complex(np.exp(2j * np.pi * rng.uniform()))
-            if data.k and min(abs(tau - s) for s in data.sigma[: data.k]) < 0.05:
-                continue
-            b = augmented_pick_matrix(m, data, zeta, tau)
-            eigs = np.linalg.eigvalsh(b)
-            inside_band = np.count_nonzero(np.abs(eigs) <= DEFAULT_TOLERANCES.pd_tol)
-            positive = np.count_nonzero(eigs > DEFAULT_TOLERANCES.pd_tol)
-            assert inside_band == 1
-            assert positive == data.n
-            checks += 1
-
     def test_singular_pick_rejected(self):
         from royalgamma.pick import PickMatrix
 
