@@ -16,14 +16,7 @@ from .errors import (
     UnsuitableTau,
     ZeroOrPoleAtPoint,
 )
-from .pick import (
-    BlaschkeData,
-    ExceptionalSet,
-    PickMatrix,
-    exceptional_from_solves,
-    kernel_vectors,
-    solve_pd,
-)
+from .pick import BlaschkeData, ExceptionalSet, PickMatrix, kernel_solves
 from .polyrat import (
     DEFAULT_TOLERANCES,
     Poly,
@@ -214,9 +207,7 @@ def build_parametrization(M: PickMatrix, data: BlaschkeData, tau: complex) -> Pa
     """
     tol = M.tol
     tau = complex(tau / abs(tau))
-    kv = kernel_vectors(data, tau, tol)
-    wx, wy = solve_pd(M, kv.x), solve_pd(M, kv.y)
-    exc = exceptional_from_solves(data, wx, wy, tol)
+    wx, wy, exc = kernel_solves(M, data, tau)
     if exc.whole_circle:
         raise UnsuitableTau("every unimodular parameter is exceptional for this base point")
 

@@ -9,9 +9,7 @@ inapplicable, 3 verification failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
-import os
 import sys
 
 import numpy as np
@@ -41,14 +39,12 @@ from .gamma import (
     verify_royal_solution,
 )
 from .pick import BlaschkeData, build_pick_matrix, check_positive_definite, choose_tau
-from .polyrat import DEFAULT_TOLERANCES
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_UNSOLVABLE = 2
 EXIT_VERIFICATION = 3
 
-TAU_SEED_ENV = "ROYAL_GAMMA_SEED_TAU"
 ROUNDTRIP_MATCH_TOL = 1e-6
 
 
@@ -72,7 +68,8 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=desc)
         p.add_argument("--input", default=None, help="input JSON path")
         p.add_argument("--output", default=None, help="output path (default: stdout)")
-        p.add_argument("--tol", type=float, default=None, help="verification tolerance override")
+        p.add_argument("--tol", type=float, default=None,
+                       help="verification threshold on every residual (not for blaschke)")
         p.add_argument("--omega-grid", type=int, default=256, dest="omega_grid",
                        help="parameter grid size in [8, 65536]")
         p.add_argument("--plot", action="store_true", help="also write an SVG plot")
@@ -87,6 +84,8 @@ def _validate(args: argparse.Namespace) -> None:
         raise InvalidData(f"--omega-grid must lie in [8, 65536], got {args.omega_grid}")
     if args.tol is not None and not args.tol > 0:
         raise InvalidData("--tol must be strictly positive")
+    if args.tol is not None and args.command == "blaschke":
+        raise InvalidData("blaschke verifies nothing, so --tol does not apply")
     needs_input = args.command in ("solve", "sweep", "blaschke") or args.generator is None
     if needs_input and not args.input:
         raise InvalidData(f"{args.command} requires --input (or --generator where supported)")
@@ -94,22 +93,6 @@ def _validate(args: argparse.Namespace) -> None:
         raise InvalidData("sweep requires --output for the CSV table")
     if args.generator is not None and args.generator != "h_nu":
         raise InvalidData(f"unknown generator {args.generator!r}; supported: h_nu")
-
-
-def _policy(args: argparse.Namespace):
-    if args.tol is None:
-        return DEFAULT_TOLERANCES
-    return dataclasses.replace(DEFAULT_TOLERANCES, residual_tol=args.tol)
-
-
-def _tau_start() -> int:
-    raw = os.environ.get(TAU_SEED_ENV)
-    if raw is None:
-        return 1
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidData(f"{TAU_SEED_ENV} must be an integer, got {raw!r}")
 
 
 def _read_json(path: str):
@@ -138,9 +121,9 @@ def _c(z: complex) -> list:
     return [float(z.real), float(z.imag)]
 
 
-def _load_gamma_inner(obj, tol):
+def _load_gamma_inner(obj):
     if isinstance(obj, dict) and "s" in obj and "p" in obj:
-        return GammaInnerFn.from_json_dict(obj, tol)
+        return GammaInnerFn.from_json_dict(obj)
     raise InvalidData('expected a map object with "s" and "p" components')
 
 
@@ -150,21 +133,17 @@ def _obtain_h(args: argparse.Namespace):
             raise InvalidData("--r must lie strictly between 0 and 1")
         if args.nu < 0:
             raise InvalidData("--nu must be a non-negative integer")
-        return generate_h_nu(args.nu, args.r, _policy(args))
+        return generate_h_nu(args.nu, args.r)
     payload = _read_json(args.input)
     if isinstance(payload, dict) and "h" in payload:
         payload = payload["h"]
-    return _load_gamma_inner(payload, _policy(args))
+    return _load_gamma_inner(payload)
 
 
 def _solve(args: argparse.Namespace, data: BlaschkeData, extra_omegas_fn=None):
     """The pipeline with the command-line settings; a failed step is reported on stderr."""
     result = solve_royal_problem(
-        data,
-        tol=_policy(args),
-        omega_grid=args.omega_grid,
-        tau_start=_tau_start(),
-        extra_omegas_fn=extra_omegas_fn,
+        data, omega_grid=args.omega_grid, extra_omegas_fn=extra_omegas_fn, pass_tol=args.tol
     )
     if result.status != "solved":
         print(f"not solvable at step {result.failed_step}: {result.reason}", file=sys.stderr)
@@ -209,18 +188,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    tol = _policy(args)
     data = None
     if args.generator is not None:
         h = _obtain_h(args)
     else:
         payload = _read_json(args.input)
         if isinstance(payload, dict) and "h" in payload:
-            h = _load_gamma_inner(payload["h"], tol)
+            h = _load_gamma_inner(payload["h"])
             if payload.get("data") is not None:
                 data = BlaschkeData.from_json_dict(payload["data"])
         else:
-            h = _load_gamma_inner(payload, tol)
+            h = _load_gamma_inner(payload)
 
     if data is None:
         try:
@@ -235,11 +213,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"inapplicable: {exc}", file=sys.stderr)
             return EXIT_UNSOLVABLE
 
-    report = verify_royal_solution(h, data)
+    report = verify_royal_solution(h, data, pass_tol=args.tol)
     grid = circle_grid(256)
     counts: dict[str, int] = {}
     for z in grid:
-        label = classify_point(h(z), tol).value
+        label = classify_point(h(z), h.tol).value
         counts[label] = counts.get(label, 0) + 1
     payload = report.to_json_dict()
     payload["boundary_classification_counts"] = dict(sorted(counts.items()))
@@ -263,9 +241,7 @@ def _sweep_rows(result):
                repr(float(sol.s0.real)), repr(float(sol.s0.imag)),
                repr(float(sol.p0.real)), repr(float(sol.p0.imag))]
         for poly in (sol.h.s.num, sol.h.p.num, sol.h.den):
-            coeffs = np.zeros(n + 1, dtype=complex)
-            coeffs[: poly.coeffs.size] = poly.coeffs
-            for c in coeffs:
+            for c in poly.padded(n + 1):
                 row += [repr(float(c.real)), repr(float(c.imag))]
         row.append(repr(max(sol.report.residuals.values())))
         rows.append(row)
@@ -308,15 +284,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_blaschke(args: argparse.Namespace) -> int:
-    tol = _policy(args)
     data = BlaschkeData.from_json_dict(_read_json(args.input))
-    M = build_pick_matrix(data, tol)
+    M = build_pick_matrix(data)
     positivity = check_positive_definite(M)
     if positivity.kind != "definite":
         print(f"not solvable at step 1: Pick matrix is {positivity.kind}", file=sys.stderr)
         return EXIT_UNSOLVABLE
-    tau = choose_tau(M, data, start=_tau_start())
-    param = build_parametrization(M, data, tau)
+    param = build_parametrization(M, data, choose_tau(M, data))
     solutions = []
     for zeta in circle_grid(min(args.omega_grid, 64)):
         try:
@@ -326,7 +300,7 @@ def cmd_blaschke(args: argparse.Namespace) -> int:
         interp = max(abs(phi(s) - e) for s, e in zip(data.sigma, data.eta))
         phasar = 0.0
         for j in range(data.k):
-            phasar = max(phasar, abs(float(phasar_derivative(phi, data.sigma[j], tol)) - data.rho[j]))
+            phasar = max(phasar, abs(float(phasar_derivative(phi, data.sigma[j], param.tol)) - data.rho[j]))
         entry = {
             "zeta": _c(complex(zeta)),
             "rational": phi.to_json_dict(),
@@ -334,13 +308,13 @@ def cmd_blaschke(args: argparse.Namespace) -> int:
             "max_phasar_residual": float(phasar),
         }
         try:
-            product = to_blaschke_product(phi, tol)
+            product = to_blaschke_product(phi, param.tol)
             entry["blaschke"] = product.to_json_dict()
         except RoyalGammaError as exc:
             entry["blaschke_error"] = str(exc)
         solutions.append(entry)
     payload = {
-        "tau": _c(tau),
+        "tau": _c(param.tau),
         "pick_min_eigenvalue": positivity.min_eigenvalue,
         "parametrization": param.to_json_dict(),
         "exceptional_points": [_c(z) for z in param.exceptional.points],

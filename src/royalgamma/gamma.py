@@ -213,10 +213,7 @@ class GammaInnerFn:
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidData(f"malformed map: {exc}") from exc
         n = max(s.den.coeffs.size, p.den.coeffs.size)
-        pad_s = np.zeros(n, dtype=complex)
-        pad_p = np.zeros(n, dtype=complex)
-        pad_s[: s.den.coeffs.size] = s.den.coeffs
-        pad_p[: p.den.coeffs.size] = p.den.coeffs
+        pad_s, pad_p = s.den.padded(n), p.den.padded(n)
         scale = max(1.0, float(np.max(np.abs(pad_p))))
         if np.max(np.abs(pad_s - pad_p)) > 1e-9 * scale:
             raise InvalidData("components do not share a common denominator")
@@ -371,7 +368,8 @@ class S0P0Solution:
 
     ``row`` holds the single scalar equation c*u + g*v + b = 0 (u = omega^2,
     v = t*omega) in the family case.  ``residual`` is the least-squares or
-    constraint-violation size backing a "none" verdict.
+    constraint-violation size backing a "none" verdict.  ``tol`` is the
+    parametrization's policy, which :meth:`member` reads.
     """
 
     kind: str  # "unique" | "family" | "none"
@@ -384,8 +382,9 @@ class S0P0Solution:
     degenerate: bool = False
     singular_values: tuple[float, ...] = ()
     notes: tuple[str, ...] = ()
+    tol: TolerancePolicy = field(default=DEFAULT_TOLERANCES, repr=False)
 
-    def member(self, omega: complex, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> FamilyMember | None:
+    def member(self, omega: complex) -> FamilyMember | None:
         """Family member at a unimodular omega, or None when t fails to be
         real in (-1, 1) there."""
         if self.kind != "family":
@@ -396,6 +395,7 @@ class S0P0Solution:
         if self.degenerate:
             return FamilyMember(omega, 0.0, 0j, u)
         c, g, b = self.row
+        tol = self.tol
         row_scale = max(abs(c), abs(g), abs(b), 1.0)
         if abs(g) <= tol.trim_tol * row_scale:
             return None
@@ -424,17 +424,14 @@ def solve_s0_p0(param: Parametrization, data: BlaschkeData) -> S0P0Solution:
     tol = param.tol
     n_xx, n_xy, n_yx, n_yy = param.kernel_numerators
     q_g = n_xx + n_yy
-    n = data.n
-    stacked = np.zeros((n, 3), dtype=complex)
-    for col, poly in enumerate((n_yx, q_g, n_xy)):
-        stacked[: poly.coeffs.size, col] = poly.coeffs
+    stacked = np.column_stack([poly.padded(data.n) for poly in (n_yx, q_g, n_xy)])
 
     sv_full = np.linalg.svd(stacked, compute_uv=False)
     scale = float(sv_full[0]) if sv_full.size else 0.0
-    singular_values = tuple(float(s) for s in sv_full)
+    solution = functools.partial(S0P0Solution, singular_values=tuple(float(s) for s in sv_full), tol=tol)
     if scale == 0.0:
-        return S0P0Solution(
-            kind="family", residual=0.0, degenerate=True, singular_values=singular_values,
+        return solution(
+            kind="family", residual=0.0, degenerate=True,
             notes=("identity vanishes identically; every admissible pair works",),
         )
     thr = tol.pd_tol * scale
@@ -443,6 +440,7 @@ def solve_s0_p0(param: Parametrization, data: BlaschkeData) -> S0P0Solution:
         for s in sv_full
         if thr / 10.0 < float(s) < thr * 10.0
     )
+    solution = functools.partial(solution, notes=notes)
     rank_full = int(np.count_nonzero(sv_full > thr))
 
     lhs = stacked[:, :2]
@@ -451,59 +449,43 @@ def solve_s0_p0(param: Parametrization, data: BlaschkeData) -> S0P0Solution:
     rank_lhs = int(np.count_nonzero(sv_lhs > thr))
 
     if rank_full == 0:
-        return S0P0Solution(
-            kind="family", residual=0.0, degenerate=True,
-            singular_values=singular_values, notes=notes,
-        )
+        return solution(kind="family", residual=0.0, degenerate=True)
     if rank_lhs == 0:
-        res = float(np.linalg.norm(rhs)) / scale
-        return S0P0Solution(kind="none", residual=res, singular_values=singular_values, notes=notes)
+        return solution(kind="none", residual=float(np.linalg.norm(rhs)) / scale)
     if rank_lhs == 1:
         if rank_full >= 2:
             sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=tol.pd_tol)
-            res = float(np.linalg.norm(lhs @ sol - rhs)) / scale
-            return S0P0Solution(kind="none", residual=res, singular_values=singular_values, notes=notes)
+            return solution(kind="none", residual=float(np.linalg.norm(lhs @ sol - rhs)) / scale)
         idx = int(np.argmax(np.linalg.norm(stacked, axis=1)))
         c, g, b = (complex(stacked[idx, j]) for j in range(3))
-        return S0P0Solution(
-            kind="family", residual=0.0, row=(c, g, b),
-            singular_values=singular_values, notes=notes,
-        )
+        return solution(kind="family", residual=0.0, row=(c, g, b))
 
     # full-rank left-hand side: at most one candidate pair
     sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
     u, v = complex(sol[0]), complex(sol[1])
     res = float(np.linalg.norm(lhs @ sol - rhs)) / scale
     if res > tol.residual_tol:
-        return S0P0Solution(kind="none", residual=res, singular_values=singular_values, notes=notes)
+        return solution(kind="none", residual=res)
     unimodularity = abs(abs(u) - 1.0)
     if unimodularity > tol.residual_tol:
-        return S0P0Solution(
+        return solution(
             kind="none", residual=max(res, unimodularity),
-            singular_values=singular_values,
             notes=notes + (f"unique candidate has |omega^2| = {abs(u):.12g}",),
         )
     omega = complex(np.sqrt(u / abs(u)))
     t_complex = v * np.conj(omega)
     if abs(t_complex.imag) > tol.residual_tol:
-        return S0P0Solution(
+        return solution(
             kind="none", residual=max(res, abs(t_complex.imag)),
-            singular_values=singular_values,
             notes=notes + ("unique candidate has non-real t",),
         )
     t = float(t_complex.real)
     if abs(t) >= 1.0:
-        return S0P0Solution(
+        return solution(
             kind="none", residual=max(res, abs(t) - 1.0),
-            singular_values=singular_values,
             notes=notes + (f"unique candidate has |t| = {abs(t):.12g} >= 1",),
         )
-    p0 = u / abs(u)
-    s0 = 2.0 * t * omega
-    return S0P0Solution(
-        kind="unique", residual=res, s0=s0, p0=p0, omega=omega, t=t,
-        singular_values=singular_values, notes=notes,
-    )
+    return solution(kind="unique", residual=res, s0=2.0 * t * omega, p0=u / abs(u), omega=omega, t=t)
 
 
 def construct_h(param: Parametrization, s0: complex, p0: complex) -> GammaInnerFn:
@@ -704,11 +686,15 @@ class RoyalPipelineResult:
     reason: str | None
     data: BlaschkeData
     positivity: PositivityResult | None = None
-    tau: complex | None = None
     parametrization: Parametrization | None = None
     s0p0: S0P0Solution | None = None
     solutions: tuple[RoyalSolution, ...] = ()
     skipped: tuple[str, ...] = ()
+
+    @property
+    def tau(self) -> complex | None:
+        """The base point, as the parametrization holds it."""
+        return None if self.parametrization is None else self.parametrization.tau
 
     @property
     def verified(self) -> tuple[RoyalSolution, ...]:
@@ -719,7 +705,6 @@ def solve_royal_problem(
     data: BlaschkeData,
     tol: TolerancePolicy = DEFAULT_TOLERANCES,
     omega_grid: int = 256,
-    tau_start: int = 1,
     extra_omegas_fn: Callable[[complex], tuple[complex, ...]] | None = None,
     pass_tol: float | None = None,
 ) -> RoyalPipelineResult:
@@ -732,37 +717,24 @@ def solve_royal_problem(
     parameter computed from a candidate solution)."""
     M = build_pick_matrix(data, tol)
     positivity = check_positive_definite(M)
+    result = functools.partial(RoyalPipelineResult, data=data, positivity=positivity)
     if positivity.kind != "definite":
-        return RoyalPipelineResult(
-            status="not_solvable",
-            failed_step=1,
-            reason=f"Pick matrix is {positivity.kind} (min eigenvalue {positivity.min_eigenvalue:.6g})",
-            data=data,
-            positivity=positivity,
-        )
-    tau = choose_tau(M, data, start=tau_start)
-    param = build_parametrization(M, data, tau)
+        reason = f"Pick matrix is {positivity.kind} (min eigenvalue {positivity.min_eigenvalue:.6g})"
+        return result("not_solvable", 1, reason)
+    param = build_parametrization(M, data, choose_tau(M, data))
     s0p0 = solve_s0_p0(param, data)
+    result = functools.partial(result, parametrization=param, s0p0=s0p0)
     if s0p0.kind == "none":
-        return RoyalPipelineResult(
-            status="not_solvable",
-            failed_step=3,
-            reason=f"no admissible base values (s0, p0); residual {s0p0.residual:.6g}",
-            data=data,
-            positivity=positivity,
-            tau=tau,
-            parametrization=param,
-            s0p0=s0p0,
-        )
+        return result("not_solvable", 3, f"no admissible base values (s0, p0); residual {s0p0.residual:.6g}")
     if s0p0.kind == "unique":
         members = [FamilyMember(s0p0.omega, s0p0.t, s0p0.s0, s0p0.p0)]
     else:
         omegas = list(circle_grid(omega_grid))
         if extra_omegas_fn is not None:
-            omegas.extend(extra_omegas_fn(tau))
+            omegas.extend(extra_omegas_fn(param.tau))
         members = []
         for omega in omegas:
-            found = s0p0.member(omega, tol)
+            found = s0p0.member(omega)
             if found is not None:
                 members.append(found)
     solutions: list[RoyalSolution] = []
@@ -779,29 +751,8 @@ def solve_royal_problem(
         detail = "the family accepted no member with real t in (-1, 1) on the sampled grid"
         if skipped:
             detail = f"all accepted members failed construction: {'; '.join(skipped[:3])}"
-        return RoyalPipelineResult(
-            status="not_solvable",
-            failed_step=3,
-            reason=detail,
-            data=data,
-            positivity=positivity,
-            tau=tau,
-            parametrization=param,
-            s0p0=s0p0,
-            skipped=tuple(skipped),
-        )
-    return RoyalPipelineResult(
-        status="solved",
-        failed_step=None,
-        reason=None,
-        data=data,
-        positivity=positivity,
-        tau=tau,
-        parametrization=param,
-        s0p0=s0p0,
-        solutions=tuple(solutions),
-        skipped=tuple(skipped),
-    )
+        return result("not_solvable", 3, detail, skipped=tuple(skipped))
+    return result("solved", None, None, solutions=tuple(solutions), skipped=tuple(skipped))
 
 
 def gamma_inner_distance(h1: GammaInnerFn, h2: GammaInnerFn) -> float:
@@ -815,10 +766,6 @@ def gamma_inner_distance(h1: GammaInnerFn, h2: GammaInnerFn) -> float:
     worst = 0.0
     for left, right in ((h1.s.num, h2.s.num), (h1.p.num, h2.p.num), (h1.den, h2.den)):
         size = max(left.coeffs.size, right.coeffs.size)
-        a = np.zeros(size, dtype=complex)
-        b = np.zeros(size, dtype=complex)
-        a[: left.coeffs.size] = left.coeffs
-        b[: right.coeffs.size] = right.coeffs
         if size:
-            worst = max(worst, float(np.max(np.abs(a - b))))
+            worst = max(worst, float(np.max(np.abs(left.padded(size) - right.padded(size)))))
     return worst

@@ -36,8 +36,8 @@ __all__ = [
     "build_pick_matrix",
     "check_positive_definite",
     "kernel_vectors",
+    "kernel_solves",
     "exceptional_set",
-    "exceptional_from_solves",
     "choose_tau",
 ]
 
@@ -172,12 +172,14 @@ class BlaschkeData:
 @dataclass(frozen=True, eq=False)
 class PickMatrix:
     """Hermitian Pick matrix; the minimum eigenvalue is cached at construction,
-    the lower Cholesky factor on first use.  ``tol`` is the policy of the
-    solve, carried on to everything derived from the matrix."""
+    the lower Cholesky factor on first use, and the kernel solves at each base
+    point by :func:`kernel_solves`.  ``tol`` is the policy of the solve,
+    carried on to everything derived from the matrix."""
 
     entries: np.ndarray
     min_eigenvalue: float
     tol: TolerancePolicy = field(default=DEFAULT_TOLERANCES, repr=False)
+    _kernel_solves: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -274,24 +276,25 @@ def solve_pd(M: PickMatrix, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(lower.conj().T, y)
 
 
-def exceptional_set(M: PickMatrix, data: BlaschkeData, tau: complex) -> ExceptionalSet:
-    """Solve alpha_j = zeta * beta_j per boundary node, keeping unimodular solutions.
+def kernel_solves(
+    M: PickMatrix, data: BlaschkeData, tau: complex
+) -> tuple[np.ndarray, np.ndarray, ExceptionalSet]:
+    """The kernel solves wx = M^-1 x_tau and wy = M^-1 y_tau, and the
+    exceptional set they define; solved once per (data, tau) and kept on ``M``.
 
-    With the inner product <u, v> = sum u_i conj(v_i), alpha_j and beta_j are
-    the j-th entries of M^-1 x_tau and M^-1 y_tau.  If both vanish for some
-    node the whole circle is exceptional.
+    With the inner product <u, v> = sum u_i conj(v_i), the exceptional
+    parameters solve alpha_j = zeta * beta_j for the j-th entries alpha_j of wx
+    and beta_j of wy, per boundary node, keeping unimodular solutions.  If both
+    vanish for some node the whole circle is exceptional.
     """
-    kv = kernel_vectors(data, tau, M.tol)
-    return exceptional_from_solves(data, solve_pd(M, kv.x), solve_pd(M, kv.y), M.tol)
-
-
-def exceptional_from_solves(
-    data: BlaschkeData,
-    wx: np.ndarray,
-    wy: np.ndarray,
-    tol: TolerancePolicy = DEFAULT_TOLERANCES,
-) -> ExceptionalSet:
-    """The exceptional set from the kernel solves wx = M^-1 x_tau, wy = M^-1 y_tau."""
+    key = (data, complex(tau))
+    if key in M._kernel_solves:
+        return M._kernel_solves[key]
+    tol = M.tol
+    kv = kernel_vectors(data, tau, tol)
+    wx, wy = solve_pd(M, kv.x), solve_pd(M, kv.y)
+    wx.setflags(write=False)
+    wy.setflags(write=False)
     scale = max(1.0, float(np.max(np.abs(wx))), float(np.max(np.abs(wy))))
     points: list[complex] = []
     pairs = []
@@ -309,13 +312,19 @@ def exceptional_from_solves(
             zeta = _project_to_circle(zeta)
             if all(abs(zeta - q) > tol.root_cluster_tol for q in points):
                 points.append(zeta)
-    return ExceptionalSet(points=tuple(points), whole_circle=whole, pairs=tuple(pairs))
+    M._kernel_solves[key] = wx, wy, ExceptionalSet(points=tuple(points), whole_circle=whole, pairs=tuple(pairs))
+    return M._kernel_solves[key]
+
+
+def exceptional_set(M: PickMatrix, data: BlaschkeData, tau: complex) -> ExceptionalSet:
+    """Parameters zeta for which the augmented problem degenerates at base point tau."""
+    return kernel_solves(M, data, tau)[2]
 
 
 def tau_candidate(m: int) -> complex:
-    """m-th point of the deterministic golden-ratio sequence on the circle."""
+    """m-th point of the deterministic golden-ratio sequence, exactly unimodular."""
     frac = (m * _GOLDEN_FRAC) % 1.0
-    return complex(np.exp(2j * np.pi * frac))
+    return _project_to_circle(complex(np.exp(2j * np.pi * frac)))
 
 
 def choose_tau(

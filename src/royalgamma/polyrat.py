@@ -37,8 +37,8 @@ class TolerancePolicy:
     trim_tol : float
         Relative threshold below which a quantity counts as zero in the pole,
         degeneracy and vanishing tests (the royal-range test among them).  It
-        does not trim polynomial coefficients: ``Poly`` always trims at its
-        own default of 1e-12.
+        does not trim polynomial coefficients: ``Poly`` always trims at
+        ``COEFF_TRIM_TOL`` = 1e-12.
     root_cluster_tol : float
         Radius used to merge nearby roots into one cluster; the cluster size
         is the reported multiplicity.
@@ -61,8 +61,11 @@ class TolerancePolicy:
 
 DEFAULT_TOLERANCES = TolerancePolicy()
 
+# Relative size below which ``Poly`` drops trailing coefficients.
+COEFF_TRIM_TOL = 1e-12
 
-def _trim_coeffs(coeffs: np.ndarray, trim_tol: float) -> np.ndarray:
+
+def _trim_coeffs(coeffs: np.ndarray) -> np.ndarray:
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex)).ravel()
     if coeffs.size == 0:
         return coeffs
@@ -70,7 +73,7 @@ def _trim_coeffs(coeffs: np.ndarray, trim_tol: float) -> np.ndarray:
     if scale == 0.0:
         return coeffs[:0]
     keep = coeffs.size
-    while keep > 0 and abs(coeffs[keep - 1]) <= trim_tol * scale:
+    while keep > 0 and abs(coeffs[keep - 1]) <= COEFF_TRIM_TOL * scale:
         keep -= 1
     return coeffs[:keep].copy()
 
@@ -79,14 +82,14 @@ class Poly:
     """Dense complex polynomial, coefficient of lambda**j at index j.
 
     The zero polynomial is represented by an empty coefficient array and has
-    degree -1 (the distinguished sentinel).  Trailing coefficients below the
-    relative trim tolerance are dropped at construction.
+    degree -1 (the distinguished sentinel).  Trailing coefficients at most
+    ``COEFF_TRIM_TOL`` times the largest one are dropped at construction.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[complex], trim_tol: float = DEFAULT_TOLERANCES.trim_tol):
-        trimmed = _trim_coeffs(np.asarray(list(coeffs) if not isinstance(coeffs, np.ndarray) else coeffs), trim_tol)
+    def __init__(self, coeffs: Iterable[complex]):
+        trimmed = _trim_coeffs(np.asarray(list(coeffs) if not isinstance(coeffs, np.ndarray) else coeffs))
         trimmed.setflags(write=False)
         object.__setattr__(self, "coeffs", trimmed)
 
@@ -112,6 +115,12 @@ class Poly:
 
     def derivative(self) -> "Poly":
         return poly_derivative(self)
+
+    def padded(self, size: int) -> np.ndarray:
+        """The coefficients followed by zeros up to length ``size``."""
+        out = np.zeros(size, dtype=complex)
+        out[: self.coeffs.size] = self.coeffs
+        return out
 
     def __add__(self, other: "Poly") -> "Poly":
         a, b = self.coeffs, other.coeffs
@@ -425,8 +434,4 @@ def rat_reduce(f: RationalFn, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> Rati
 def poly_allclose(p: Poly, q: Poly, atol: float = 1e-9) -> bool:
     """Coefficient-wise agreement after padding to a common length."""
     n = max(p.coeffs.size, q.coeffs.size)
-    a = np.zeros(n, dtype=complex)
-    b = np.zeros(n, dtype=complex)
-    a[: p.coeffs.size] = p.coeffs
-    b[: q.coeffs.size] = q.coeffs
-    return bool(np.all(np.abs(a - b) <= atol))
+    return bool(np.all(np.abs(p.padded(n) - q.padded(n)) <= atol))

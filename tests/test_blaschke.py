@@ -70,6 +70,12 @@ class TestBuildParametrization:
             assert poly_allclose(param.c, Poly([-eta / denom, eta * tb / denom]), atol=1e-12)
             assert poly_allclose(param.d, Poly([1 / denom, -(eta**2) * tb / denom]), atol=1e-12)
 
+    def test_tau_is_the_chosen_base_point_bit_for_bit(self):
+        data = interior_example_data()
+        m = build_pick_matrix(data)
+        tau = choose_tau(m, data, start=16)
+        assert build_parametrization(m, data, tau).tau == tau
+
     def test_interior_closed_form_tau_one(self):
         param = build_for(interior_example_data(), 1.0)
         scale = 0.75

@@ -261,16 +261,26 @@ class TestRoundtripCommand:
         assert main(["roundtrip", "--generator", "nope"]) == 1
 
 
-class TestEnvSeedHook:
-    def test_tau_seed_changes_tau(self, boundary_file, tmp_path, monkeypatch):
-        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-        main(["solve", "--input", boundary_file, "--output", str(out1), "--omega-grid", "16"])
-        monkeypatch.setenv("ROYAL_GAMMA_SEED_TAU", "9")
-        main(["solve", "--input", boundary_file, "--output", str(out2), "--omega-grid", "16"])
-        tau1 = json.loads(out1.read_text())["tau"]
-        tau2 = json.loads(out2.read_text())["tau"]
-        assert tau1 != tau2
+class TestToleranceFlag:
+    @pytest.fixture
+    def hnu1_file(self, tmp_path):
+        return write_json(tmp_path / "hnu1.json", extract_royal_data(generate_h_nu(1, 0.5)).to_json_dict())
 
-    def test_invalid_seed_is_input_error(self, boundary_file, monkeypatch):
-        monkeypatch.setenv("ROYAL_GAMMA_SEED_TAU", "pi")
-        assert main(["solve", "--input", boundary_file]) == 1
+    def test_solve_tol_is_the_verification_threshold(self, hnu1_file, tmp_path):
+        out = tmp_path / "out.json"
+        args = ["solve", "--input", hnu1_file, "--output", str(out), "--omega-grid", "16"]
+        assert main(args + ["--tol", "1e-17"]) == 3
+        payload = json.loads(out.read_text())
+        assert payload["status"] == "solved" and payload["verified_count"] == 0
+        assert all(sol["report"]["pass_tol"] == 1e-17 for sol in payload["solutions"])
+        assert main(args + ["--tol", "1e-6"]) == 0
+
+    def test_verify_tol_is_the_verification_threshold(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--generator", "h_nu", "--nu", "0", "--tol", "1e-20", "--output", str(out)]) == 3
+        payload = json.loads(out.read_text())
+        assert not payload["pass"] and payload["pass_tol"] == 1e-20
+
+    def test_blaschke_rejects_tol(self, boundary_file, capsys):
+        assert main(["blaschke", "--input", boundary_file, "--tol", "1e-6"]) == 1
+        assert "input error:" in capsys.readouterr().err

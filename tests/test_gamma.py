@@ -463,6 +463,44 @@ class TestPipelineComputesOnce:
         assert result.solutions
         assert counts == {"circle": len(result.solutions), "royal": len(result.solutions)}
 
+    def test_two_kernel_solves_per_solve(self, monkeypatch):
+        import royalgamma.pick
+
+        calls = []
+        original = royalgamma.pick.solve_pd
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(royalgamma.pick, "solve_pd", counting)
+        data = extract_royal_data(generate_h_nu(0, 0.5))
+        assert data.k > 0
+        assert solve_royal_problem(data).status == "solved"
+        assert len(calls) == 2
+
+    def test_one_base_point_per_solve(self):
+        seen = []
+        data = boundary_example_data()
+        result = solve_royal_problem(data, omega_grid=16, extra_omegas_fn=lambda tau: seen.append(tau) or ())
+        assert result.status == "solved"
+        assert result.tau is result.parametrization.tau
+        assert len(seen) == 1 and seen[0] is result.tau
+        with pytest.raises(TypeError):
+            solve_royal_problem(data, tau_start=2)
+
+    def test_the_base_value_solve_carries_the_policy(self):
+        tol = TolerancePolicy(residual_tol=1e-7)
+        data = interior_example_data()
+        m = build_pick_matrix(data, tol)
+        param = build_parametrization(m, data, choose_tau(m, data))
+        sol = solve_s0_p0(param, data)
+        assert sol.kind == "family"
+        assert sol.tol is param.tol
+        assert sol.member(1.0) is not None
+        with pytest.raises(TypeError):
+            sol.member(1.0, tol)
+
     def test_a_second_policy_is_a_type_error(self):
         data = extract_royal_data(generate_h_nu(0, 0.5))
         m = build_pick_matrix(data)

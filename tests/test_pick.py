@@ -12,6 +12,7 @@ from royalgamma.pick import (
     check_positive_definite,
     choose_tau,
     exceptional_set,
+    kernel_solves,
     kernel_vectors,
     solve_pd,
     tau_candidate,
@@ -232,6 +233,44 @@ class TestExceptionalSet:
             exc = exceptional_set(m, data, tau_candidate(3))
             if not exc.whole_circle:
                 assert len(exc.points) <= data.k
+
+
+class TestKernelSolves:
+    def test_tau_candidates_are_exactly_unimodular(self):
+        for m in range(1, 1001):
+            z = tau_candidate(m)
+            assert z == complex(z / abs(z)), m
+
+    def test_solved_once_and_kept_on_the_matrix(self, monkeypatch):
+        import royalgamma.pick
+
+        data = hnu_data()
+        m = build_pick_matrix(data)
+        calls = []
+        original = royalgamma.pick.solve_pd
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(royalgamma.pick, "solve_pd", counting)
+        tau = tau_candidate(1)
+        first = kernel_solves(m, data, tau)
+        assert exceptional_set(m, data, tau) is first[2]
+        assert kernel_solves(m, data, tau) is first
+        assert len(calls) == 2
+
+    def test_keyed_by_the_data(self):
+        data = hnu_data()
+        # rotating every target value by one unimodular constant keeps the Pick matrix
+        rotated = BlaschkeData(data.sigma, tuple(1j * e for e in data.eta), data.rho, data.k)
+        m = build_pick_matrix(data)
+        assert np.allclose(build_pick_matrix(rotated).entries, m.entries, atol=1e-15)
+        tau = tau_candidate(1)
+        _, wy, _ = kernel_solves(m, data, tau)
+        _, wy_rotated, _ = kernel_solves(m, rotated, tau)
+        assert np.array_equal(wy_rotated, solve_pd(m, kernel_vectors(rotated, tau).y))
+        assert not np.allclose(wy_rotated, wy)
 
 
 class TestChooseTau:
