@@ -208,9 +208,12 @@ class GammaInnerFn:
     @classmethod
     def from_json_dict(cls, obj, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> "GammaInnerFn":
         try:
+            for pair in obj["s"]["num"] + obj["s"]["den"] + obj["p"]["num"] + obj["p"]["den"]:
+                if not np.isfinite(complex(*pair)):
+                    raise InvalidData(f"map coefficient {pair} is not finite")
             s = RationalFn.from_json_dict(obj["s"])
             p = RationalFn.from_json_dict(obj["p"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InvalidData(f"malformed map: {exc}") from exc
         n = max(s.den.coeffs.size, p.den.coeffs.size)
         pad_s, pad_p = s.den.padded(n), p.den.padded(n)

@@ -66,13 +66,16 @@ COEFF_TRIM_TOL = 1e-12
 
 
 def _trim_coeffs(coeffs: np.ndarray) -> np.ndarray:
-    coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex)).ravel()
+    coeffs = np.asarray(coeffs, dtype=complex)
+    if coeffs.ndim != 1:
+        coeffs = np.atleast_1d(coeffs).ravel()
     if coeffs.size == 0:
         return coeffs
-    scale = np.max(np.abs(coeffs))
+    scale = np.abs(coeffs).max()
     if scale == 0.0:
         return coeffs[:0]
     keep = coeffs.size
+    # the scalar abs: numpy's array abs rounds some complex moduli differently
     while keep > 0 and abs(coeffs[keep - 1]) <= COEFF_TRIM_TOL * scale:
         keep -= 1
     return coeffs[:keep].copy()
@@ -84,14 +87,25 @@ class Poly:
     The zero polynomial is represented by an empty coefficient array and has
     degree -1 (the distinguished sentinel).  Trailing coefficients at most
     ``COEFF_TRIM_TOL`` times the largest one are dropped at construction.
+    Negation and the derivative skip the trim, which cannot bite there:
+    negating keeps every modulus, and for finite trimmed coefficients the top
+    one of the derivative, |n c_n| > 1e-12 n max|c_j|, exceeds 1e-12 times the
+    others, each at most (n - 1) max|c_j|.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[complex]):
-        trimmed = _trim_coeffs(np.asarray(list(coeffs) if not isinstance(coeffs, np.ndarray) else coeffs))
+        trimmed = _trim_coeffs(coeffs if isinstance(coeffs, np.ndarray) else np.asarray(list(coeffs)))
         trimmed.setflags(write=False)
         object.__setattr__(self, "coeffs", trimmed)
+
+    @classmethod
+    def _untrimmed(cls, coeffs: np.ndarray) -> "Poly":
+        coeffs.setflags(write=False)
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", coeffs)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -126,15 +140,23 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if a.size < b.size:
             a, b = b, a
-        out = a.astype(complex).copy()
+        out = a.copy()
         out[: b.size] += b
         return Poly(out)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        # in IEEE arithmetic a - b is a + (-b) bit for bit
+        a, b = self.coeffs, other.coeffs
+        if a.size < b.size:
+            out = -b
+            out[: a.size] += a
+            return Poly(out)
+        out = a.copy()
+        out[: b.size] -= b
+        return Poly(out)
 
     def __neg__(self) -> "Poly":
-        return Poly(-self.coeffs)
+        return Poly._untrimmed(-self.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
@@ -168,13 +190,19 @@ class Poly:
         return cls([complex(re, im) for re, im in pairs])
 
 
+def _horner(coeffs: np.ndarray, z) -> np.ndarray:
+    # numpy arithmetic even at a scalar z: Python complex rounds x*y + w differently
+    z = np.asarray(z, dtype=complex)
+    out = np.zeros(z.shape, complex)
+    for c in coeffs[::-1]:
+        out = out * z + c
+    return out
+
+
 def poly_eval(p: Poly, z):
     """Horner evaluation of ``p`` at a scalar or array argument."""
-    z = np.asarray(z, dtype=complex)
-    out = np.zeros_like(z)
-    for c in p.coeffs[::-1]:
-        out = out * z + c
-    if z.ndim == 0:
+    out = _horner(p.coeffs, z)
+    if out.ndim == 0:
         return complex(out)
     return out
 
@@ -183,14 +211,29 @@ def poly_derivative(p: Poly) -> Poly:
     """Coefficient-shifted derivative; the zero and constant cases give zero."""
     if p.coeffs.size <= 1:
         return Poly([])
-    n = p.coeffs.size
-    return Poly(p.coeffs[1:] * np.arange(1, n))
+    return Poly._untrimmed(p.coeffs[1:] * np.arange(1, p.coeffs.size))
 
 
 class RootCluster(NamedTuple):
     value: complex
     multiplicity: int
     residual: float
+
+
+def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
+    """``np.roots(coeffs[::-1])`` of a trimmed polynomial of degree >= 1: the
+    same companion matrix and eigvals call, the roots at zero appended last."""
+    zeros = 0
+    while coeffs[zeros] == 0:
+        zeros += 1
+    top = coeffs[zeros:][::-1]
+    n = top.size - 1
+    if not n:
+        return np.zeros(zeros, complex)
+    companion = np.eye(n, k=-1, dtype=complex)
+    companion[0, :] = -top[1:] / top[0]
+    roots = np.linalg.eigvals(companion)
+    return np.concatenate((roots, np.zeros(zeros, complex))) if zeros else roots
 
 
 def poly_roots(p: Poly, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> list[RootCluster]:
@@ -210,11 +253,11 @@ def poly_roots(p: Poly, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> list[RootC
         raise ZeroPolynomial("roots of the zero polynomial are undefined")
     if p.degree == 0:
         return []
-    raw = np.roots(p.coeffs[::-1])
+    raw = _companion_roots(p.coeffs)
     # evaluate at all roots at once, but step in Python complex: numpy's
     # complex division rounds differently from Python's
-    values = poly_eval(p, raw).tolist()
-    slopes = poly_eval(poly_derivative(p), raw).tolist()
+    values = _horner(p.coeffs, raw).tolist()
+    slopes = _horner(p.coeffs[1:] * np.arange(1, p.coeffs.size), raw).tolist()
     polished = []
     for r, fr, dfr in zip(raw.tolist(), values, slopes):
         if dfr != 0:
@@ -234,7 +277,7 @@ def poly_roots(p: Poly, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> list[RootC
         else:
             clusters.append([r])
 
-    out = []
+    centroids = []
     for members in clusters:
         centroid = complex(sum(members) / len(members))
         m = len(members)
@@ -253,7 +296,9 @@ def poly_roots(p: Poly, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> list[RootC
                 if abs(step) > 1e-3:
                     break
                 centroid -= step
-        out.append(RootCluster(centroid, m, abs(poly_eval(p, centroid))))
+        centroids.append(centroid)
+    residuals = _horner(p.coeffs, np.array(centroids)).tolist()
+    out = [RootCluster(c, len(members), abs(fc)) for c, members, fc in zip(centroids, clusters, residuals)]
     out.sort(key=lambda rc: (rc.value.real, rc.value.imag))
     return out
 

@@ -138,6 +138,26 @@ class TestVerifyCommand:
         assert payload["pass"] is False
         assert payload["residuals"]["phasar_p_max"] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("component, part, pair", [
+        ("s", "num", [float("nan"), 0.0]),
+        ("p", "num", [0.0, float("nan")]),
+        ("s", "den", [float("inf"), 0.0]),
+        ("p", "den", [1.0, float("-inf")]),
+    ], ids=["s-num-nan", "p-num-nan", "s-den-infinity", "p-den-infinity"])
+    def test_non_finite_map_coefficient_is_input_error(self, component, part, pair, tmp_path, capsys):
+        obj = generate_h_nu(0, 0.5).to_json_dict()
+        obj[component][part][0] = pair
+        path = write_json(tmp_path / "bad.json", obj)
+        assert main(["verify", "--input", path]) == 1
+        assert capsys.readouterr().err.startswith("input error: ")
+
+    def test_zero_denominator_is_input_error(self, tmp_path, capsys):
+        obj = generate_h_nu(0, 0.5).to_json_dict()
+        obj["s"]["den"] = obj["p"]["den"] = [[0.0, 0.0]]
+        path = write_json(tmp_path / "bad.json", obj)
+        assert main(["verify", "--input", path]) == 1
+        assert capsys.readouterr().err.startswith("input error: ")
+
     def test_royal_range_map_flagged(self, tmp_path):
         obj = {
             "s": {"num": [[0.0, 0.0], [2.0, 0.0]], "den": [[1.0, 0.0]]},

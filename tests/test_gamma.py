@@ -344,6 +344,14 @@ class TestGammaInnerFnSerialization:
         with pytest.raises(InvalidData):
             GammaInnerFn.from_json_dict(obj)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("component, part", [("s", "num"), ("s", "den"), ("p", "num"), ("p", "den")])
+    def test_non_finite_coefficients_rejected(self, component, part, value):
+        obj = generate_h_nu(0, 0.5).to_json_dict()
+        obj[component][part][-1] = [0.5, value]
+        with pytest.raises(InvalidData, match="not finite"):
+            GammaInnerFn.from_json_dict(obj)
+
 
 class TestJointReduction:
     def test_factor_shared_by_all_three_cancels(self):

@@ -6,13 +6,16 @@ from hypothesis import strategies as st
 from royalgamma import generate_h_nu
 from royalgamma.errors import ZeroPolynomial
 from royalgamma.polyrat import (
+    COEFF_TRIM_TOL,
     DEFAULT_TOLERANCES,
     Poly,
     RationalFn,
     RootCluster,
     TolerancePolicy,
+    _companion_roots,
     _drift_candidates,
     _sampled_drift,
+    _trim_coeffs,
     poly_allclose,
     poly_derivative,
     poly_eval,
@@ -263,6 +266,40 @@ def _scalar_polish_roots(p, tol=DEFAULT_TOLERANCES):
     return out
 
 
+def _reference_trim_coeffs(coeffs):
+    """The trim every ``Poly`` ran before it skipped the reshaping of 1-D input."""
+    coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex)).ravel()
+    if coeffs.size == 0:
+        return coeffs
+    scale = np.max(np.abs(coeffs))
+    if scale == 0.0:
+        return coeffs[:0]
+    keep = coeffs.size
+    while keep > 0 and abs(coeffs[keep - 1]) <= COEFF_TRIM_TOL * scale:
+        keep -= 1
+    return coeffs[:keep].copy()
+
+
+def _reference_poly_eval(p, z):
+    """Horner with the ``zeros_like`` allocation."""
+    z = np.asarray(z, dtype=complex)
+    out = np.zeros_like(z)
+    for c in p.coeffs[::-1]:
+        out = out * z + c
+    if z.ndim == 0:
+        return complex(out)
+    return out
+
+
+def _bits(values):
+    """The exact bit patterns of complex values: equal iff identical, signed zeros included."""
+    return np.atleast_1d(np.asarray(values, dtype=complex)).view(np.uint64)
+
+
+def _random_coeffs(rng, size):
+    return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+
 class TestArrayEvaluationIsBitIdentical:
     """The array evaluations give exactly the values of the scalar loops they replaced."""
 
@@ -305,6 +342,121 @@ class TestArrayEvaluationIsBitIdentical:
         for p in polys:
             assert poly_roots(p) == _scalar_polish_roots(p)
         assert [rc.multiplicity for rc in poly_roots(polys[-1])].count(2) == 1
+
+    def test_poly_roots_match_scalar_polish_with_roots_at_zero(self):
+        rng = np.random.default_rng(2025)
+        polys = [Poly(np.concatenate((np.zeros(k), _random_coeffs(rng, n + 1))))
+                 for k in (1, 2, 3) for n in (0, 1, 4, 9)]
+        polys += [Poly([0.0, 0.0, 0.0, 1.5j]), Poly.from_roots([0.0, 0.0, 0.4 - 0.1j, 0.4 - 0.1j, 0.8])]
+        for p in polys:
+            assert p.coeffs[0] == 0
+            assert poly_roots(p) == _scalar_polish_roots(p)
+
+    def test_trim_matches_reference(self):
+        rng = np.random.default_rng(77)
+        inputs = [[], [0.0], [-0.0], [complex(-0.0, -0.0)], 3.5, np.array(2 - 1j), np.ones((2, 3))]
+        for size in (1, 2, 5, 12):
+            head = _random_coeffs(rng, size)
+            scale = np.max(np.abs(head))
+            for tail in ([0.0], [-0.0], [complex(0.0, -0.0)], [complex(-0.0, 0.0), -0.0],
+                         [1e-18], [1e-13 * scale], [COEFF_TRIM_TOL * scale], [2e-12 * scale, 1e-20j],
+                         [np.nextafter(COEFF_TRIM_TOL * scale, 1.0)], [-1e-15 * scale, 0.0, -0.0]):
+                coeffs = np.concatenate((head, np.asarray(tail, dtype=complex)))
+                inputs += [coeffs, coeffs.tolist(), coeffs[::-1], coeffs.real, -coeffs]
+        for coeffs in inputs:
+            ours, ref = _trim_coeffs(coeffs), _reference_trim_coeffs(coeffs)
+            assert ours.shape == ref.shape and ours.ndim == 1
+            assert np.array_equal(_bits(ours), _bits(ref))
+            poly = Poly(coeffs if isinstance(coeffs, np.ndarray) else list(np.atleast_1d(coeffs)))
+            assert np.array_equal(_bits(poly.coeffs), _bits(ref))
+
+    def test_subtraction_is_addition_of_the_negation(self):
+        rng = np.random.default_rng(78)
+        sizes = (0, 1, 3, 6)
+        for m in sizes:
+            for n in sizes:
+                for _ in range(5):
+                    a, b = _random_coeffs(rng, m), _random_coeffs(rng, n)
+                    # signed zeros and an exact cancellation of the top coefficient
+                    a[::3], b[1::4] = -0.0, complex(0.0, -0.0)
+                    if m == n and m:
+                        b[-1] = a[-1]
+                    p, q = Poly(a), Poly(b)
+                    reference = p + Poly(-q.coeffs)
+                    for diff in (p - q, p + (-q)):
+                        assert np.array_equal(_bits(diff.coeffs), _bits(reference.coeffs))
+
+    def test_negation_and_derivative_need_no_trim(self):
+        rng = np.random.default_rng(79)
+        for n in range(0, 16):
+            p = Poly(_random_coeffs(rng, n + 1) * 10.0 ** rng.uniform(-8, 8, size=n + 1))
+            assert np.array_equal(_bits((-p).coeffs), _bits(Poly(-p.coeffs).coeffs))
+            d = poly_derivative(p)
+            assert np.array_equal(_bits(d.coeffs), _bits(Poly(p.coeffs[1:] * np.arange(1, p.coeffs.size)).coeffs))
+
+    def test_companion_roots_match_np_roots(self):
+        rng = np.random.default_rng(80)
+        polys = [Poly(_random_coeffs(rng, n + 1)) for n in range(1, 20) for _ in range(4)]
+        polys += [Poly(np.concatenate((np.zeros(k), _random_coeffs(rng, n + 1)))) for k in (1, 2, 5) for n in (0, 1, 7)]
+        polys += [Poly([complex(0.0, -0.0), -0.0, 2.0, 1.0]), Poly.from_roots([0.5, 0.5, 0.5, -1j])]
+        for p in polys:
+            assert p.degree >= 1
+            assert np.array_equal(_bits(_companion_roots(p.coeffs)), _bits(np.roots(p.coeffs[::-1])))
+
+    def test_poly_eval_matches_zeros_like_horner(self):
+        rng = np.random.default_rng(81)
+        polys = [Poly([]), Poly([-0.0]), Poly([1.0]), Poly([0.0, 1.0])]
+        polys += [Poly(_random_coeffs(rng, n + 1)) for n in range(1, 24)]
+        points = [0.0, -0.0, 0j, complex(-0.0, -0.0), np.complex128(0.3 - 0.7j), np.array(1.1j)]
+        points += _random_coeffs(rng, 8).tolist()
+        grid = np.concatenate(([0.0, complex(-0.0, 0.0)], _random_coeffs(rng, 61)))
+        for p in polys:
+            for z in points:
+                ours, ref = poly_eval(p, z), _reference_poly_eval(p, z)
+                assert type(ours) is complex and type(ref) is complex
+                assert np.array_equal(_bits(ours), _bits(ref))
+            for zs in (grid, grid.reshape(7, 9), grid[:0], grid.real):
+                assert np.array_equal(_bits(poly_eval(p, zs)), _bits(_reference_poly_eval(p, zs)))
+
+    def test_cluster_residuals_match_scalar_evaluation(self):
+        rng = np.random.default_rng(82)
+        polys = [Poly(_random_coeffs(rng, n + 1)) for n in range(1, 20) for _ in range(3)]
+        polys += [Poly.from_roots([0.3 + 0.2j] * m + [-0.5, 0.9j], leading=2.0 - 1j) for m in (2, 3)]
+        polys += [Poly.from_roots([0.0, 0.0, 0.25])]
+        for p in polys:
+            for rc in poly_roots(p):
+                assert rc.residual == abs(poly_eval(p, rc.value))
+
+
+@seed(989)
+@settings(max_examples=200, deadline=None)
+@given(
+    terms=st.lists(
+        st.tuples(st.floats(-10.0, 10.0), st.floats(0.0, 2 * np.pi), st.booleans()),
+        min_size=2,
+        max_size=31,
+    ),
+)
+def test_derivative_of_a_trimmed_polynomial_never_trims(terms):
+    # magnitudes 1e-10 to 1e10, some coefficients exactly zero
+    coeffs = [0.0 if zero else 10.0 ** exponent * np.exp(1j * angle) for exponent, angle, zero in terms]
+    p = Poly(coeffs)
+    if p.degree < 1:
+        return
+    d = poly_derivative(p)
+    assert d.degree == p.degree - 1
+    reference = Poly(p.coeffs[1:] * np.arange(1, p.coeffs.size))
+    assert np.array_equal(d.coeffs.view(np.uint64), reference.coeffs.view(np.uint64))
+
+
+def test_derivative_keeps_a_top_coefficient_at_the_trim_threshold():
+    for n in range(1, 31):
+        for top in (np.nextafter(COEFF_TRIM_TOL, 1.0), 2 * COEFF_TRIM_TOL, 1e-11j):
+            p = Poly([1.0] * n + [top])
+            assert p.degree == n
+            d = poly_derivative(p)
+            assert d.degree == n - 1
+            assert np.array_equal(d.coeffs, Poly(p.coeffs[1:] * np.arange(1, n + 1)).coeffs)
 
 
 @seed(988)
