@@ -4,7 +4,7 @@ boundary-augmented interpolation problem."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,10 +18,11 @@ from .errors import (
 )
 from .pick import BlaschkeData, ExceptionalSet, PickMatrix, kernel_solves
 from .polyrat import (
-    DEFAULT_TOLERANCES,
+    RESIDUAL_TOL,
+    ROOT_CLUSTER_TOL,
+    TRIM_TOL,
     Poly,
     RationalFn,
-    TolerancePolicy,
     poly_eval,
     poly_roots,
     rat_reduce,
@@ -72,16 +73,16 @@ class PhasarValue(float):
         return obj
 
 
-def phasar_derivative(f: RationalFn, z: complex, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> PhasarValue:
+def phasar_derivative(f: RationalFn, z: complex) -> PhasarValue:
     """Rate of change of arg f(e^(i theta)) at z on the circle: Re(z f'(z)/f(z))."""
     z = complex(z)
     nz = poly_eval(f.num, z)
     dz = poly_eval(f.den, z)
     scale_n = max(1.0, float(np.max(np.abs(f.num.coeffs))) if not f.num.is_zero else 1.0)
     scale_d = max(1.0, float(np.max(np.abs(f.den.coeffs))))
-    if abs(nz) <= tol.trim_tol * scale_n * 1e3:
+    if abs(nz) <= TRIM_TOL * scale_n * 1e3:
         raise ZeroOrPoleAtPoint(f"function vanishes at {z}")
-    if abs(dz) <= tol.trim_tol * scale_d * 1e3:
+    if abs(dz) <= TRIM_TOL * scale_d * 1e3:
         raise ZeroOrPoleAtPoint(f"function has a pole at {z}")
     w = z * (poly_eval(f.num.derivative(), z) / nz - poly_eval(f.den.derivative(), z) / dz)
     return PhasarValue(w.real, abs(w.imag))
@@ -123,8 +124,7 @@ class Parametrization:
     value zeta at tau.  ``exceptional`` caches the defining scalars so
     membership can be tested without the original Pick matrix,
     ``kernel_numerators`` keeps (n_xx, n_xy, n_yx, n_yy), the kernel sums at
-    tau over the common product, from which (a, b, c, d) were assembled, and
-    ``tol`` is the Pick matrix's policy, carried on to the maps built from it.
+    tau over the common product, from which (a, b, c, d) were assembled.
     """
 
     a: Poly
@@ -135,7 +135,6 @@ class Parametrization:
     data_hash: str
     exceptional: ExceptionalSet
     kernel_numerators: tuple[Poly, Poly, Poly, Poly]
-    tol: TolerancePolicy = field(default=DEFAULT_TOLERANCES, repr=False)
 
     @property
     def degree(self) -> int:
@@ -205,7 +204,6 @@ def build_parametrization(M: PickMatrix, data: BlaschkeData, tau: complex) -> Pa
     The documented invariants (normalization at tau, max degree n, no common
     zero, |c| <= |d| on the closed disc) are validated before returning.
     """
-    tol = M.tol
     tau = complex(tau / abs(tau))
     wx, wy, exc = kernel_solves(M, data, tau)
     if exc.whole_circle:
@@ -222,11 +220,11 @@ def build_parametrization(M: PickMatrix, data: BlaschkeData, tau: complex) -> Pa
 
     param = Parametrization(
         a=a, b=b, c=c, d=d, tau=tau, data_hash=data.canonical_digest(), exceptional=exc,
-        kernel_numerators=(n_xx, n_xy, n_yx, n_yy), tol=tol,
+        kernel_numerators=(n_xx, n_xy, n_yx, n_yy),
     )
 
     res = param.normalization_residual()
-    if res > tol.residual_tol:
+    if res > RESIDUAL_TOL:
         raise NumericalFailure(f"normalization at tau off by {res:.3e}")
     if param.degree != data.n:
         raise NumericalFailure(f"max degree {param.degree} != n = {data.n}")
@@ -238,17 +236,16 @@ def build_parametrization(M: PickMatrix, data: BlaschkeData, tau: complex) -> Pa
 def _check_no_common_zero(param: Parametrization) -> None:
     """Narrow the zeros of a to those that b, c and d share in turn, finding
     the roots of each at most once; the zero polynomial shares every zero."""
-    tol = param.tol
     if param.a.degree < 1:
         return
-    shared = [rc.value for rc in poly_roots(param.a, tol)]
+    shared = [rc.value for rc in poly_roots(param.a)]
     for q in (param.b, param.c, param.d):
         if q.is_zero:
             continue
         if q.degree < 1:
             return
-        roots = [rc.value for rc in poly_roots(q, tol)]
-        shared = [z for z in shared if any(abs(z - w) <= tol.root_cluster_tol for w in roots)]
+        roots = [rc.value for rc in poly_roots(q)]
+        shared = [z for z in shared if any(abs(z - w) <= ROOT_CLUSTER_TOL for w in roots)]
         if not shared:
             return
     raise NumericalFailure(f"a, b, c, d share the zero {shared[0]}")
@@ -258,7 +255,7 @@ def _check_c_dominated_by_d(param: Parametrization) -> None:
     grid = disc_grid(256)
     excess = np.abs(poly_eval(param.c, grid)) - np.abs(poly_eval(param.d, grid))
     worst = float(np.max(excess))
-    if worst > param.tol.residual_tol:
+    if worst > RESIDUAL_TOL:
         raise NumericalFailure(f"|c| exceeds |d| on the closed disc by {worst:.3e}")
 
 
@@ -277,10 +274,10 @@ def solve_blaschke(param: Parametrization, zeta: complex) -> RationalFn:
             raise ExceptionalZeta(f"zeta = {zeta} is within tolerance of the exceptional set")
     num = zeta * param.a + param.b
     den = zeta * param.c + param.d
-    return rat_reduce(RationalFn(num, den), param.tol)
+    return rat_reduce(RationalFn(num, den))
 
 
-def to_blaschke_product(f: RationalFn, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> BlaschkeProduct:
+def to_blaschke_product(f: RationalFn) -> BlaschkeProduct:
     """Recover the factored form of a rational inner function.
 
     The input must be unimodular on the circle grid; its numerator zeros must
@@ -291,13 +288,13 @@ def to_blaschke_product(f: RationalFn, tol: TolerancePolicy = DEFAULT_TOLERANCES
     grid = circle_grid(256)
     vals = f(grid)
     worst = float(np.max(np.abs(np.abs(vals) - 1.0)))
-    if worst > tol.residual_tol:
+    if worst > RESIDUAL_TOL:
         raise NotInner(f"not unimodular on the circle: off by {worst:.3e}")
 
-    reduced = rat_reduce(f, tol)
+    reduced = rat_reduce(f)
     zeros: list[complex] = []
     if reduced.num.degree >= 1:
-        for rc in poly_roots(reduced.num, tol):
+        for rc in poly_roots(reduced.num):
             if abs(rc.value) >= 1.0:
                 raise NotInner(f"numerator zero {rc.value} is not inside the open disc")
             zeros.extend([rc.value] * rc.multiplicity)
@@ -309,13 +306,13 @@ def to_blaschke_product(f: RationalFn, tol: TolerancePolicy = DEFAULT_TOLERANCES
             break
     base = BlaschkeProduct(unimodular_constant=1.0 + 0j, zeros=tuple(zeros))
     constant = complex(reduced(anchor) / base(anchor))
-    if abs(abs(constant) - 1.0) > tol.residual_tol:
+    if abs(abs(constant) - 1.0) > RESIDUAL_TOL:
         raise NotInner(f"recovered constant has modulus {abs(constant):.12g}")
     result = BlaschkeProduct(unimodular_constant=constant / abs(constant), zeros=tuple(zeros))
 
     rng = np.random.default_rng(41205)
     pts = rng.uniform(0.0, 1.0, 64) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 64))
     drift = float(np.max(np.abs(f(pts) - result(pts))))
-    if drift > tol.residual_tol * 10:
+    if drift > RESIDUAL_TOL * 10:
         raise NotInner(f"factored form disagrees with the input by {drift:.3e}")
     return result

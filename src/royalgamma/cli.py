@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -68,7 +69,7 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=desc)
         p.add_argument("--input", default=None, help="input JSON path")
         p.add_argument("--output", default=None, help="output path (default: stdout)")
-        p.add_argument("--tol", type=float, default=None,
+        p.add_argument("--tol", type=float, default=None, dest="pass_tol", metavar="TOL",
                        help="verification threshold on every residual (not for blaschke)")
         p.add_argument("--omega-grid", type=int, default=256, dest="omega_grid",
                        help="parameter grid size in [8, 65536]")
@@ -82,9 +83,9 @@ def _build_parser() -> _Parser:
 def _validate(args: argparse.Namespace) -> None:
     if not 8 <= args.omega_grid <= 65536:
         raise InvalidData(f"--omega-grid must lie in [8, 65536], got {args.omega_grid}")
-    if args.tol is not None and not args.tol > 0:
+    if args.pass_tol is not None and not args.pass_tol > 0:
         raise InvalidData("--tol must be strictly positive")
-    if args.tol is not None and args.command == "blaschke":
+    if args.pass_tol is not None and args.command == "blaschke":
         raise InvalidData("blaschke verifies nothing, so --tol does not apply")
     needs_input = args.command in ("solve", "sweep", "blaschke") or args.generator is None
     if needs_input and not args.input:
@@ -103,6 +104,10 @@ def _read_json(path: str):
         raise InvalidData(f"input file not found: {path}")
     except json.JSONDecodeError as exc:
         raise InvalidData(f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except UnicodeDecodeError as exc:
+        raise InvalidData(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
+    except OSError as exc:
+        raise InvalidData(f"cannot read input file {path}: {exc.strerror}")
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -143,7 +148,7 @@ def _obtain_h(args: argparse.Namespace):
 def _solve(args: argparse.Namespace, data: BlaschkeData, extra_omegas_fn=None):
     """The pipeline with the command-line settings; a failed step is reported on stderr."""
     result = solve_royal_problem(
-        data, omega_grid=args.omega_grid, extra_omegas_fn=extra_omegas_fn, pass_tol=args.tol
+        data, omega_grid=args.omega_grid, extra_omegas_fn=extra_omegas_fn, pass_tol=args.pass_tol
     )
     if result.status != "solved":
         print(f"not solvable at step {result.failed_step}: {result.reason}", file=sys.stderr)
@@ -213,11 +218,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"inapplicable: {exc}", file=sys.stderr)
             return EXIT_UNSOLVABLE
 
-    report = verify_royal_solution(h, data, pass_tol=args.tol)
+    report = verify_royal_solution(h, data, pass_tol=args.pass_tol)
     grid = circle_grid(256)
     counts: dict[str, int] = {}
     for z in grid:
-        label = classify_point(h(z), h.tol).value
+        label = classify_point(h(z)).value
         counts[label] = counts.get(label, 0) + 1
     payload = report.to_json_dict()
     payload["boundary_classification_counts"] = dict(sorted(counts.items()))
@@ -278,8 +283,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         buf.append(",".join(row))
     _write_text(args.output, "\n".join(buf) + "\n")
     if args.plot:
-        stem, _, _ = args.output.rpartition(".")
-        _sweep_plot((stem or args.output) + ".svg", result)
+        _sweep_plot(os.path.splitext(args.output)[0] + ".svg", result)
     return EXIT_OK
 
 
@@ -300,7 +304,7 @@ def cmd_blaschke(args: argparse.Namespace) -> int:
         interp = max(abs(phi(s) - e) for s, e in zip(data.sigma, data.eta))
         phasar = 0.0
         for j in range(data.k):
-            phasar = max(phasar, abs(float(phasar_derivative(phi, data.sigma[j], param.tol)) - data.rho[j]))
+            phasar = max(phasar, abs(float(phasar_derivative(phi, data.sigma[j])) - data.rho[j]))
         entry = {
             "zeta": _c(complex(zeta)),
             "rational": phi.to_json_dict(),
@@ -308,7 +312,7 @@ def cmd_blaschke(args: argparse.Namespace) -> int:
             "max_phasar_residual": float(phasar),
         }
         try:
-            product = to_blaschke_product(phi, param.tol)
+            product = to_blaschke_product(phi)
             entry["blaschke"] = product.to_json_dict()
         except RoyalGammaError as exc:
             entry["blaschke_error"] = str(exc)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -42,10 +42,12 @@ from .pick import (
     choose_tau,
 )
 from .polyrat import (
-    DEFAULT_TOLERANCES,
+    PD_TOL,
+    RESIDUAL_TOL,
+    ROOT_CLUSTER_TOL,
+    TRIM_TOL,
     Poly,
     RationalFn,
-    TolerancePolicy,
     joint_reduce,
     poly_eval,
     poly_roots,
@@ -88,7 +90,7 @@ class PointClass(enum.Enum):
     OUTSIDE = "outside"
 
 
-def classify_point(pt, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> PointClass:
+def classify_point(pt) -> PointClass:
     """Membership test for the symmetrized bidisc.
 
     (s, p) lies in the closed set iff |s| <= 2 and |s - conj(s) p| <= 1 - |p|^2;
@@ -96,7 +98,7 @@ def classify_point(pt, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> PointClass:
     s = conj(s) p.  Strict inequalities with margin classify the interior.
     """
     s, p = complex(pt[0]), complex(pt[1])
-    t = tol.residual_tol
+    t = RESIDUAL_TOL
     sym = abs(s - np.conj(s) * p)
     if abs(abs(p) - 1.0) <= t and sym <= t and abs(s) <= 2.0 + t:
         return PointClass.DISTINGUISHED_BGAMMA
@@ -108,12 +110,12 @@ def classify_point(pt, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> PointClass:
     return PointClass.OUTSIDE
 
 
-def phi_omega(omega: complex, pt, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> complex:
+def phi_omega(omega: complex, pt) -> complex:
     """The linear-fractional functional (2 omega p - s)/(2 - omega s)."""
     s, p = complex(pt[0]), complex(pt[1])
     omega = complex(omega)
     den = 2.0 - omega * s
-    if abs(den) < tol.trim_tol * max(1.0, abs(s)):
+    if abs(den) < TRIM_TOL * max(1.0, abs(s)):
         raise SingularPoint(f"(s, p) sits at the singularity of the omega = {omega} functional")
     return (2.0 * omega * p - s) / den
 
@@ -124,14 +126,12 @@ class GammaInnerFn:
 
     Invariants (validated by :meth:`from_numerators`): the denominator has no
     zeros in the closed unit disc, and on the circle |p| = 1, s = conj(s) p
-    and |s| <= 2 hold within the residual tolerance.  ``tol`` is the policy
-    the map was built and validated with; the functions taking the map read it
-    from there, so each fact about the map below is computed at most once.
+    and |s| <= 2 hold within the residual tolerance.  Each fact about the map
+    below is computed at most once.
     """
 
     s: RationalFn
     p: RationalFn
-    tol: TolerancePolicy = field(default=DEFAULT_TOLERANCES, repr=False)
 
     @property
     def den(self) -> Poly:
@@ -139,10 +139,10 @@ class GammaInnerFn:
 
     @functools.cached_property
     def denominator_min_root_modulus(self) -> float:
-        """Smallest modulus of a root of the shared denominator under ``self.tol``; inf if constant."""
+        """Smallest modulus of a root of the shared denominator; inf if constant."""
         if self.den.degree < 1:
             return float("inf")
-        return min(abs(rc.value) for rc in poly_roots(self.den, self.tol))
+        return min(abs(rc.value) for rc in poly_roots(self.den))
 
     @functools.cached_property
     def circle_residuals(self) -> tuple[float, float, float]:
@@ -164,10 +164,10 @@ class GammaInnerFn:
 
     @functools.cached_property
     def royal_range(self) -> bool:
-        """Whether s^2 - 4p vanishes identically under ``self.tol``, i.e. the
-        map sends the disc into the royal variety."""
+        """Whether s^2 - 4p vanishes identically, i.e. the map sends the disc
+        into the royal variety."""
         royal, scale = self.royal
-        return royal.is_zero or _coeff_max(royal) <= 100 * self.tol.trim_tol * scale
+        return royal.is_zero or _coeff_max(royal) <= 100 * TRIM_TOL * scale
 
     @property
     def degree(self) -> int:
@@ -177,13 +177,7 @@ class GammaInnerFn:
         return GammaPoint(self.s(z), self.p(z))
 
     @classmethod
-    def from_numerators(
-        cls,
-        num_s: Poly,
-        num_p: Poly,
-        den: Poly,
-        tol: TolerancePolicy = DEFAULT_TOLERANCES,
-    ) -> "GammaInnerFn":
+    def from_numerators(cls, num_s: Poly, num_p: Poly, den: Poly) -> "GammaInnerFn":
         """Build from the shared-denominator representation.
 
         Joint reduction cancels a denominator root only when both numerators
@@ -191,10 +185,10 @@ class GammaInnerFn:
         """
         if den.is_zero:
             raise ZeroDivisionError("shared denominator is the zero polynomial")
-        (num_s, num_p), den = joint_reduce((num_s, num_p), den, tol)
+        (num_s, num_p), den = joint_reduce((num_s, num_p), den)
         lead = den.leading
         num_s, num_p, den = num_s / lead, num_p / lead, den / lead
-        h = cls(s=RationalFn(num_s, den), p=RationalFn(num_p, den), tol=tol)
+        h = cls(s=RationalFn(num_s, den), p=RationalFn(num_p, den))
         _validate_gamma_inner(h)
         return h
 
@@ -206,7 +200,7 @@ class GammaInnerFn:
         }
 
     @classmethod
-    def from_json_dict(cls, obj, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> "GammaInnerFn":
+    def from_json_dict(cls, obj) -> "GammaInnerFn":
         try:
             for pair in obj["s"]["num"] + obj["s"]["den"] + obj["p"]["num"] + obj["p"]["den"]:
                 if not np.isfinite(complex(*pair)):
@@ -221,7 +215,7 @@ class GammaInnerFn:
         if np.max(np.abs(pad_s - pad_p)) > 1e-9 * scale:
             raise InvalidData("components do not share a common denominator")
         try:
-            return cls.from_numerators(s.num, p.num, p.den, tol)
+            return cls.from_numerators(s.num, p.num, p.den)
         except RoyalGammaError as exc:
             raise InvalidData(f"not a valid map into the symmetrized bidisc: {exc}") from exc
 
@@ -233,12 +227,11 @@ def _coeff_max(p: Poly) -> float:
 
 
 def _validate_gamma_inner(h: GammaInnerFn) -> None:
-    tol = h.tol
     min_mod = h.denominator_min_root_modulus
-    if min_mod <= 1.0 + tol.root_cluster_tol:
+    if min_mod <= 1.0 + ROOT_CLUSTER_TOL:
         raise DenominatorZeroInDisc(f"denominator root of modulus {min_mod:.12g} in the closed disc")
     p_uni, sym, s_excess = h.circle_residuals
-    if p_uni > tol.residual_tol or sym > tol.residual_tol or s_excess > tol.residual_tol:
+    if p_uni > RESIDUAL_TOL or sym > RESIDUAL_TOL or s_excess > RESIDUAL_TOL:
         raise NumericalFailure(
             f"boundary identities violated: | |p|-1 | = {p_uni:.3e}, "
             f"|s - conj(s) p| = {sym:.3e}, |s| - 2 = {s_excess:.3e}"
@@ -259,7 +252,7 @@ def compose_phi_omega(omega: complex, h: GammaInnerFn) -> RationalFn:
     omega = complex(omega)
     num = 2.0 * omega * h.p.num - h.s.num
     den = 2.0 * h.den - omega * h.s.num
-    return rat_reduce(RationalFn(num, den), h.tol)
+    return rat_reduce(RationalFn(num, den))
 
 
 @dataclass(frozen=True)
@@ -288,7 +281,7 @@ def _angle_key(z: complex) -> float:
 def royal_nodes(h: GammaInnerFn) -> RoyalData:
     """Locate the royal nodes of ``h`` inside the closed disc.
 
-    Zeros of the royal polynomial within 10 * root_cluster_tol of the circle
+    Zeros of the royal polynomial within 10 * ROOT_CLUSTER_TOL of the circle
     are snapped onto it and must have even order (half of which is the royal
     multiplicity); the multiplicities over the closed disc must sum to the
     degree of the map.
@@ -298,11 +291,10 @@ def royal_nodes(h: GammaInnerFn) -> RoyalData:
     """
     if h.royal_range:
         raise RoyalRange("s^2 - 4p vanishes identically; the map sends the disc into the royal variety")
-    tol = h.tol
-    snap_band = 10.0 * tol.root_cluster_tol
+    snap_band = 10.0 * ROOT_CLUSTER_TOL
     boundary: list[tuple[complex, int]] = []
     interior: list[tuple[complex, int]] = []
-    for rc in poly_roots(h.royal[0], tol):
+    for rc in poly_roots(h.royal[0]):
         mod = abs(rc.value)
         if abs(mod - 1.0) <= snap_band:
             if rc.multiplicity % 2 != 0:
@@ -329,15 +321,15 @@ def royal_nodes(h: GammaInnerFn) -> RoyalData:
         eta = -h.s(node) / 2.0
         on_circle = idx < len(boundary)
         if on_circle:
-            if abs(abs(eta) - 1.0) > tol.residual_tol:
+            if abs(abs(eta) - 1.0) > RESIDUAL_TOL:
                 raise NumericalFailure(f"royal value at boundary node {node} has modulus {abs(eta):.12g}")
             eta = eta / abs(eta)
         square_gap = abs(h.p(node) - eta * eta)
-        if square_gap > tol.residual_tol:
+        if square_gap > RESIDUAL_TOL:
             raise NumericalFailure(f"p(node) != value^2 at {node}: off by {square_gap:.3e}")
         values.append(eta)
         if on_circle:
-            rho.append(0.5 * float(phasar_derivative(h.p, node, tol)))
+            rho.append(0.5 * float(phasar_derivative(h.p, node)))
     return RoyalData(
         nodes=nodes,
         values=tuple(values),
@@ -371,8 +363,7 @@ class S0P0Solution:
 
     ``row`` holds the single scalar equation c*u + g*v + b = 0 (u = omega^2,
     v = t*omega) in the family case.  ``residual`` is the least-squares or
-    constraint-violation size backing a "none" verdict.  ``tol`` is the
-    parametrization's policy, which :meth:`member` reads.
+    constraint-violation size backing a "none" verdict.
     """
 
     kind: str  # "unique" | "family" | "none"
@@ -385,7 +376,6 @@ class S0P0Solution:
     degenerate: bool = False
     singular_values: tuple[float, ...] = ()
     notes: tuple[str, ...] = ()
-    tol: TolerancePolicy = field(default=DEFAULT_TOLERANCES, repr=False)
 
     def member(self, omega: complex) -> FamilyMember | None:
         """Family member at a unimodular omega, or None when t fails to be
@@ -398,13 +388,12 @@ class S0P0Solution:
         if self.degenerate:
             return FamilyMember(omega, 0.0, 0j, u)
         c, g, b = self.row
-        tol = self.tol
         row_scale = max(abs(c), abs(g), abs(b), 1.0)
-        if abs(g) <= tol.trim_tol * row_scale:
+        if abs(g) <= TRIM_TOL * row_scale:
             return None
         v = -(c * u + b) / g
         t_complex = v * np.conj(omega)
-        if abs(t_complex.imag) > tol.residual_tol:
+        if abs(t_complex.imag) > RESIDUAL_TOL:
             return None
         t = float(t_complex.real)
         if abs(t) >= 1.0:
@@ -418,26 +407,25 @@ def solve_s0_p0(param: Parametrization, data: BlaschkeData) -> S0P0Solution:
     Writing s0 = 2 t omega, p0 = omega^2, the degree-(n-1) coefficient
     polynomials of the defining identity stack into an n x 3 system
     [Q_c | Q_g | Q_b] in the unknowns u = omega^2, v = t omega.  Rank
-    decisions use singular values against pd_tol times the largest one;
+    decisions use singular values against PD_TOL times the largest one;
     near-threshold values are reported in ``notes`` rather than silently
     resolved.
     """
     if param.data_hash != data.canonical_digest():
         raise InvalidData("parametrization was built from different interpolation data")
-    tol = param.tol
     n_xx, n_xy, n_yx, n_yy = param.kernel_numerators
     q_g = n_xx + n_yy
     stacked = np.column_stack([poly.padded(data.n) for poly in (n_yx, q_g, n_xy)])
 
     sv_full = np.linalg.svd(stacked, compute_uv=False)
     scale = float(sv_full[0]) if sv_full.size else 0.0
-    solution = functools.partial(S0P0Solution, singular_values=tuple(float(s) for s in sv_full), tol=tol)
+    solution = functools.partial(S0P0Solution, singular_values=tuple(float(s) for s in sv_full))
     if scale == 0.0:
         return solution(
             kind="family", residual=0.0, degenerate=True,
             notes=("identity vanishes identically; every admissible pair works",),
         )
-    thr = tol.pd_tol * scale
+    thr = PD_TOL * scale
     notes = tuple(
         f"singular value {float(s):.3e} is near the rank threshold {thr:.3e}"
         for s in sv_full
@@ -457,7 +445,7 @@ def solve_s0_p0(param: Parametrization, data: BlaschkeData) -> S0P0Solution:
         return solution(kind="none", residual=float(np.linalg.norm(rhs)) / scale)
     if rank_lhs == 1:
         if rank_full >= 2:
-            sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=tol.pd_tol)
+            sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=PD_TOL)
             return solution(kind="none", residual=float(np.linalg.norm(lhs @ sol - rhs)) / scale)
         idx = int(np.argmax(np.linalg.norm(stacked, axis=1)))
         c, g, b = (complex(stacked[idx, j]) for j in range(3))
@@ -467,17 +455,17 @@ def solve_s0_p0(param: Parametrization, data: BlaschkeData) -> S0P0Solution:
     sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
     u, v = complex(sol[0]), complex(sol[1])
     res = float(np.linalg.norm(lhs @ sol - rhs)) / scale
-    if res > tol.residual_tol:
+    if res > RESIDUAL_TOL:
         return solution(kind="none", residual=res)
     unimodularity = abs(abs(u) - 1.0)
-    if unimodularity > tol.residual_tol:
+    if unimodularity > RESIDUAL_TOL:
         return solution(
             kind="none", residual=max(res, unimodularity),
             notes=notes + (f"unique candidate has |omega^2| = {abs(u):.12g}",),
         )
     omega = complex(np.sqrt(u / abs(u)))
     t_complex = v * np.conj(omega)
-    if abs(t_complex.imag) > tol.residual_tol:
+    if abs(t_complex.imag) > RESIDUAL_TOL:
         return solution(
             kind="none", residual=max(res, abs(t_complex.imag)),
             notes=notes + ("unique candidate has non-real t",),
@@ -499,17 +487,17 @@ def construct_h(param: Parametrization, s0: complex, p0: complex) -> GammaInnerF
     The inputs must satisfy |p0| = 1, s0 = conj(s0) p0, |s0| < 2 and the
     defining identity s0 a - 2 b + 2 p0 c - s0 d = 0 within tolerance.
     """
-    s0, p0, tol = complex(s0), complex(p0), param.tol
-    if abs(abs(p0) - 1.0) > tol.residual_tol:
+    s0, p0 = complex(s0), complex(p0)
+    if abs(abs(p0) - 1.0) > RESIDUAL_TOL:
         raise PreconditionViolated(f"|p0| = {abs(p0):.12g} is not 1")
     p0 = p0 / abs(p0)
     if abs(s0) >= 2.0:
         raise PreconditionViolated(f"|s0| = {abs(s0):.12g} is not below 2")
-    if abs(s0 - np.conj(s0) * p0) > tol.residual_tol * max(1.0, abs(s0)):
+    if abs(s0 - np.conj(s0) * p0) > RESIDUAL_TOL * max(1.0, abs(s0)):
         raise PreconditionViolated("s0 != conj(s0) p0: the pair is off the distinguished boundary")
     identity = s0 * param.a - 2.0 * param.b + 2.0 * p0 * param.c - s0 * param.d
     scale = max(_coeff_max(param.a), _coeff_max(param.b), _coeff_max(param.c), _coeff_max(param.d), 1.0)
-    if _coeff_max(identity) > tol.residual_tol * 4.0 * scale:
+    if _coeff_max(identity) > RESIDUAL_TOL * 4.0 * scale:
         raise PreconditionViolated(
             f"defining identity violated by {_coeff_max(identity):.3e} (scale {scale:.3e})"
         )
@@ -517,7 +505,7 @@ def construct_h(param: Parametrization, s0: complex, p0: complex) -> GammaInnerF
     num_s = 2.0 * (2.0 * p0 * param.c - s0 * param.d)
     num_p = -2.0 * p0 * param.a + s0 * param.b
     den = s0 * param.c - 2.0 * param.d
-    h = GammaInnerFn.from_numerators(num_s, num_p, den, tol)
+    h = GammaInnerFn.from_numerators(num_s, num_p, den)
     if h.royal_range:
         raise RoyalRange("constructed map degenerates into the royal variety")
     anchor_gap = max(abs(h.s(param.tau) - s0), abs(h.p(param.tau) - p0))
@@ -526,7 +514,7 @@ def construct_h(param: Parametrization, s0: complex, p0: complex) -> GammaInnerF
     return h
 
 
-def generate_h_nu(nu: int, r: float, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> GammaInnerFn:
+def generate_h_nu(nu: int, r: float) -> GammaInnerFn:
     """Test-generator family of degree 2 nu + 2 and type (2 nu + 2, 2 nu + 1):
 
         s = 2 (1 - r) lambda^(nu+1) / (1 + r lambda^(2 nu + 1)),
@@ -546,7 +534,7 @@ def generate_h_nu(nu: int, r: float, tol: TolerancePolicy = DEFAULT_TOLERANCES) 
     num_s[nu + 1] = 2.0 * (1.0 - r)
     num_p = np.zeros(m + 2, dtype=complex)
     num_p[1], num_p[m + 1] = r, 1.0
-    return GammaInnerFn.from_numerators(Poly(num_s), Poly(num_p), Poly(den), tol)
+    return GammaInnerFn.from_numerators(Poly(num_s), Poly(num_p), Poly(den))
 
 
 @dataclass(frozen=True)
@@ -601,11 +589,10 @@ def verify_royal_solution(
     p at boundary nodes, the three boundary identities on a 256-point circle
     grid, reduced degree, the composed linear-fractional cross-check at eight
     probe parameters, and the pole locations.  ``passed`` is true iff every
-    residual is at most ``pass_tol`` (by default the map's residual
-    tolerance) and the structural checks hold.
+    residual is at most ``pass_tol`` (by default ``RESIDUAL_TOL``) and the
+    structural checks hold.
     """
-    tol = h.tol
-    pass_tol = tol.residual_tol if pass_tol is None else float(pass_tol)
+    pass_tol = RESIDUAL_TOL if pass_tol is None else float(pass_tol)
     residuals: dict[str, float] = {}
     failures: list[str] = []
 
@@ -619,7 +606,7 @@ def verify_royal_solution(
     if data.k:
         worst = 0.0
         for j in range(data.k):
-            ap = float(phasar_derivative(h.p, data.sigma[j], tol))
+            ap = float(phasar_derivative(h.p, data.sigma[j]))
             worst = max(worst, abs(ap - 2.0 * data.rho[j]))
         residuals["phasar_p_max"] = worst
 
@@ -642,7 +629,7 @@ def verify_royal_solution(
                 values = composed(sigma)
                 interp_worst = max(interp_worst, float(np.max(np.abs(values - eta))))
                 for j in range(data.k):
-                    a_composed = float(phasar_derivative(composed, data.sigma[j], tol))
+                    a_composed = float(phasar_derivative(composed, data.sigma[j]))
                     phasar_worst = max(phasar_worst, abs(a_composed - data.rho[j]))
             residuals["phi_omega_interp_max"] = interp_worst
             if data.k:
@@ -706,7 +693,7 @@ class RoyalPipelineResult:
 
 def solve_royal_problem(
     data: BlaschkeData,
-    tol: TolerancePolicy = DEFAULT_TOLERANCES,
+    *,
     omega_grid: int = 256,
     extra_omegas_fn: Callable[[complex], tuple[complex, ...]] | None = None,
     pass_tol: float | None = None,
@@ -718,7 +705,7 @@ def solve_royal_problem(
     ``omega_grid``-point circle grid, plus the parameters that
     ``extra_omegas_fn`` returns for the chosen base point (e.g. an exact
     parameter computed from a candidate solution)."""
-    M = build_pick_matrix(data, tol)
+    M = build_pick_matrix(data)
     positivity = check_positive_definite(M)
     result = functools.partial(RoyalPipelineResult, data=data, positivity=positivity)
     if positivity.kind != "definite":

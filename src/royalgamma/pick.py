@@ -4,8 +4,6 @@ The Pick matrix carries the boundary phasar-derivative bounds on its diagonal.
 Positive definiteness certifies solvability of the interpolation problem; the
 exceptional parameter set and the deterministic base-point selection
 implemented here feed the linear-fractional parametrization of all solutions.
-The tolerance policy is fixed when the Pick matrix is built, and every
-function taking the matrix reads it from there.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from .errors import (
     PoleAtNode,
     SingularPick,
 )
-from .polyrat import DEFAULT_TOLERANCES, TolerancePolicy
+from .polyrat import PD_TOL, RESIDUAL_TOL, ROOT_CLUSTER_TOL, TRIM_TOL
 
 __all__ = [
     "BlaschkeData",
@@ -48,6 +46,9 @@ BOUNDARY_INPUT_TOL = 1e-9
 
 # Candidate base points must keep at least this distance from boundary nodes.
 MIN_TAU_NODE_DISTANCE = 1e-3
+
+# How many points of the base-point sequence are tried before giving up.
+MAX_TAU_CANDIDATES = 1000
 
 _GOLDEN_FRAC = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -173,12 +174,10 @@ class BlaschkeData:
 class PickMatrix:
     """Hermitian Pick matrix; the minimum eigenvalue is cached at construction,
     the lower Cholesky factor on first use, and the kernel solves at each base
-    point by :func:`kernel_solves`.  ``tol`` is the policy of the solve,
-    carried on to everything derived from the matrix."""
+    point by :func:`kernel_solves`."""
 
     entries: np.ndarray
     min_eigenvalue: float
-    tol: TolerancePolicy = field(default=DEFAULT_TOLERANCES, repr=False)
     _kernel_solves: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -223,7 +222,7 @@ class ExceptionalSet:
     pairs: tuple[tuple[complex, complex], ...] = field(default=())
 
 
-def build_pick_matrix(data: BlaschkeData, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> PickMatrix:
+def build_pick_matrix(data: BlaschkeData) -> PickMatrix:
     """Pick matrix with entries (1 - conj(eta_i) eta_j)/(1 - conj(sigma_i) sigma_j),
     replaced by rho_i on the diagonal of the boundary block."""
     n, k = data.n, data.k
@@ -234,31 +233,31 @@ def build_pick_matrix(data: BlaschkeData, tol: TolerancePolicy = DEFAULT_TOLERAN
                 m[i, j] = data.rho[i]
                 continue
             den = 1.0 - np.conj(data.sigma[i]) * data.sigma[j]
-            if i != j and abs(den) < tol.trim_tol:
+            if i != j and abs(den) < TRIM_TOL:
                 raise DegenerateData(f"nodes {i} and {j}: 1 - conj(sigma_i) sigma_j vanishes")
             m[i, j] = (1.0 - np.conj(data.eta[i]) * data.eta[j]) / den
     m = 0.5 * (m + m.conj().T)
     m.setflags(write=False)
     min_eig = float(np.linalg.eigvalsh(m)[0])
-    return PickMatrix(entries=m, min_eigenvalue=min_eig, tol=tol)
+    return PickMatrix(entries=m, min_eigenvalue=min_eig)
 
 
 def check_positive_definite(M: PickMatrix) -> PositivityResult:
-    """Classify by the cached minimum eigenvalue against ``M.tol.pd_tol``; for a
+    """Classify by the cached minimum eigenvalue against ``PD_TOL``; for a
     matrix that is not definite, rank counts the eigenvalues above it."""
-    min_eig, tol = M.min_eigenvalue, M.tol
-    if min_eig > tol.pd_tol:
+    min_eig = M.min_eigenvalue
+    if min_eig > PD_TOL:
         return PositivityResult("definite", min_eig, M.n)
-    rank = int(np.count_nonzero(np.linalg.eigvalsh(M.entries) > tol.pd_tol))
-    kind = "semidefinite" if min_eig >= -tol.pd_tol else "indefinite"
+    rank = int(np.count_nonzero(np.linalg.eigvalsh(M.entries) > PD_TOL))
+    kind = "semidefinite" if min_eig >= -PD_TOL else "indefinite"
     return PositivityResult(kind, min_eig, rank)
 
 
-def kernel_vectors(data: BlaschkeData, lam: complex, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> KernelVectors:
+def kernel_vectors(data: BlaschkeData, lam: complex) -> KernelVectors:
     lam = complex(lam)
     sigma = np.array(data.sigma)
     dens = 1.0 - np.conj(sigma) * lam
-    if np.min(np.abs(dens)) < tol.trim_tol:
+    if np.min(np.abs(dens)) < TRIM_TOL:
         raise PoleAtNode(f"lambda = {lam} coincides with a kernel pole 1/conj(sigma_j)")
     x = 1.0 / dens
     y = np.conj(np.array(data.eta)) * x
@@ -269,8 +268,8 @@ def kernel_vectors(data: BlaschkeData, lam: complex, tol: TolerancePolicy = DEFA
 
 def solve_pd(M: PickMatrix, rhs: np.ndarray) -> np.ndarray:
     """Apply the inverse of a positive definite ``M`` through its cached Cholesky factor."""
-    if M.min_eigenvalue <= M.tol.pd_tol:
-        raise SingularPick(f"Pick matrix fails Cholesky at pd_tol: min eigenvalue {M.min_eigenvalue:.3e}")
+    if M.min_eigenvalue <= PD_TOL:
+        raise SingularPick(f"Pick matrix fails Cholesky at PD_TOL: min eigenvalue {M.min_eigenvalue:.3e}")
     lower = M.cholesky_factor
     y = np.linalg.solve(lower, rhs)
     return np.linalg.solve(lower.conj().T, y)
@@ -290,8 +289,7 @@ def kernel_solves(
     key = (data, complex(tau))
     if key in M._kernel_solves:
         return M._kernel_solves[key]
-    tol = M.tol
-    kv = kernel_vectors(data, tau, tol)
+    kv = kernel_vectors(data, tau)
     wx, wy = solve_pd(M, kv.x), solve_pd(M, kv.y)
     wx.setflags(write=False)
     wy.setflags(write=False)
@@ -302,15 +300,15 @@ def kernel_solves(
     for j in range(data.k):
         alpha, beta = complex(wx[j]), complex(wy[j])
         pairs.append((alpha, beta))
-        if abs(alpha) <= tol.trim_tol * scale and abs(beta) <= tol.trim_tol * scale:
+        if abs(alpha) <= TRIM_TOL * scale and abs(beta) <= TRIM_TOL * scale:
             whole = True
             continue
-        if abs(beta) <= tol.trim_tol * scale:
+        if abs(beta) <= TRIM_TOL * scale:
             continue
         zeta = alpha / beta
-        if abs(abs(zeta) - 1.0) <= tol.residual_tol:
+        if abs(abs(zeta) - 1.0) <= RESIDUAL_TOL:
             zeta = _project_to_circle(zeta)
-            if all(abs(zeta - q) > tol.root_cluster_tol for q in points):
+            if all(abs(zeta - q) > ROOT_CLUSTER_TOL for q in points):
                 points.append(zeta)
     M._kernel_solves[key] = wx, wy, ExceptionalSet(points=tuple(points), whole_circle=whole, pairs=tuple(pairs))
     return M._kernel_solves[key]
@@ -327,13 +325,7 @@ def tau_candidate(m: int) -> complex:
     return _project_to_circle(complex(np.exp(2j * np.pi * frac)))
 
 
-def choose_tau(
-    M: PickMatrix,
-    data: BlaschkeData,
-    *,
-    start: int = 1,
-    max_candidates: int = 1000,
-) -> complex:
+def choose_tau(M: PickMatrix, data: BlaschkeData, *, start: int = 1) -> complex:
     """First point of the golden-ratio circle sequence that is a usable base point.
 
     Usable means: distance above MIN_TAU_NODE_DISTANCE from every boundary
@@ -341,7 +333,7 @@ def choose_tau(
     data always get the identical base point.
     """
     boundary = data.sigma[: data.k]
-    for m in range(start, start + max_candidates):
+    for m in range(start, start + MAX_TAU_CANDIDATES):
         tau = tau_candidate(m)
         if boundary and min(abs(tau - s) for s in boundary) <= MIN_TAU_NODE_DISTANCE:
             continue
@@ -349,4 +341,4 @@ def choose_tau(
         if data.k and exceptional_set(M, data, tau).whole_circle:
             continue
         return tau
-    raise NoSuitableTau(f"no usable base point among {max_candidates} candidates")
+    raise NoSuitableTau(f"no usable base point among {MAX_TAU_CANDIDATES} candidates")

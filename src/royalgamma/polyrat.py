@@ -1,4 +1,4 @@
-"""Complex polynomial and rational-function arithmetic with an explicit tolerance policy.
+"""Complex polynomial and rational-function arithmetic, and the package's tolerance constants.
 
 Polynomials are stored densely in ascending powers.  All values are immutable
 after construction and every operation is pure, so concurrent reads are safe.
@@ -7,7 +7,6 @@ after construction and every operation is pure, so concurrent reads are safe.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -15,8 +14,10 @@ import numpy as np
 from .errors import NumericalFailure, ZeroPolynomial
 
 __all__ = [
-    "TolerancePolicy",
-    "DEFAULT_TOLERANCES",
+    "TRIM_TOL",
+    "ROOT_CLUSTER_TOL",
+    "RESIDUAL_TOL",
+    "PD_TOL",
     "Poly",
     "RationalFn",
     "RootCluster",
@@ -28,41 +29,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TolerancePolicy:
-    """Numeric tolerances used throughout the package.
+# The numerical thresholds of the package, one set for every solve.
 
-    Parameters
-    ----------
-    trim_tol : float
-        Relative threshold below which a quantity counts as zero in the pole,
-        degeneracy and vanishing tests (the royal-range test among them).  It
-        does not trim polynomial coefficients: ``Poly`` always trims at
-        ``COEFF_TRIM_TOL`` = 1e-12.
-    root_cluster_tol : float
-        Radius used to merge nearby roots into one cluster; the cluster size
-        is the reported multiplicity.
-    residual_tol : float
-        Pass/fail threshold for verification residuals.
-    pd_tol : float
-        Margin for positive-definiteness and matrix-rank decisions.
-    """
+# Relative size below which a quantity counts as zero: ``Poly`` drops trailing
+# coefficients at most this times the largest one, and the pole, degeneracy
+# and vanishing tests (the royal-range test among them) use it too.
+TRIM_TOL = 1e-12
 
-    trim_tol: float = 1e-12
-    root_cluster_tol: float = 1e-7
-    residual_tol: float = 1e-8
-    pd_tol: float = 1e-10
+# Radius within which nearby roots merge into one cluster; the cluster size is
+# the reported multiplicity.
+ROOT_CLUSTER_TOL = 1e-7
 
-    def __post_init__(self):
-        for name in ("trim_tol", "root_cluster_tol", "residual_tol", "pd_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
+# Threshold on residuals: the identities checked while a map is built, the
+# sampled drift of a reduction, and verification unless ``pass_tol`` is given.
+RESIDUAL_TOL = 1e-8
 
-
-DEFAULT_TOLERANCES = TolerancePolicy()
-
-# Relative size below which ``Poly`` drops trailing coefficients.
-COEFF_TRIM_TOL = 1e-12
+# Margin for positive-definiteness and matrix-rank decisions.
+PD_TOL = 1e-10
 
 
 def _trim_coeffs(coeffs: np.ndarray) -> np.ndarray:
@@ -76,7 +59,7 @@ def _trim_coeffs(coeffs: np.ndarray) -> np.ndarray:
         return coeffs[:0]
     keep = coeffs.size
     # the scalar abs: numpy's array abs rounds some complex moduli differently
-    while keep > 0 and abs(coeffs[keep - 1]) <= COEFF_TRIM_TOL * scale:
+    while keep > 0 and abs(coeffs[keep - 1]) <= TRIM_TOL * scale:
         keep -= 1
     return coeffs[:keep].copy()
 
@@ -86,7 +69,7 @@ class Poly:
 
     The zero polynomial is represented by an empty coefficient array and has
     degree -1 (the distinguished sentinel).  Trailing coefficients at most
-    ``COEFF_TRIM_TOL`` times the largest one are dropped at construction.
+    ``TRIM_TOL`` times the largest one are dropped at construction.
     Negation and the derivative skip the trim, which cannot bite there:
     negating keeps every modulus, and for finite trimmed coefficients the top
     one of the derivative, |n c_n| > 1e-12 n max|c_j|, exceeds 1e-12 times the
@@ -236,11 +219,11 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
     return np.concatenate((roots, np.zeros(zeros, complex))) if zeros else roots
 
 
-def poly_roots(p: Poly, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> list[RootCluster]:
+def poly_roots(p: Poly) -> list[RootCluster]:
     """All roots of ``p`` counted with multiplicity.
 
     Roots come from the eigenvalues of the balanced companion matrix, each
-    polished with one Newton step.  Roots closer than ``tol.root_cluster_tol``
+    polished with one Newton step.  Roots closer than ``ROOT_CLUSTER_TOL``
     are merged into a single cluster whose size is the reported multiplicity;
     the cluster centroid is the reported value and ``|p(value)|`` its residual.
 
@@ -271,7 +254,7 @@ def poly_roots(p: Poly, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> list[RootC
     for r in polished:
         for members in clusters:
             centroid = sum(members) / len(members)
-            if abs(r - centroid) <= tol.root_cluster_tol:
+            if abs(r - centroid) <= ROOT_CLUSTER_TOL:
                 members.append(r)
                 break
         else:
@@ -376,7 +359,7 @@ def _pair_roots(den_clusters, num_clusters, pair_tol: float):
     return expand(den_left), [None if left is None else expand(left) for left in nums_left], cancelled
 
 
-def joint_reduce(nums: tuple[Poly, ...], den: Poly, tol: TolerancePolicy = DEFAULT_TOLERANCES):
+def joint_reduce(nums: tuple[Poly, ...], den: Poly):
     """Cancel the denominator roots shared by every numerator over ``den``.
 
     A zero numerator shares every root.  Each stripped polynomial keeps its
@@ -386,9 +369,9 @@ def joint_reduce(nums: tuple[Poly, ...], den: Poly, tol: TolerancePolicy = DEFAU
     """
     if den.degree < 1:
         return nums, den
-    den_clusters = poly_roots(den, tol)
-    num_clusters = [None if q.is_zero else poly_roots(q, tol) if q.degree >= 1 else [] for q in nums]
-    den_roots, num_roots, cancelled = _pair_roots(den_clusters, num_clusters, tol.root_cluster_tol)
+    den_clusters = poly_roots(den)
+    num_clusters = [None if q.is_zero else poly_roots(q) if q.degree >= 1 else [] for q in nums]
+    den_roots, num_roots, cancelled = _pair_roots(den_clusters, num_clusters, ROOT_CLUSTER_TOL)
     if not cancelled:
         return nums, den
     stripped = tuple(q if roots is None else Poly.from_roots(roots, leading=q.leading)
@@ -410,7 +393,7 @@ def _drift_candidates() -> np.ndarray:
     return out
 
 
-def _sampled_drift(reference: RationalFn, candidate: RationalFn, avoid, tol: TolerancePolicy) -> float:
+def _sampled_drift(reference: RationalFn, candidate: RationalFn, avoid) -> float:
     """Relative disagreement at 32 deterministic points away from all roots.
 
     The points are the first 32 candidates of :func:`_drift_candidates` at
@@ -439,15 +422,15 @@ def _sampled_drift(reference: RationalFn, candidate: RationalFn, avoid, tol: Tol
     return worst
 
 
-def rat_reduce(f: RationalFn, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> RationalFn:
+def rat_reduce(f: RationalFn) -> RationalFn:
     """Cancel root pairs shared by numerator and denominator, monic denominator.
 
-    Roots of the numerator within ``tol.root_cluster_tol`` of a root of the
+    Roots of the numerator within ``ROOT_CLUSTER_TOL`` of a root of the
     denominator are cancelled, respecting multiplicities; the result is
     checked against the input at 32 deterministic sample points away from the
     roots.  A pair that merely passes within the pairing tolerance without
     being a genuine common factor would move those sampled values, so on
-    disagreement beyond ``tol.residual_tol`` the pairing backs off to tighter
+    disagreement beyond ``RESIDUAL_TOL`` the pairing backs off to tighter
     tolerances, cancelling nothing in the worst case (faithfulness wins over
     eagerness).
     """
@@ -457,20 +440,20 @@ def rat_reduce(f: RationalFn, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> Rati
     # leading-coefficient ratio below
     den_scale = float(np.max(np.abs(f.den.coeffs)))
     f = RationalFn(Poly(f.num.coeffs / den_scale), Poly(f.den.coeffs / den_scale))
-    num_clusters = poly_roots(f.num, tol) if f.num.degree >= 1 else []
-    den_clusters = poly_roots(f.den, tol) if f.den.degree >= 1 else []
+    num_clusters = poly_roots(f.num) if f.num.degree >= 1 else []
+    den_clusters = poly_roots(f.den) if f.den.degree >= 1 else []
     avoid = [rc.value for rc in num_clusters] + [rc.value for rc in den_clusters]
 
     worst = None
-    for pair_tol in (tol.root_cluster_tol, tol.root_cluster_tol * 1e-2, tol.root_cluster_tol * 1e-4, 1e-300):
+    for pair_tol in (ROOT_CLUSTER_TOL, ROOT_CLUSTER_TOL * 1e-2, ROOT_CLUSTER_TOL * 1e-4, 1e-300):
         den_roots, (num_roots,), cancelled = _pair_roots(den_clusters, [num_clusters], pair_tol)
         if cancelled:
             lead_ratio = f.num.leading / f.den.leading
             out = RationalFn(Poly.from_roots(num_roots, leading=lead_ratio), Poly.from_roots(den_roots, leading=1.0))
         else:
             out = f.normalized()
-        drift = _sampled_drift(f, out, avoid, tol)
-        if drift <= tol.residual_tol:
+        drift = _sampled_drift(f, out, avoid)
+        if drift <= RESIDUAL_TOL:
             return out
         worst = drift if worst is None else min(worst, drift)
     raise NumericalFailure(f"no faithful cancellation found; best sampled drift {worst:.3e}")

@@ -78,6 +78,16 @@ class TestSolveCommand:
     def test_missing_file_is_input_error(self, tmp_path):
         assert main(["solve", "--input", str(tmp_path / "nope.json")]) == 1
 
+    def test_directory_is_input_error(self, tmp_path, capsys):
+        assert main(["solve", "--input", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("input error: ")
+
+    def test_non_utf8_file_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"nodes": [], "note": "\xe9"}'.encode("latin-1"))
+        assert main(["solve", "--input", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("input error: ")
+
     @pytest.mark.parametrize("node", [
         {"sigma": [1.0, 0.0], "eta": [0.0, 1.0], "rho": "x"},
         {"sigma": [1.0, 0.0], "eta": [0.0, 1.0], "rho": [1]},
@@ -202,6 +212,14 @@ class TestSweepCommand:
         ns = "{http://www.w3.org/2000/svg}"
         polylines = tree.getroot().iter(f"{ns}polyline")
         assert sum(1 for _ in polylines) >= 2
+
+    def test_svg_path_keeps_dotted_directories(self, interior_file, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.v2").mkdir()
+        assert main(["sweep", "--input", interior_file, "--output", "run.v2/table",
+                     "--omega-grid", "8", "--plot"]) == 0
+        assert (tmp_path / "run.v2" / "table.svg").is_file()
+        assert not (tmp_path / "run.svg").exists()
 
     def test_deterministic_csv(self, boundary_file, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

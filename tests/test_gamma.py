@@ -33,7 +33,7 @@ from royalgamma.gamma import (
     verify_royal_solution,
 )
 from royalgamma.pick import BlaschkeData, build_pick_matrix, choose_tau
-from royalgamma.polyrat import DEFAULT_TOLERANCES, Poly, TolerancePolicy, poly_allclose, poly_roots
+from royalgamma.polyrat import Poly, poly_allclose, poly_roots
 
 
 def pipeline_parts(data):
@@ -437,16 +437,8 @@ class TestPipelineComputesOnce:
         monkeypatch.setattr(royalgamma.gamma, "poly_roots", counting)
         report = verify_royal_solution(h, data)
         monkeypatch.undo()
-        assert report.denominator_min_root_modulus == min(abs(rc.value) for rc in poly_roots(h.den, h.tol))
+        assert report.denominator_min_root_modulus == min(abs(rc.value) for rc in poly_roots(h.den))
         assert dens == []
-
-    def test_the_policy_is_carried_from_the_entry_point(self):
-        tol = TolerancePolicy(residual_tol=1e-7)
-        data = extract_royal_data(generate_h_nu(0, 0.5))
-        result = solve_royal_problem(data, tol=tol, omega_grid=16)
-        assert result.status == "solved"
-        assert result.parametrization.tol is tol
-        assert all(sol.h.tol is tol for sol in result.solutions)
 
     def test_circle_residuals_and_royal_polynomial_once_per_map(self, monkeypatch):
         import royalgamma.gamma
@@ -498,24 +490,35 @@ class TestPipelineComputesOnce:
             solve_royal_problem(data, tau_start=2)
 
     def test_the_base_value_solve_carries_the_policy(self):
-        tol = TolerancePolicy(residual_tol=1e-7)
         data = interior_example_data()
-        m = build_pick_matrix(data, tol)
+        m = build_pick_matrix(data)
         param = build_parametrization(m, data, choose_tau(m, data))
         sol = solve_s0_p0(param, data)
         assert sol.kind == "family"
-        assert sol.tol is param.tol
         assert sol.member(1.0) is not None
         with pytest.raises(TypeError):
-            sol.member(1.0, tol)
+            sol.member(1.0, 1e-7)
 
     def test_a_second_policy_is_a_type_error(self):
         data = extract_royal_data(generate_h_nu(0, 0.5))
         m = build_pick_matrix(data)
         with pytest.raises(TypeError):
-            choose_tau(m, data, DEFAULT_TOLERANCES)
+            choose_tau(m, data, 1)
         with pytest.raises(TypeError):
-            verify_royal_solution(generate_h_nu(0, 0.5), data, DEFAULT_TOLERANCES)
+            verify_royal_solution(generate_h_nu(0, 0.5), data, 1e-7)
+
+    def test_no_function_takes_a_policy(self):
+        # the tolerances are module constants in polyrat; nothing accepts one
+        policy = object()
+        data = extract_royal_data(generate_h_nu(0, 0.5))
+        with pytest.raises(TypeError):
+            build_pick_matrix(data, policy)
+        with pytest.raises(TypeError):
+            poly_roots(Poly([1.0, 2.0, 1.0]), policy)
+        with pytest.raises(TypeError):
+            solve_royal_problem(data, tol=policy)
+        with pytest.raises(TypeError):
+            solve_royal_problem(data, policy)
 
 
 class TestConstructionInvariants:

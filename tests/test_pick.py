@@ -17,7 +17,6 @@ from royalgamma.pick import (
     solve_pd,
     tau_candidate,
 )
-from royalgamma.polyrat import TolerancePolicy
 
 
 def hnu_data():
@@ -109,15 +108,16 @@ class TestBuildPickMatrix:
         np.testing.assert_allclose(m.entries, [[2.0, 1.0], [1.0, 1.0]], atol=1e-12)
 
     def test_degenerate_nodes(self):
-        loose = TolerancePolicy(trim_tol=1e-6)
+        # 1e-12 apart: distinct enough for BlaschkeData, but 1 - conj(sigma_0) sigma_1
+        # rounds below TRIM_TOL
         d = BlaschkeData(
-            sigma=(1.0 + 0j, complex(np.exp(1e-7j))),
+            sigma=(-0.6421150291127853 + 0.7666083024514455j, -0.6421150291135519 + 0.7666083024508034j),
             eta=(1.0 + 0j, -1.0 + 0j),
             rho=(1.0, 1.0),
             k=2,
         )
         with pytest.raises(DegenerateData):
-            build_pick_matrix(d, loose)
+            build_pick_matrix(d)
 
     def test_hermitian_for_random_data(self):
         rng = np.random.default_rng(555)
@@ -295,8 +295,11 @@ class TestChooseTau:
         m = build_pick_matrix(d)
         assert choose_tau(m, d, start=5) == tau_candidate(5)
 
-    def test_exhaustion(self):
+    def test_exhaustion(self, monkeypatch):
+        import royalgamma.pick
+
         d = interior_example_data()
         m = build_pick_matrix(d)
+        monkeypatch.setattr(royalgamma.pick, "MAX_TAU_CANDIDATES", 0)
         with pytest.raises(NoSuitableTau):
-            choose_tau(m, d, max_candidates=0)
+            choose_tau(m, d)

@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 from royalgamma import generate_h_nu
 from royalgamma.errors import ZeroPolynomial
 from royalgamma.polyrat import (
-    COEFF_TRIM_TOL,
-    DEFAULT_TOLERANCES,
+    PD_TOL,
+    RESIDUAL_TOL,
+    ROOT_CLUSTER_TOL,
+    TRIM_TOL,
     Poly,
     RationalFn,
     RootCluster,
-    TolerancePolicy,
     _companion_roots,
     _drift_candidates,
     _sampled_drift,
@@ -30,17 +31,10 @@ def roots_dict(p):
 
 class TestTolerancePolicy:
     def test_defaults(self):
-        tol = TolerancePolicy()
-        assert tol.trim_tol == 1e-12
-        assert tol.root_cluster_tol == 1e-7
-        assert tol.residual_tol == 1e-8
-        assert tol.pd_tol == 1e-10
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            TolerancePolicy(residual_tol=0.0)
-        with pytest.raises(ValueError):
-            TolerancePolicy(trim_tol=-1e-3)
+        assert TRIM_TOL == 1e-12
+        assert ROOT_CLUSTER_TOL == 1e-7
+        assert RESIDUAL_TOL == 1e-8
+        assert PD_TOL == 1e-10
 
 
 class TestPoly:
@@ -223,7 +217,7 @@ def _scalar_sampled_drift(reference, candidate, avoid):
     return worst
 
 
-def _scalar_polish_roots(p, tol=DEFAULT_TOLERANCES):
+def _scalar_polish_roots(p):
     """poly_roots with the Newton polish evaluated at one root at a time."""
     polished = []
     dp = poly_derivative(p)
@@ -239,7 +233,7 @@ def _scalar_polish_roots(p, tol=DEFAULT_TOLERANCES):
     clusters = []
     for r in polished:
         for members in clusters:
-            if abs(r - sum(members) / len(members)) <= tol.root_cluster_tol:
+            if abs(r - sum(members) / len(members)) <= ROOT_CLUSTER_TOL:
                 members.append(r)
                 break
         else:
@@ -275,7 +269,7 @@ def _reference_trim_coeffs(coeffs):
     if scale == 0.0:
         return coeffs[:0]
     keep = coeffs.size
-    while keep > 0 and abs(coeffs[keep - 1]) <= COEFF_TRIM_TOL * scale:
+    while keep > 0 and abs(coeffs[keep - 1]) <= TRIM_TOL * scale:
         keep -= 1
     return coeffs[:keep].copy()
 
@@ -317,7 +311,7 @@ class TestArrayEvaluationIsBitIdentical:
 
     def test_drift_with_empty_avoid(self):
         for reference, candidate in self._pairs():
-            drift = _sampled_drift(reference, candidate, [], DEFAULT_TOLERANCES)
+            drift = _sampled_drift(reference, candidate, [])
             assert drift > 0.0
             assert drift == _scalar_sampled_drift(reference, candidate, [])
 
@@ -325,7 +319,7 @@ class TestArrayEvaluationIsBitIdentical:
         early = [complex(z) + 1e-3 for z in _drift_candidates()[:3]] + [0.5j, -1.0]
         for reference, candidate in self._pairs():
             avoid = early + [rc.value for rc in poly_roots(reference.num) + poly_roots(reference.den)]
-            drift = _sampled_drift(reference, candidate, avoid, DEFAULT_TOLERANCES)
+            drift = _sampled_drift(reference, candidate, avoid)
             assert drift > 0.0
             assert drift == _scalar_sampled_drift(reference, candidate, avoid)
 
@@ -333,7 +327,7 @@ class TestArrayEvaluationIsBitIdentical:
         f = RationalFn(Poly.from_roots([0.2, 0.7j, -1.1]), Poly.from_roots([0.2, -0.5]))
         g = rat_reduce(f)
         avoid = [0.2, 0.7j, -1.1, -0.5]
-        assert _sampled_drift(f, g, avoid, DEFAULT_TOLERANCES) == _scalar_sampled_drift(f, g, avoid)
+        assert _sampled_drift(f, g, avoid) == _scalar_sampled_drift(f, g, avoid)
 
     def test_poly_roots_match_scalar_polish(self):
         rng = np.random.default_rng(2024)
@@ -359,8 +353,8 @@ class TestArrayEvaluationIsBitIdentical:
             head = _random_coeffs(rng, size)
             scale = np.max(np.abs(head))
             for tail in ([0.0], [-0.0], [complex(0.0, -0.0)], [complex(-0.0, 0.0), -0.0],
-                         [1e-18], [1e-13 * scale], [COEFF_TRIM_TOL * scale], [2e-12 * scale, 1e-20j],
-                         [np.nextafter(COEFF_TRIM_TOL * scale, 1.0)], [-1e-15 * scale, 0.0, -0.0]):
+                         [1e-18], [1e-13 * scale], [TRIM_TOL * scale], [2e-12 * scale, 1e-20j],
+                         [np.nextafter(TRIM_TOL * scale, 1.0)], [-1e-15 * scale, 0.0, -0.0]):
                 coeffs = np.concatenate((head, np.asarray(tail, dtype=complex)))
                 inputs += [coeffs, coeffs.tolist(), coeffs[::-1], coeffs.real, -coeffs]
         for coeffs in inputs:
@@ -451,7 +445,7 @@ def test_derivative_of_a_trimmed_polynomial_never_trims(terms):
 
 def test_derivative_keeps_a_top_coefficient_at_the_trim_threshold():
     for n in range(1, 31):
-        for top in (np.nextafter(COEFF_TRIM_TOL, 1.0), 2 * COEFF_TRIM_TOL, 1e-11j):
+        for top in (np.nextafter(TRIM_TOL, 1.0), 2 * TRIM_TOL, 1e-11j):
             p = Poly([1.0] * n + [top])
             assert p.degree == n
             d = poly_derivative(p)
