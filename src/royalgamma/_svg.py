@@ -6,6 +6,7 @@ polyline per curve, vertical markers for royal-node angles.
 
 from __future__ import annotations
 
+import io
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
@@ -26,7 +27,8 @@ def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
 
-def write_panels_svg(path: str, panels: list[Panel], width: int = 900, panel_height: int = 260) -> None:
+def panels_svg(panels: list[Panel], width: int = 900, panel_height: int = 260) -> str:
+    """The SVG document for ``panels``, stacked vertically, ending in a newline."""
     margin = 45
     total_height = panel_height * len(panels)
     root = ET.Element(
@@ -91,6 +93,6 @@ def write_panels_svg(path: str, panels: list[Panel], width: int = 900, panel_hei
             )
     tree = ET.ElementTree(root)
     ET.indent(tree)
-    tree.write(path, encoding="unicode", xml_declaration=True)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write("\n")
+    buf = io.StringIO()
+    tree.write(buf, encoding="unicode", xml_declaration=True)
+    return buf.getvalue() + "\n"

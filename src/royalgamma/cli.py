@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from ._svg import Panel, write_panels_svg
+from ._svg import Panel, panels_svg
 from .blaschke import (
     build_parametrization,
     circle_grid,
@@ -50,50 +50,60 @@ ROUNDTRIP_MATCH_TOL = 1e-6
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant whose usage errors exit with the input-error code."""
+    """argparse variant whose usage errors are input errors: ``main`` prints
+    ``input error: <message>`` and exits with the input-error code."""
 
     def error(self, message):
-        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+        raise InvalidData(message)
+
+
+def _grid_size(text: str) -> int:
+    size = int(text)
+    if not 8 <= size <= 65536:
+        raise argparse.ArgumentTypeError(f"must lie in [8, 65536], got {size}")
+    return size
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError("must be strictly positive")
+    return value
 
 
 def _build_parser() -> _Parser:
+    """Each subcommand declares only the flags it reads."""
     parser = _Parser(prog="royalgamma", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, desc in [
-        ("solve", "solve the royal interpolation problem from a data file"),
-        ("verify", "verify a candidate map against interpolation data"),
-        ("sweep", "tabulate a one-parameter solution family as CSV"),
-        ("blaschke", "solve the scalar interpolation problem and emit its parametrization"),
-        ("roundtrip", "extract data from a map, re-solve, and match the original"),
-    ]:
-        p = sub.add_parser(name, help=desc)
-        p.add_argument("--input", default=None, help="input JSON path")
-        p.add_argument("--output", default=None, help="output path (default: stdout)")
-        p.add_argument("--tol", type=float, default=None, dest="pass_tol", metavar="TOL",
-                       help="verification threshold on every residual (not for blaschke)")
-        p.add_argument("--omega-grid", type=int, default=256, dest="omega_grid",
-                       help="parameter grid size in [8, 65536]")
-        p.add_argument("--plot", action="store_true", help="also write an SVG plot")
-        p.add_argument("--generator", default=None, help="built-in generator name (h_nu)")
+    solve = sub.add_parser("solve", help="solve the royal interpolation problem from a data file")
+    verify = sub.add_parser("verify", help="verify a candidate map against interpolation data")
+    sweep = sub.add_parser("sweep", help="tabulate a one-parameter solution family as CSV")
+    blaschke = sub.add_parser(
+        "blaschke", help="solve the scalar interpolation problem and emit its parametrization",
+        description="Solve the scalar interpolation problem at min(--omega-grid, 64) parameters "
+                    "and emit its parametrization.",
+    )
+    roundtrip = sub.add_parser("roundtrip", help="extract data from a map, re-solve, and match the original")
+
+    for p in (solve, sweep, blaschke):
+        p.add_argument("--input", required=True, help="interpolation data JSON path")
+    for p in (verify, roundtrip):
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--input", help='map JSON path; verify also reads the "data" of an {"h", "data"} file')
+        source.add_argument("--generator", choices=["h_nu"], help="built-in generator name")
         p.add_argument("--nu", type=int, default=0, help="generator index parameter")
         p.add_argument("--r", type=float, default=0.5, help="generator radius parameter in (0, 1)")
+    for p in (solve, verify, blaschke, roundtrip):
+        p.add_argument("--output", help="output path (default: stdout)")
+    sweep.add_argument("--output", required=True, help="output CSV path")
+    for p in (solve, verify):
+        p.add_argument("--tol", type=_positive, dest="pass_tol", metavar="TOL",
+                       help="verification threshold on every residual")
+    for p in (solve, sweep, blaschke, roundtrip):
+        p.add_argument("--omega-grid", type=_grid_size, default=256, dest="omega_grid",
+                       help="parameter grid size in [8, 65536]")
+    sweep.add_argument("--plot", action="store_true", help="also write an SVG plot beside the CSV")
     return parser
-
-
-def _validate(args: argparse.Namespace) -> None:
-    if not 8 <= args.omega_grid <= 65536:
-        raise InvalidData(f"--omega-grid must lie in [8, 65536], got {args.omega_grid}")
-    if args.pass_tol is not None and not args.pass_tol > 0:
-        raise InvalidData("--tol must be strictly positive")
-    if args.pass_tol is not None and args.command == "blaschke":
-        raise InvalidData("blaschke verifies nothing, so --tol does not apply")
-    needs_input = args.command in ("solve", "sweep", "blaschke") or args.generator is None
-    if needs_input and not args.input:
-        raise InvalidData(f"{args.command} requires --input (or --generator where supported)")
-    if args.command == "sweep" and not args.output:
-        raise InvalidData("sweep requires --output for the CSV table")
-    if args.generator is not None and args.generator != "h_nu":
-        raise InvalidData(f"unknown generator {args.generator!r}; supported: h_nu")
 
 
 def _read_json(path: str):
@@ -111,11 +121,15 @@ def _read_json(path: str):
 
 
 def _write_text(path: str | None, text: str) -> None:
+    """The one writer of every output: JSON, CSV and SVG."""
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InvalidData(f"cannot write output file {path}: {exc.strerror}")
 
 
 def _dump(obj) -> str:
@@ -126,30 +140,26 @@ def _c(z: complex) -> list:
     return [float(z.real), float(z.imag)]
 
 
-def _load_gamma_inner(obj):
-    if isinstance(obj, dict) and "s" in obj and "p" in obj:
-        return GammaInnerFn.from_json_dict(obj)
-    raise InvalidData('expected a map object with "s" and "p" components')
-
-
 def _obtain_h(args: argparse.Namespace):
-    if args.generator == "h_nu":
+    """The map of ``--generator`` or ``--input``, and the "data" object that an
+    {"h", "data"} input file carries (None otherwise)."""
+    if args.generator is not None:
         if not 0.0 < args.r < 1.0:
             raise InvalidData("--r must lie strictly between 0 and 1")
         if args.nu < 0:
             raise InvalidData("--nu must be a non-negative integer")
-        return generate_h_nu(args.nu, args.r)
-    payload = _read_json(args.input)
+        return generate_h_nu(args.nu, args.r), None
+    payload, data = _read_json(args.input), None
     if isinstance(payload, dict) and "h" in payload:
-        payload = payload["h"]
-    return _load_gamma_inner(payload)
+        payload, data = payload["h"], payload.get("data")
+    if isinstance(payload, dict) and "s" in payload and "p" in payload:
+        return GammaInnerFn.from_json_dict(payload), data
+    raise InvalidData('expected a map object with "s" and "p" components')
 
 
-def _solve(args: argparse.Namespace, data: BlaschkeData, extra_omegas_fn=None):
-    """The pipeline with the command-line settings; a failed step is reported on stderr."""
-    result = solve_royal_problem(
-        data, omega_grid=args.omega_grid, extra_omegas_fn=extra_omegas_fn, pass_tol=args.pass_tol
-    )
+def _solve(data: BlaschkeData, **options):
+    """The pipeline with the options a command reads; a failed step is reported on stderr."""
+    result = solve_royal_problem(data, **options)
     if result.status != "solved":
         print(f"not solvable at step {result.failed_step}: {result.reason}", file=sys.stderr)
     return result
@@ -167,7 +177,8 @@ def _solution_json(sol) -> dict:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    result = _solve(args, BlaschkeData.from_json_dict(_read_json(args.input)))
+    data = BlaschkeData.from_json_dict(_read_json(args.input))
+    result = _solve(data, omega_grid=args.omega_grid, pass_tol=args.pass_tol)
     if result.status != "solved":
         payload = {
             "status": "not_solvable",
@@ -181,7 +192,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "tau": _c(result.tau),
         "pick_min_eigenvalue": result.positivity.min_eigenvalue,
         "s0p0_kind": result.s0p0.kind,
-        "s0p0_degenerate": result.s0p0.degenerate,
         "solutions": [_solution_json(s) for s in result.solutions],
         "verified_count": len(result.verified),
     }
@@ -193,19 +203,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    data = None
-    if args.generator is not None:
-        h = _obtain_h(args)
+    h, data_obj = _obtain_h(args)
+    if data_obj is not None:
+        data = BlaschkeData.from_json_dict(data_obj)
     else:
-        payload = _read_json(args.input)
-        if isinstance(payload, dict) and "h" in payload:
-            h = _load_gamma_inner(payload["h"])
-            if payload.get("data") is not None:
-                data = BlaschkeData.from_json_dict(payload["data"])
-        else:
-            h = _load_gamma_inner(payload)
-
-    if data is None:
         try:
             data = extract_royal_data(h)
         except RoyalRange:
@@ -253,7 +254,7 @@ def _sweep_rows(result):
     return rows
 
 
-def _sweep_plot(path: str, result) -> None:
+def _sweep_svg(result) -> str:
     theta = np.linspace(0.0, 2.0 * np.pi, 181)
     ring = np.exp(1j * theta)
     solutions = result.solutions
@@ -267,11 +268,11 @@ def _sweep_plot(path: str, result) -> None:
         p_vals = sol.h.p(ring)
         s_panel.curves.append((theta.tolist(), np.abs(s_vals).tolist()))
         p_panel.curves.append((theta.tolist(), np.unwrap(np.angle(p_vals)).tolist()))
-    write_panels_svg(path, [s_panel, p_panel])
+    return panels_svg([s_panel, p_panel])
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    result = _solve(args, BlaschkeData.from_json_dict(_read_json(args.input)))
+    result = _solve(BlaschkeData.from_json_dict(_read_json(args.input)), omega_grid=args.omega_grid)
     if result.status != "solved":
         return EXIT_UNSOLVABLE
     if result.s0p0.kind != "family":
@@ -283,7 +284,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         buf.append(",".join(row))
     _write_text(args.output, "\n".join(buf) + "\n")
     if args.plot:
-        _sweep_plot(os.path.splitext(args.output)[0] + ".svg", result)
+        _write_text(os.path.splitext(args.output)[0] + ".svg", _sweep_svg(result))
     return EXIT_OK
 
 
@@ -329,7 +330,7 @@ def cmd_blaschke(args: argparse.Namespace) -> int:
 
 
 def cmd_roundtrip(args: argparse.Namespace) -> int:
-    h = _obtain_h(args)
+    h, _ = _obtain_h(args)
     try:
         data = extract_royal_data(h)
     except (MultiplicityAboveOne, RoyalRange) as exc:
@@ -340,7 +341,7 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
         # the family member reproducing h has p0 = p(tau); omega is its root
         return (complex(np.sqrt(h.p(tau))),)
 
-    result = _solve(args, data, extra_omegas_fn=exact_parameters)
+    result = _solve(data, omega_grid=args.omega_grid, extra_omegas_fn=exact_parameters)
     if result.status != "solved":
         return EXIT_UNSOLVABLE
     distances = [gamma_inner_distance(h, sol.h) for sol in result.solutions]
@@ -370,9 +371,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        _validate(args)
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except InvalidData as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -373,7 +373,6 @@ class S0P0Solution:
     omega: complex | None = None
     t: float | None = None
     row: tuple[complex, complex, complex] | None = None
-    degenerate: bool = False
     singular_values: tuple[float, ...] = ()
     notes: tuple[str, ...] = ()
 
@@ -385,8 +384,6 @@ class S0P0Solution:
         omega = complex(omega)
         omega = omega / abs(omega)
         u = omega * omega
-        if self.degenerate:
-            return FamilyMember(omega, 0.0, 0j, u)
         c, g, b = self.row
         row_scale = max(abs(c), abs(g), abs(b), 1.0)
         if abs(g) <= TRIM_TOL * row_scale:
@@ -410,6 +407,16 @@ def solve_s0_p0(param: Parametrization, data: BlaschkeData) -> S0P0Solution:
     decisions use singular values against PD_TOL times the largest one;
     near-threshold values are reported in ``notes`` rather than silently
     resolved.
+
+    The system never vanishes, so its largest singular value is positive, its
+    rank is at least one, and no family leaves every admissible pair free.
+    Each column is a kernel numerator sum_i conj(w_i) P_i, a combination of
+    the partial products P_i = prod_{l != i} (1 - conj(sigma_l) lambda),
+    which are linearly independent for distinct nodes.  So Q_b = n_xy
+    vanishes only if wy = M^-1 y_tau does, that is only if
+    y_tau = conj(eta) x_tau is 0.  Every entry 1/(1 - conj(sigma_j) tau) of
+    x_tau is nonzero, so then every eta_j is 0, n_yy vanishes too, and
+    Q_g = n_xx + n_yy = n_xx is nonzero because wx = M^-1 x_tau is.
     """
     if param.data_hash != data.canonical_digest():
         raise InvalidData("parametrization was built from different interpolation data")
@@ -418,13 +425,8 @@ def solve_s0_p0(param: Parametrization, data: BlaschkeData) -> S0P0Solution:
     stacked = np.column_stack([poly.padded(data.n) for poly in (n_yx, q_g, n_xy)])
 
     sv_full = np.linalg.svd(stacked, compute_uv=False)
-    scale = float(sv_full[0]) if sv_full.size else 0.0
+    scale = float(sv_full[0])
     solution = functools.partial(S0P0Solution, singular_values=tuple(float(s) for s in sv_full))
-    if scale == 0.0:
-        return solution(
-            kind="family", residual=0.0, degenerate=True,
-            notes=("identity vanishes identically; every admissible pair works",),
-        )
     thr = PD_TOL * scale
     notes = tuple(
         f"singular value {float(s):.3e} is near the rank threshold {thr:.3e}"
@@ -439,8 +441,6 @@ def solve_s0_p0(param: Parametrization, data: BlaschkeData) -> S0P0Solution:
     sv_lhs = np.linalg.svd(lhs, compute_uv=False)
     rank_lhs = int(np.count_nonzero(sv_lhs > thr))
 
-    if rank_full == 0:
-        return solution(kind="family", residual=0.0, degenerate=True)
     if rank_lhs == 0:
         return solution(kind="none", residual=float(np.linalg.norm(rhs)) / scale)
     if rank_lhs == 1:

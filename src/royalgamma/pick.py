@@ -29,11 +29,9 @@ __all__ = [
     "BlaschkeData",
     "PickMatrix",
     "PositivityResult",
-    "KernelVectors",
     "ExceptionalSet",
     "build_pick_matrix",
     "check_positive_definite",
-    "kernel_vectors",
     "kernel_solves",
     "exceptional_set",
     "choose_tau",
@@ -199,15 +197,6 @@ class PositivityResult:
     rank: int
 
 
-@dataclass(frozen=True, eq=False)
-class KernelVectors:
-    """Szego-kernel columns x and y = conj(eta) * x evaluated at one point."""
-
-    x: np.ndarray
-    y: np.ndarray
-    at: complex
-
-
 @dataclass(frozen=True)
 class ExceptionalSet:
     """Parameters zeta for which the augmented problem degenerates.
@@ -253,19 +242,6 @@ def check_positive_definite(M: PickMatrix) -> PositivityResult:
     return PositivityResult(kind, min_eig, rank)
 
 
-def kernel_vectors(data: BlaschkeData, lam: complex) -> KernelVectors:
-    lam = complex(lam)
-    sigma = np.array(data.sigma)
-    dens = 1.0 - np.conj(sigma) * lam
-    if np.min(np.abs(dens)) < TRIM_TOL:
-        raise PoleAtNode(f"lambda = {lam} coincides with a kernel pole 1/conj(sigma_j)")
-    x = 1.0 / dens
-    y = np.conj(np.array(data.eta)) * x
-    x.setflags(write=False)
-    y.setflags(write=False)
-    return KernelVectors(x=x, y=y, at=lam)
-
-
 def solve_pd(M: PickMatrix, rhs: np.ndarray) -> np.ndarray:
     """Apply the inverse of a positive definite ``M`` through its cached Cholesky factor."""
     if M.min_eigenvalue <= PD_TOL:
@@ -281,6 +257,9 @@ def kernel_solves(
     """The kernel solves wx = M^-1 x_tau and wy = M^-1 y_tau, and the
     exceptional set they define; solved once per (data, tau) and kept on ``M``.
 
+    The Szego-kernel columns are x_tau = 1/(1 - conj(sigma) tau) and
+    y_tau = conj(eta) x_tau, entrywise.
+
     With the inner product <u, v> = sum u_i conj(v_i), the exceptional
     parameters solve alpha_j = zeta * beta_j for the j-th entries alpha_j of wx
     and beta_j of wy, per boundary node, keeping unimodular solutions.  If both
@@ -289,8 +268,11 @@ def kernel_solves(
     key = (data, complex(tau))
     if key in M._kernel_solves:
         return M._kernel_solves[key]
-    kv = kernel_vectors(data, tau)
-    wx, wy = solve_pd(M, kv.x), solve_pd(M, kv.y)
+    dens = 1.0 - np.conj(np.array(data.sigma)) * complex(tau)
+    if np.min(np.abs(dens)) < TRIM_TOL:
+        raise PoleAtNode(f"tau = {tau} coincides with a kernel pole 1/conj(sigma_j)")
+    x = 1.0 / dens
+    wx, wy = solve_pd(M, x), solve_pd(M, np.conj(np.array(data.eta)) * x)
     wx.setflags(write=False)
     wy.setflags(write=False)
     scale = max(1.0, float(np.max(np.abs(wx))), float(np.max(np.abs(wy))))
@@ -325,7 +307,7 @@ def tau_candidate(m: int) -> complex:
     return _project_to_circle(complex(np.exp(2j * np.pi * frac)))
 
 
-def choose_tau(M: PickMatrix, data: BlaschkeData, *, start: int = 1) -> complex:
+def choose_tau(M: PickMatrix, data: BlaschkeData) -> complex:
     """First point of the golden-ratio circle sequence that is a usable base point.
 
     Usable means: distance above MIN_TAU_NODE_DISTANCE from every boundary
@@ -333,7 +315,7 @@ def choose_tau(M: PickMatrix, data: BlaschkeData, *, start: int = 1) -> complex:
     data always get the identical base point.
     """
     boundary = data.sigma[: data.k]
-    for m in range(start, start + MAX_TAU_CANDIDATES):
+    for m in range(1, 1 + MAX_TAU_CANDIDATES):
         tau = tau_candidate(m)
         if boundary and min(abs(tau - s) for s in boundary) <= MIN_TAU_NODE_DISTANCE:
             continue

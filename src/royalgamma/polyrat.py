@@ -457,9 +457,3 @@ def rat_reduce(f: RationalFn) -> RationalFn:
             return out
         worst = drift if worst is None else min(worst, drift)
     raise NumericalFailure(f"no faithful cancellation found; best sampled drift {worst:.3e}")
-
-
-def poly_allclose(p: Poly, q: Poly, atol: float = 1e-9) -> bool:
-    """Coefficient-wise agreement after padding to a common length."""
-    n = max(p.coeffs.size, q.coeffs.size)
-    return bool(np.all(np.abs(p.padded(n) - q.padded(n)) <= atol))

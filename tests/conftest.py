@@ -23,6 +23,12 @@ from royalgamma import (
 from royalgamma.errors import RoyalGammaError
 
 
+def poly_allclose(p: Poly, q: Poly, atol: float = 1e-9) -> bool:
+    """Coefficient-wise agreement after padding to a common length."""
+    n = max(p.coeffs.size, q.coeffs.size)
+    return bool(np.all(np.abs(p.padded(n) - q.padded(n)) <= atol))
+
+
 def fd_phasar(f, z, step=1e-6) -> float:
     """Finite-difference oracle for the phasar derivative.
 

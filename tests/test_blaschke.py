@@ -6,6 +6,7 @@ from conftest import (
     boundary_example_target,
     fd_phasar,
     interior_example_data,
+    poly_allclose,
 )
 
 from royalgamma import generate_h_nu
@@ -19,8 +20,8 @@ from royalgamma.blaschke import (
 )
 from royalgamma.errors import ExceptionalZeta, NotInner, ZeroOrPoleAtPoint
 from royalgamma.gamma import extract_royal_data
-from royalgamma.pick import BlaschkeData, build_pick_matrix, choose_tau
-from royalgamma.polyrat import Poly, RationalFn, poly_allclose, poly_eval
+from royalgamma.pick import BlaschkeData, build_pick_matrix, choose_tau, tau_candidate
+from royalgamma.polyrat import Poly, RationalFn, poly_eval
 
 
 def build_for(data, tau=None):
@@ -73,7 +74,7 @@ class TestBuildParametrization:
     def test_tau_is_the_chosen_base_point_bit_for_bit(self):
         data = interior_example_data()
         m = build_pick_matrix(data)
-        tau = choose_tau(m, data, start=16)
+        tau = tau_candidate(16)
         assert build_parametrization(m, data, tau).tau == tau
 
     def test_interior_closed_form_tau_one(self):
@@ -178,8 +179,8 @@ class TestSolveBlaschke:
         # must be reproduced by the second parametrization
         data = extract_royal_data(generate_h_nu(0, 0.5))
         m = build_pick_matrix(data)
-        tau1 = choose_tau(m, data, start=1)
-        tau2 = choose_tau(m, data, start=7)
+        tau1 = choose_tau(m, data)
+        tau2 = tau_candidate(7)
         assert abs(tau1 - tau2) > 1e-6
         param1 = build_parametrization(m, data, tau1)
         param2 = build_parametrization(m, data, tau2)

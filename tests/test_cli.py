@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -8,7 +9,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import royalgamma
-from royalgamma.cli import main
+from royalgamma.cli import _build_parser, main
 from royalgamma.gamma import extract_royal_data, generate_h_nu
 
 
@@ -116,6 +117,11 @@ class TestSolveCommand:
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["status"] == "solved"
 
+    def test_output_in_missing_directory_is_input_error(self, interior_file, tmp_path, capsys):
+        out = tmp_path / "nodir" / "out.json"
+        assert main(["solve", "--input", interior_file, "--output", str(out), "--omega-grid", "8"]) == 1
+        assert capsys.readouterr().err.startswith("input error: cannot write output file")
+
     def test_omega_grid_bounds(self, interior_file):
         assert main(["solve", "--input", interior_file, "--omega-grid", "4"]) == 1
         assert main(["solve", "--input", interior_file, "--omega-grid", "70000"]) == 1
@@ -129,6 +135,11 @@ class TestVerifyCommand:
         payload = json.loads(out.read_text())
         assert payload["pass"] is True
         assert payload["boundary_classification_counts"].get("distinguished_bGamma") == 256
+
+    def test_output_in_missing_directory_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "out.json"
+        assert main(["verify", "--generator", "h_nu", "--nu", "0", "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("input error: cannot write output file")
 
     def test_file_with_explicit_data(self, tmp_path):
         h = generate_h_nu(0, 0.5)
@@ -220,6 +231,11 @@ class TestSweepCommand:
                      "--omega-grid", "8", "--plot"]) == 0
         assert (tmp_path / "run.v2" / "table.svg").is_file()
         assert not (tmp_path / "run.svg").exists()
+
+    def test_output_in_missing_directory_is_input_error(self, interior_file, tmp_path, capsys):
+        out = tmp_path / "nodir" / "sweep.csv"
+        assert main(["sweep", "--input", interior_file, "--output", str(out), "--omega-grid", "8", "--plot"]) == 1
+        assert capsys.readouterr().err.startswith("input error: cannot write output file")
 
     def test_deterministic_csv(self, boundary_file, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -322,3 +338,35 @@ class TestToleranceFlag:
     def test_blaschke_rejects_tol(self, boundary_file, capsys):
         assert main(["blaschke", "--input", boundary_file, "--tol", "1e-6"]) == 1
         assert "input error:" in capsys.readouterr().err
+
+
+SUBCOMMAND_FLAGS = {
+    "solve": {"--input", "--output", "--tol", "--omega-grid"},
+    "sweep": {"--input", "--output", "--omega-grid", "--plot"},
+    "blaschke": {"--input", "--output", "--omega-grid"},
+    "verify": {"--input", "--generator", "--nu", "--r", "--output", "--tol"},
+    "roundtrip": {"--input", "--generator", "--nu", "--r", "--output", "--omega-grid"},
+}
+
+
+class TestSubcommandFlags:
+    @pytest.mark.parametrize("name", sorted(SUBCOMMAND_FLAGS))
+    def test_each_subcommand_declares_only_the_flags_it_reads(self, name):
+        sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {opt for action in sub.choices[name]._actions for opt in action.option_strings}
+        assert flags - {"-h", "--help"} == SUBCOMMAND_FLAGS[name]
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--input", "{data}", "--output", "{out}", "--omega-grid", "8", "--tol", "1e-6"],
+        ["roundtrip", "--generator", "h_nu", "--omega-grid", "8", "--tol", "1e-6"],
+        ["verify", "--generator", "h_nu", "--omega-grid", "16"],
+        ["solve", "--input", "{data}", "--omega-grid", "8", "--plot"],
+        ["solve", "--input", "{data}", "--omega-grid", "8", "--generator", "h_nu"],
+        ["verify", "--input", "{map}", "--generator", "h_nu"],
+    ], ids=["sweep-tol", "roundtrip-tol", "verify-omega-grid", "solve-plot", "solve-generator",
+            "verify-input-and-generator"])
+    def test_a_flag_the_subcommand_does_not_read_is_an_input_error(self, argv, interior_file, tmp_path, capsys):
+        map_file = write_json(tmp_path / "h.json", generate_h_nu(0, 0.5).to_json_dict())
+        paths = {"{data}": interior_file, "{out}": str(tmp_path / "out.csv"), "{map}": map_file}
+        assert main([paths.get(arg, arg) for arg in argv]) == 1
+        assert capsys.readouterr().err.startswith("input error: ")

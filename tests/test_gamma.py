@@ -6,6 +6,7 @@ from conftest import (
     boundary_example_target,
     interior_example_data,
     interior_example_target,
+    poly_allclose,
     superficial_map,
 )
 
@@ -33,7 +34,7 @@ from royalgamma.gamma import (
     verify_royal_solution,
 )
 from royalgamma.pick import BlaschkeData, build_pick_matrix, choose_tau
-from royalgamma.polyrat import Poly, poly_allclose, poly_roots
+from royalgamma.polyrat import Poly, poly_roots
 
 
 def pipeline_parts(data):
@@ -125,6 +126,16 @@ class TestSolveS0P0:
         assert sol.kind == "unique"
         assert sol.s0 == pytest.approx(h.s(tau))
         assert sol.p0 == pytest.approx(h.p(tau))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_all_zero_values_never_vanish(self, n):
+        # every eta_j = 0 zeroes two of the three columns; the third, n_xx, stays
+        sigma = tuple(complex(0.8 * (j + 1) / (n + 1) * np.exp(2j * np.pi * j / n)) for j in range(n))
+        data = BlaschkeData(sigma=sigma, eta=(0j,) * n, rho=(), k=0)
+        _, _, param = pipeline_parts(data)
+        sol = solve_s0_p0(param, data)
+        assert sol.singular_values[0] > 0
+        assert sol.kind != "none"
 
     def test_perturbed_rho_unsolvable(self):
         data = extract_royal_data(generate_h_nu(1, 0.5))

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from conftest import poly_allclose
+
 from royalgamma import generate_h_nu
 from royalgamma.errors import ZeroPolynomial
 from royalgamma.polyrat import (
@@ -17,7 +19,6 @@ from royalgamma.polyrat import (
     _drift_candidates,
     _sampled_drift,
     _trim_coeffs,
-    poly_allclose,
     poly_derivative,
     poly_eval,
     poly_roots,
