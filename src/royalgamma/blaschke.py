@@ -4,7 +4,9 @@ boundary-augmented interpolation problem."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from .polyrat import (
     Poly,
     RationalFn,
     poly_eval,
+    poly_eval_many,
     poly_roots,
     rat_reduce,
 )
@@ -33,6 +36,7 @@ __all__ = [
     "BlaschkeProduct",
     "Parametrization",
     "phasar_derivative",
+    "phasar_derivatives",
     "build_parametrization",
     "solve_blaschke",
     "to_blaschke_product",
@@ -75,17 +79,31 @@ class PhasarValue(float):
 
 def phasar_derivative(f: RationalFn, z: complex) -> PhasarValue:
     """Rate of change of arg f(e^(i theta)) at z on the circle: Re(z f'(z)/f(z))."""
-    z = complex(z)
-    nz = poly_eval(f.num, z)
-    dz = poly_eval(f.den, z)
-    scale_n = max(1.0, float(np.max(np.abs(f.num.coeffs))) if not f.num.is_zero else 1.0)
-    scale_d = max(1.0, float(np.max(np.abs(f.den.coeffs))))
-    if abs(nz) <= TRIM_TOL * scale_n * 1e3:
-        raise ZeroOrPoleAtPoint(f"function vanishes at {z}")
-    if abs(dz) <= TRIM_TOL * scale_d * 1e3:
-        raise ZeroOrPoleAtPoint(f"function has a pole at {z}")
-    w = z * (poly_eval(f.num.derivative(), z) / nz - poly_eval(f.den.derivative(), z) / dz)
-    return PhasarValue(w.real, abs(w.imag))
+    return phasar_derivatives([f], [z])[0][0]
+
+
+def phasar_derivatives(fns: Sequence[RationalFn], zs) -> list[list[PhasarValue]]:
+    """:func:`phasar_derivative` of each function at each point; the numerators,
+    denominators and their derivatives are all evaluated in one Horner pass.
+    Raises for the first function, and within it the first point, where a
+    function vanishes or has a pole."""
+    zs = [complex(z) for z in zs]
+    polys = [q for f in fns for q in (f.num, f.den, f.num.derivative(), f.den.derivative())]
+    values = iter(poly_eval_many(polys, zs).tolist())
+    out = []
+    for f, at_num, at_den, at_dnum, at_dden in zip(fns, values, values, values, values):
+        scale_n = max(1.0, float(np.max(np.abs(f.num.coeffs))) if not f.num.is_zero else 1.0)
+        scale_d = max(1.0, float(np.max(np.abs(f.den.coeffs))))
+        row = []
+        for z, nz, dz, dnz, ddz in zip(zs, at_num, at_den, at_dnum, at_dden):
+            if abs(nz) <= TRIM_TOL * scale_n * 1e3:
+                raise ZeroOrPoleAtPoint(f"function vanishes at {z}")
+            if abs(dz) <= TRIM_TOL * scale_d * 1e3:
+                raise ZeroOrPoleAtPoint(f"function has a pole at {z}")
+            w = z * (dnz / nz - ddz / dz)
+            row.append(PhasarValue(w.real, abs(w.imag)))
+        out.append(row)
+    return out
 
 
 @dataclass(frozen=True)
@@ -277,6 +295,16 @@ def solve_blaschke(param: Parametrization, zeta: complex) -> RationalFn:
     return rat_reduce(RationalFn(num, den))
 
 
+@functools.cache
+def _factored_form_check_points() -> np.ndarray:
+    """The 64 points of the unit disc at which a factored form is checked,
+    drawn from ``default_rng(41205)`` on first use, not at import."""
+    rng = np.random.default_rng(41205)
+    out = rng.uniform(0.0, 1.0, 64) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 64))
+    out.setflags(write=False)
+    return out
+
+
 def to_blaschke_product(f: RationalFn) -> BlaschkeProduct:
     """Recover the factored form of a rational inner function.
 
@@ -310,8 +338,7 @@ def to_blaschke_product(f: RationalFn) -> BlaschkeProduct:
         raise NotInner(f"recovered constant has modulus {abs(constant):.12g}")
     result = BlaschkeProduct(unimodular_constant=constant / abs(constant), zeros=tuple(zeros))
 
-    rng = np.random.default_rng(41205)
-    pts = rng.uniform(0.0, 1.0, 64) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 64))
+    pts = _factored_form_check_points()
     drift = float(np.max(np.abs(f(pts) - result(pts))))
     if drift > RESIDUAL_TOL * 10:
         raise NotInner(f"factored form disagrees with the input by {drift:.3e}")

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .blaschke import (
     build_parametrization,
     circle_grid,
     phasar_derivative,
+    phasar_derivatives,
 )
 from .errors import (
     DenominatorZeroInDisc,
@@ -50,8 +52,10 @@ from .polyrat import (
     RationalFn,
     joint_reduce,
     poly_eval,
+    poly_eval_many,
     poly_roots,
     rat_reduce,
+    rat_reduce_many,
 )
 
 __all__ = [
@@ -247,12 +251,34 @@ def royal_polynomial(h: GammaInnerFn) -> tuple[Poly, float]:
     return ss - pd4, scale
 
 
+def _composed(h: GammaInnerFn, omegas) -> list[RationalFn]:
+    """The rational functions (2 omega p - s)/(2 - omega s), one per omega, unreduced.
+
+    Stacked rows, bit for bit the Poly arithmetic: each coefficient array is
+    the left operand of its product, as in ``Poly.__rmul__`` (numpy's vector
+    complex multiply is not commutative bitwise), and the -0 and +0 padding
+    of a difference gives the entries ``Poly.__sub__`` copies or negates.  An
+    omega whose product the trim might shorten (say 0) takes Poly arithmetic.
+    """
+    omegas = [complex(omega) for omega in omegas]
+    p, s, two_den = h.p.num, h.s.num, 2.0 * h.den
+    size = max(p.coeffs.size, s.coeffs.size, two_den.coeffs.size)
+    left = np.full((2, len(omegas), size), complex(-0.0, -0.0))
+    right = np.zeros((2, len(omegas), size), complex)
+    left[0, :, : p.coeffs.size] = p_rows = p.coeffs * np.array([2.0 * omega for omega in omegas])[:, None]
+    right[1, :, : s.coeffs.size] = s_rows = s.coeffs * np.array(omegas)[:, None]
+    left[1, :, : two_den.coeffs.size] = two_den.coeffs
+    right[0, :, : s.coeffs.size] = s.coeffs
+    # Poly keeps a whole product row when its top coefficient clears the trim threshold twice over
+    whole = np.logical_and.reduce([np.abs(rows[:, -1:]).sum(axis=1) > 2.0 * TRIM_TOL
+                                   * np.abs(rows).max(axis=1, initial=0.0) for rows in (p_rows, s_rows)])
+    return [RationalFn(Poly(num), Poly(den)) if ok else RationalFn(2.0 * omega * p - s, two_den - omega * s)
+            for omega, ok, num, den in zip(omegas, whole, *(left - right))]
+
+
 def compose_phi_omega(omega: complex, h: GammaInnerFn) -> RationalFn:
     """The rational function (2 omega p - s)/(2 - omega s), reduced."""
-    omega = complex(omega)
-    num = 2.0 * omega * h.p.num - h.s.num
-    den = 2.0 * h.den - omega * h.s.num
-    return rat_reduce(RationalFn(num, den))
+    return rat_reduce(_composed(h, [omega])[0])
 
 
 @dataclass(frozen=True)
@@ -562,12 +588,11 @@ class VerificationReport:
         }
 
 
-def _phi_check_omegas(h: GammaInnerFn, data: BlaschkeData) -> np.ndarray:
+def _phi_check_omegas(s_at_nodes: np.ndarray, data: BlaschkeData) -> np.ndarray:
     """Eight deterministic probe points staying away from the removable
-    singularities -conj(eta_j) and from near-poles of the composed function."""
+    singularities -conj(eta_j) and from near-poles of the composed function,
+    given s at the nodes."""
     forbidden = [-np.conj(data.eta[j]) for j in range(data.k)]
-    sigma = np.array(data.sigma)
-    s_at_nodes = h.s(sigma)
     for shift in range(300):
         probes = np.exp(1j * (np.pi * (2.0 * np.arange(8) + 1.0) / 8.0 + 0.0137 * shift))
         ok = all(abs(w - f) > 0.05 for w in probes for f in forbidden)
@@ -580,6 +605,11 @@ def _phi_check_omegas(h: GammaInnerFn, data: BlaschkeData) -> np.ndarray:
     raise NumericalFailure("could not place probe points away from all singularities")
 
 
+# Composed functions of the cross-check reduced in one rat_reduce_many call,
+# the eight probes of four maps: it bounds the stacked arrays, and so the memory.
+CROSSCHECK_CHUNK = 32
+
+
 def verify_royal_solution(
     h: GammaInnerFn, data: BlaschkeData, *, pass_tol: float | None = None
 ) -> VerificationReport:
@@ -590,73 +620,88 @@ def verify_royal_solution(
     grid, reduced degree, the composed linear-fractional cross-check at eight
     probe parameters, and the pole locations.  ``passed`` is true iff every
     residual is at most ``pass_tol`` (by default ``RESIDUAL_TOL``) and the
-    structural checks hold.
+    structural checks hold.  This is the one-map case of the verification a
+    family solve runs on all its members together.
     """
-    pass_tol = RESIDUAL_TOL if pass_tol is None else float(pass_tol)
+    return _verify_maps([h], data, pass_tol)[0]
+
+
+def _draft_report(h: GammaInnerFn, data: BlaschkeData, sigma: np.ndarray, eta: np.ndarray):
+    """Residuals and failures of every check before the cross-check, and the
+    cross-check's probes, or None when it cannot run (a failure says why)."""
     residuals: dict[str, float] = {}
     failures: list[str] = []
-
-    sigma = np.array(data.sigma)
-    eta = np.array(data.eta)
-    s_vals = h.s(sigma)
-    p_vals = h.p(sigma)
-    residuals["interp_s_max"] = float(np.max(np.abs(s_vals + 2.0 * eta)))
-    residuals["interp_p_max"] = float(np.max(np.abs(p_vals - eta * eta)))
-
+    s_at_nodes = h.s(sigma)
+    residuals["interp_s_max"] = float(np.max(np.abs(s_at_nodes + 2.0 * eta)))
+    residuals["interp_p_max"] = float(np.max(np.abs(h.p(sigma) - eta * eta)))
     if data.k:
-        worst = 0.0
-        for j in range(data.k):
-            ap = float(phasar_derivative(h.p, data.sigma[j]))
-            worst = max(worst, abs(ap - 2.0 * data.rho[j]))
-        residuals["phasar_p_max"] = worst
-
+        phasars = phasar_derivatives([h.p], data.sigma[: data.k])[0]
+        residuals["phasar_p_max"] = max([0.0, *(abs(float(ap) - 2.0 * rho) for ap, rho in zip(phasars, data.rho))])
     p_uni, sym, s_excess = h.circle_residuals
     residuals["circle_p_unimodular_max"] = p_uni
     residuals["circle_s_symmetry_max"] = sym
     residuals["circle_s_bound_excess"] = max(s_excess, 0.0)
-
-    degree_actual = h.degree
-    if degree_actual != data.n:
-        failures.append(f"degree {degree_actual} != {data.n}")
-
-    if not h.royal_range:
+    if h.degree != data.n:
+        failures.append(f"degree {h.degree} != {data.n}")
+    probes = None
+    if h.royal_range:
+        failures.append("royal_range")
+    else:
         try:
-            probes = _phi_check_omegas(h, data)
-            interp_worst = 0.0
-            phasar_worst = 0.0
-            for omega in probes:
-                composed = compose_phi_omega(omega, h)
-                values = composed(sigma)
-                interp_worst = max(interp_worst, float(np.max(np.abs(values - eta))))
-                for j in range(data.k):
-                    a_composed = float(phasar_derivative(composed, data.sigma[j]))
-                    phasar_worst = max(phasar_worst, abs(a_composed - data.rho[j]))
-            residuals["phi_omega_interp_max"] = interp_worst
-            if data.k:
-                residuals["phi_omega_phasar_max"] = phasar_worst
+            probes = _phi_check_omegas(s_at_nodes, data)
         except RoyalGammaError as exc:
             failures.append(f"composed cross-check failed: {exc}")
-    else:
-        failures.append("royal_range")
+    return residuals, failures, probes
 
-    den_min = h.denominator_min_root_modulus
-    if den_min <= 1.0:
-        failures.append(f"denominator root of modulus {den_min:.12g} inside the closed disc")
 
-    for name, value in residuals.items():
-        if value > pass_tol:
-            failures.append(f"{name} = {value:.3e} exceeds {pass_tol:.1e}")
-    passed = not failures
-    return VerificationReport(
-        residuals=residuals,
-        degree_expected=data.n,
-        degree_actual=degree_actual,
-        denominator_min_root_modulus=den_min,
-        royal_range=h.royal_range,
-        passed=passed,
-        failures=tuple(failures),
-        pass_tol=pass_tol,
-    )
+def _crosscheck(composed: list, data: BlaschkeData, sigma: np.ndarray, eta: np.ndarray) -> dict[str, float]:
+    """The cross-check residuals of one map from its reduced composed functions.
+
+    Only the functions before the first that failed to reduce are evaluated;
+    an error among them comes before that failure in probe order."""
+    fns = list(itertools.takewhile(lambda fn: not isinstance(fn, NumericalFailure), composed))
+    at_nodes = poly_eval_many([q for fn in fns for q in (fn.num, fn.den)], sigma)
+    phasars = phasar_derivatives(fns, data.sigma[: data.k]) if data.k else []
+    if len(fns) < len(composed):
+        raise composed[len(fns)]
+    interp = np.abs(at_nodes[0::2] / at_nodes[1::2] - eta).max(axis=1).tolist()
+    residuals = {"phi_omega_interp_max": max([0.0, *interp])}
+    if data.k:
+        residuals["phi_omega_phasar_max"] = max(
+            [0.0, *(abs(float(ap) - rho) for row in phasars for ap, rho in zip(row, data.rho))])
+    return residuals
+
+
+def _verify_maps(hs: Sequence[GammaInnerFn], data: BlaschkeData, pass_tol: float | None) -> list[VerificationReport]:
+    """:func:`verify_royal_solution` of each map; the composed functions of
+    every probe of every map are reduced ``CROSSCHECK_CHUNK`` at a time."""
+    pass_tol = RESIDUAL_TOL if pass_tol is None else float(pass_tol)
+    sigma = np.array(data.sigma)
+    eta = np.array(data.eta)
+    drafts = [_draft_report(h, data, sigma, eta) for h in hs]
+    unreduced = (fn for h, (_, _, probes) in zip(hs, drafts) if probes is not None for fn in _composed(h, probes))
+    chunks = iter(lambda: list(itertools.islice(unreduced, CROSSCHECK_CHUNK)), [])
+    reduced = itertools.chain.from_iterable(map(rat_reduce_many, chunks))
+
+    reports = []
+    for h, (residuals, failures, probes) in zip(hs, drafts):
+        if probes is not None:
+            try:
+                residuals.update(_crosscheck(list(itertools.islice(reduced, len(probes))), data, sigma, eta))
+            except RoyalGammaError as exc:
+                failures.append(f"composed cross-check failed: {exc}")
+        den_min = h.denominator_min_root_modulus
+        if den_min <= 1.0:
+            failures.append(f"denominator root of modulus {den_min:.12g} inside the closed disc")
+        for name, value in residuals.items():
+            if value > pass_tol:
+                failures.append(f"{name} = {value:.3e} exceeds {pass_tol:.1e}")
+        reports.append(VerificationReport(
+            residuals=residuals, degree_expected=data.n, degree_actual=h.degree,
+            denominator_min_root_modulus=den_min, royal_range=h.royal_range,
+            passed=not failures, failures=tuple(failures), pass_tol=pass_tol,
+        ))
+    return reports
 
 
 @dataclass(frozen=True)
@@ -727,16 +772,16 @@ def solve_royal_problem(
             found = s0p0.member(omega)
             if found is not None:
                 members.append(found)
-    solutions: list[RoyalSolution] = []
+    built: list[tuple[FamilyMember, GammaInnerFn]] = []
     skipped: list[str] = []
     for mem in members:
         try:
-            h = construct_h(param, mem.s0, mem.p0)
+            built.append((mem, construct_h(param, mem.s0, mem.p0)))
         except RoyalGammaError as exc:
             skipped.append(f"omega = {mem.omega}: {exc}")
-            continue
-        report = verify_royal_solution(h, data, pass_tol=pass_tol)
-        solutions.append(RoyalSolution(mem.omega, mem.t, mem.s0, mem.p0, h, report))
+    reports = _verify_maps([h for _, h in built], data, pass_tol)
+    solutions = [RoyalSolution(mem.omega, mem.t, mem.s0, mem.p0, h, report)
+                 for (mem, h), report in zip(built, reports)]
     if not solutions:
         detail = "the family accepted no member with real t in (-1, 1) on the sampled grid"
         if skipped:

@@ -7,7 +7,7 @@ after construction and every operation is pure, so concurrent reads are safe.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,9 +22,12 @@ __all__ = [
     "RationalFn",
     "RootCluster",
     "poly_eval",
+    "poly_eval_many",
     "poly_derivative",
     "poly_roots",
+    "poly_roots_many",
     "rat_reduce",
+    "rat_reduce_many",
     "joint_reduce",
 ]
 
@@ -129,14 +132,7 @@ class Poly:
 
     def __sub__(self, other: "Poly") -> "Poly":
         # in IEEE arithmetic a - b is a + (-b) bit for bit
-        a, b = self.coeffs, other.coeffs
-        if a.size < b.size:
-            out = -b
-            out[: a.size] += a
-            return Poly(out)
-        out = a.copy()
-        out[: b.size] -= b
-        return Poly(out)
+        return self + (-other)
 
     def __neg__(self) -> "Poly":
         return Poly._untrimmed(-self.coeffs)
@@ -174,10 +170,12 @@ class Poly:
 
 
 def _horner(coeffs: np.ndarray, z) -> np.ndarray:
+    """One polynomial at every point of ``z``; for 2-D ``coeffs``, the
+    polynomial of each row at the points in the same row of ``z``."""
     # numpy arithmetic even at a scalar z: Python complex rounds x*y + w differently
     z = np.asarray(z, dtype=complex)
     out = np.zeros(z.shape, complex)
-    for c in coeffs[::-1]:
+    for c in (coeffs.T[:, :, None] if coeffs.ndim == 2 else coeffs)[::-1]:
         out = out * z + c
     return out
 
@@ -188,6 +186,18 @@ def poly_eval(p: Poly, z):
     if out.ndim == 0:
         return complex(out)
     return out
+
+
+def poly_eval_many(polys: Sequence[Poly], z) -> np.ndarray:
+    """Each polynomial at the points ``z``, or at its own row of a 2-D ``z``,
+    in one row-wise Horner pass: bit for bit the values :func:`poly_eval`
+    gives.  The zero padding on top of a shorter row keeps its Horner value
+    at +0 until the first true coefficient."""
+    z = np.asarray(z, dtype=complex)
+    coeffs = np.zeros((len(polys), max((q.coeffs.size for q in polys), default=0)), complex)
+    for row, q in zip(coeffs, polys):
+        row[: q.coeffs.size] = q.coeffs
+    return _horner(coeffs, np.broadcast_to(z, (len(polys), z.shape[-1])))
 
 
 def poly_derivative(p: Poly) -> Poly:
@@ -203,46 +213,25 @@ class RootCluster(NamedTuple):
     residual: float
 
 
-def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
-    """``np.roots(coeffs[::-1])`` of a trimmed polynomial of degree >= 1: the
-    same companion matrix and eigvals call, the roots at zero appended last."""
-    zeros = 0
-    while coeffs[zeros] == 0:
-        zeros += 1
-    top = coeffs[zeros:][::-1]
-    n = top.size - 1
+def _stacked_companion_roots(coeffs: np.ndarray, zeros: int) -> np.ndarray:
+    """Row i is ``np.roots(coeffs[i, ::-1])``, for rows of degree >= 1 with
+    exactly ``zeros`` zero low coefficients: one stacked eigvals call."""
+    m, n = coeffs.shape[0], coeffs.shape[1] - zeros - 1
     if not n:
-        return np.zeros(zeros, complex)
-    companion = np.eye(n, k=-1, dtype=complex)
-    companion[0, :] = -top[1:] / top[0]
+        return np.zeros((m, zeros), complex)
+    top = coeffs[:, zeros:][:, ::-1]
+    companion = np.eye(n, k=-1, dtype=complex)[None].repeat(m, axis=0)
+    companion[:, 0, :] = -top[:, 1:] / top[:, :1]
     roots = np.linalg.eigvals(companion)
-    return np.concatenate((roots, np.zeros(zeros, complex))) if zeros else roots
+    return np.concatenate((roots, np.zeros((m, zeros), complex)), axis=1) if zeros else roots
 
 
-def poly_roots(p: Poly) -> list[RootCluster]:
-    """All roots of ``p`` counted with multiplicity.
-
-    Roots come from the eigenvalues of the balanced companion matrix, each
-    polished with one Newton step.  Roots closer than ``ROOT_CLUSTER_TOL``
-    are merged into a single cluster whose size is the reported multiplicity;
-    the cluster centroid is the reported value and ``|p(value)|`` its residual.
-
-    Raises
-    ------
-    ZeroPolynomial
-        If ``p`` is identically zero (roots are undefined).
-    """
-    if p.is_zero:
-        raise ZeroPolynomial("roots of the zero polynomial are undefined")
-    if p.degree == 0:
-        return []
-    raw = _companion_roots(p.coeffs)
-    # evaluate at all roots at once, but step in Python complex: numpy's
-    # complex division rounds differently from Python's
-    values = _horner(p.coeffs, raw).tolist()
-    slopes = _horner(p.coeffs[1:] * np.arange(1, p.coeffs.size), raw).tolist()
+def _clusters(p: Poly, raw: list, values: list, slopes: list) -> tuple[list[complex], list[int]]:
+    """Centroids and sizes of the clusters of the raw roots of ``p``, given p
+    and p' there (``values``, ``slopes``)."""
+    # step in Python complex: numpy's complex division rounds differently
     polished = []
-    for r, fr, dfr in zip(raw.tolist(), values, slopes):
+    for r, fr, dfr in zip(raw, values, slopes):
         if dfr != 0:
             step = fr / dfr
             if abs(step) < 1e-4:
@@ -280,10 +269,54 @@ def poly_roots(p: Poly) -> list[RootCluster]:
                     break
                 centroid -= step
         centroids.append(centroid)
-    residuals = _horner(p.coeffs, np.array(centroids)).tolist()
-    out = [RootCluster(c, len(members), abs(fc)) for c, members, fc in zip(centroids, clusters, residuals)]
-    out.sort(key=lambda rc: (rc.value.real, rc.value.imag))
+    return centroids, [len(members) for members in clusters]
+
+
+def poly_roots_many(polys: Sequence[Poly]) -> list[list[RootCluster]]:
+    """All roots of each polynomial, counted with multiplicity.
+
+    Roots come from the eigenvalues of the balanced companion matrix, each
+    polished with one Newton step.  Roots closer than ``ROOT_CLUSTER_TOL``
+    are merged into a single cluster whose size is the reported multiplicity;
+    the cluster centroid is the reported value and ``|p(value)|`` its residual.
+    Polynomials of one coefficient count and one number of zero low
+    coefficients share a stacked eigvals call and row-wise Horner passes.
+
+    Raises
+    ------
+    ZeroPolynomial
+        If a polynomial is identically zero (roots are undefined).
+    """
+    out: list[list[RootCluster]] = [[] for _ in polys]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for index, p in enumerate(polys):
+        if p.is_zero:
+            raise ZeroPolynomial("roots of the zero polynomial are undefined")
+        if p.degree >= 1:
+            zeros = 0
+            while p.coeffs[zeros] == 0:
+                zeros += 1
+            groups.setdefault((p.coeffs.size, zeros), []).append(index)
+    for (size, zeros), members in groups.items():
+        m = len(members)
+        # the polynomials, then their derivatives zero-padded on top
+        coeffs = np.zeros((2 * m, size), complex)
+        coeffs[:m] = [polys[i].coeffs for i in members]
+        coeffs[m:, :-1] = coeffs[:m, 1:] * np.arange(1, size)
+        raw = _stacked_companion_roots(coeffs[:m], zeros)
+        at_raw = _horner(coeffs, np.concatenate((raw, raw))).tolist()
+        found = [_clusters(polys[i], *row) for i, row in zip(members, zip(raw.tolist(), at_raw[:m], at_raw[m:]))]
+        width = max(len(centroids) for centroids, _ in found)
+        points = np.array([centroids + [0j] * (width - len(centroids)) for centroids, _ in found])
+        for i, (centroids, sizes), residuals in zip(members, found, _horner(coeffs[:m], points).tolist()):
+            clusters = [RootCluster(c, size, abs(fc)) for c, size, fc in zip(centroids, sizes, residuals)]
+            out[i] = sorted(clusters, key=lambda rc: (rc.value.real, rc.value.imag))
     return out
+
+
+def poly_roots(p: Poly) -> list[RootCluster]:
+    """The root clusters of ``p``: :func:`poly_roots_many` of one polynomial."""
+    return poly_roots_many([p])[0]
 
 
 class RationalFn:
@@ -305,7 +338,7 @@ class RationalFn:
         return max(self.num.degree, self.den.degree)
 
     def __call__(self, z):
-        return _rat_eval(self.num, self.den, z)
+        return poly_eval(self.num, z) / poly_eval(self.den, z)
 
     def normalized(self) -> "RationalFn":
         """Scale numerator and denominator so the denominator is monic."""
@@ -321,10 +354,6 @@ class RationalFn:
     @classmethod
     def from_json_dict(cls, obj) -> "RationalFn":
         return cls(Poly.from_list(obj["num"]), Poly.from_list(obj["den"]))
-
-
-def _rat_eval(num: Poly, den: Poly, z):
-    return poly_eval(num, z) / poly_eval(den, z)
 
 
 def _pair_roots(den_clusters, num_clusters, pair_tol: float):
@@ -369,8 +398,9 @@ def joint_reduce(nums: tuple[Poly, ...], den: Poly):
     """
     if den.degree < 1:
         return nums, den
-    den_clusters = poly_roots(den)
-    num_clusters = [None if q.is_zero else poly_roots(q) if q.degree >= 1 else [] for q in nums]
+    found = iter(poly_roots_many([den] + [q for q in nums if q.degree >= 1]))
+    den_clusters = next(found)
+    num_clusters = [None if q.is_zero else next(found) if q.degree >= 1 else [] for q in nums]
     den_roots, num_roots, cancelled = _pair_roots(den_clusters, num_clusters, ROOT_CLUSTER_TOL)
     if not cancelled:
         return nums, den
@@ -393,37 +423,56 @@ def _drift_candidates() -> np.ndarray:
     return out
 
 
-def _sampled_drift(reference: RationalFn, candidate: RationalFn, avoid) -> float:
-    """Relative disagreement at 32 deterministic points away from all roots.
-
-    The points are the first 32 candidates of :func:`_drift_candidates` at
-    least 5e-2 from every point of ``avoid``, filtered 64 at a time.  Distances
-    use ``np.hypot`` and the quotients Python complex division, because
-    numpy's complex ``abs`` and division round differently from the scalar
-    operations this check was defined with.
+def _sampled_drift(references: Sequence[RationalFn], candidates: Sequence[RationalFn], avoids) -> list[float]:
+    """Relative disagreement of each candidate with its reference at 32
+    deterministic points away from all roots: the first candidates of
+    :func:`_drift_candidates` at least 5e-2 from every point of ``avoids[i]``,
+    filtered 64 at a time.  Distances use ``np.hypot`` and the quotients
+    Python complex division, because numpy's complex ``abs`` and division
+    round differently from the scalar operations this check was defined with.
     """
-    candidates = _drift_candidates()
-    avoid = np.asarray(avoid, dtype=complex)
-    kept: list[complex] = []
-    for start in range(0, candidates.size, 64):
-        block = candidates[start:start + 64]
-        gap = block[:, None] - avoid[None, :]
-        kept += block[~np.any(np.hypot(gap.real, gap.imag) < 5e-2, axis=1)].tolist()
-        if len(kept) >= 32:
+    candidates_z = _drift_candidates()
+    avoid = np.full((len(avoids), max(1, *map(len, avoids))), np.inf, complex)  # inf is near no candidate
+    for row, points in zip(avoid, avoids):
+        row[: len(points)] = points
+    kept: list[list[complex]] = [[] for _ in avoids]
+    for start in range(0, candidates_z.size, 64):
+        pending = [i for i, points in enumerate(kept) if len(points) < 32]
+        if not pending:
             break
-    z = np.array(kept[:32], dtype=complex)
-    ref_num, ref_den, cand_num, cand_den = (
-        poly_eval(q, z).tolist() for q in (reference.num, reference.den, candidate.num, candidate.den)
-    )
-    worst = 0.0
-    for rn, rd, cn, cd in zip(ref_num, ref_den, cand_num, cand_den):
-        ref = rn / rd
-        worst = max(worst, abs(ref - cn / cd) / max(1.0, abs(ref)))
-    return worst
+        block = candidates_z[start:start + 64]
+        gap = block[None, :, None] - avoid[pending, None, :]
+        for i, clear in zip(pending, ~np.any(np.hypot(gap.real, gap.imag) < 5e-2, axis=2)):
+            kept[i] += block[clear].tolist()
+    kept = [points[:32] for points in kept]
+    z = np.array([points + [0j] * (32 - len(points)) for points in kept])
+    polys = [q for f, g in zip(references, candidates) for q in (f.num, f.den, g.num, g.den)]
+    rows = iter(poly_eval_many(polys, z.repeat(4, axis=0)).tolist())
+    drifts = []
+    for points, *values in zip(kept, rows, rows, rows, rows):
+        worst = 0.0
+        for rn, rd, cn, cd in zip(*(row[: len(points)] for row in values)):
+            ref = rn / rd
+            worst = max(worst, abs(ref - cn / cd) / max(1.0, abs(ref)))
+        drifts.append(worst)
+    return drifts
 
 
-def rat_reduce(f: RationalFn) -> RationalFn:
-    """Cancel root pairs shared by numerator and denominator, monic denominator.
+# Pairing tolerances of the reduction, loosest first; 1e-300 cancels only exact pairs.
+_PAIR_TOLS = (ROOT_CLUSTER_TOL, ROOT_CLUSTER_TOL * 1e-2, ROOT_CLUSTER_TOL * 1e-4, 1e-300)
+
+
+def _cancel(f: RationalFn, num_clusters, den_clusters, pair_tol: float) -> RationalFn:
+    den_roots, (num_roots,), cancelled = _pair_roots(den_clusters, [num_clusters], pair_tol)
+    if not cancelled:
+        return f.normalized()
+    lead_ratio = f.num.leading / f.den.leading
+    return RationalFn(Poly.from_roots(num_roots, leading=lead_ratio), Poly.from_roots(den_roots, leading=1.0))
+
+
+def rat_reduce_many(fns: Sequence[RationalFn]) -> list[RationalFn | NumericalFailure]:
+    """Cancel root pairs shared by numerator and denominator, monic denominator,
+    in each function.
 
     Roots of the numerator within ``ROOT_CLUSTER_TOL`` of a root of the
     denominator are cancelled, respecting multiplicities; the result is
@@ -432,28 +481,41 @@ def rat_reduce(f: RationalFn) -> RationalFn:
     being a genuine common factor would move those sampled values, so on
     disagreement beyond ``RESIDUAL_TOL`` the pairing backs off to tighter
     tolerances, cancelling nothing in the worst case (faithfulness wins over
-    eagerness).
+    eagerness); a function that still disagrees gets a
+    :class:`NumericalFailure` in its place.  All roots and first checks are
+    computed together, bit for bit as for each function alone.
     """
-    if f.num.is_zero:
-        return RationalFn(Poly([]), Poly([1.0]))
-    # rescale so the denominator is O(1); extreme scales would overflow the
-    # leading-coefficient ratio below
-    den_scale = float(np.max(np.abs(f.den.coeffs)))
-    f = RationalFn(Poly(f.num.coeffs / den_scale), Poly(f.den.coeffs / den_scale))
-    num_clusters = poly_roots(f.num) if f.num.degree >= 1 else []
-    den_clusters = poly_roots(f.den) if f.den.degree >= 1 else []
-    avoid = [rc.value for rc in num_clusters] + [rc.value for rc in den_clusters]
-
-    worst = None
-    for pair_tol in (ROOT_CLUSTER_TOL, ROOT_CLUSTER_TOL * 1e-2, ROOT_CLUSTER_TOL * 1e-4, 1e-300):
-        den_roots, (num_roots,), cancelled = _pair_roots(den_clusters, [num_clusters], pair_tol)
-        if cancelled:
-            lead_ratio = f.num.leading / f.den.leading
-            out = RationalFn(Poly.from_roots(num_roots, leading=lead_ratio), Poly.from_roots(den_roots, leading=1.0))
+    out: list[RationalFn | NumericalFailure] = [None] * len(fns)
+    work = []
+    for index, f in enumerate(fns):
+        if f.num.is_zero:
+            out[index] = RationalFn(Poly([]), Poly([1.0]))
         else:
-            out = f.normalized()
-        drift = _sampled_drift(f, out, avoid)
-        if drift <= RESIDUAL_TOL:
-            return out
-        worst = drift if worst is None else min(worst, drift)
-    raise NumericalFailure(f"no faithful cancellation found; best sampled drift {worst:.3e}")
+            # rescale so the denominator is O(1); extreme scales would overflow
+            # the leading-coefficient ratio of the cancelled form
+            den_scale = float(np.max(np.abs(f.den.coeffs)))
+            work.append((index, RationalFn(Poly(f.num.coeffs / den_scale), Poly(f.den.coeffs / den_scale))))
+    found = iter(poly_roots_many([q for _, f in work for q in (f.num, f.den) if q.degree >= 1]))
+    clusters = [[next(found) if q.degree >= 1 else [] for q in (f.num, f.den)] for _, f in work]
+    avoids = [[rc.value for rc in num + den] for num, den in clusters]
+    firsts = [_cancel(f, num, den, _PAIR_TOLS[0]) for (_, f), (num, den) in zip(work, clusters)]
+    drifts = _sampled_drift([f for _, f in work], firsts, avoids) if work else []
+    for (index, f), (num, den), avoid, reduced, drift in zip(work, clusters, avoids, firsts, drifts):
+        worst = drift
+        for pair_tol in _PAIR_TOLS[1:]:
+            if drift <= RESIDUAL_TOL:
+                break
+            reduced = _cancel(f, num, den, pair_tol)
+            (drift,) = _sampled_drift([f], [reduced], [avoid])
+            worst = min(worst, drift)
+        out[index] = reduced if drift <= RESIDUAL_TOL else NumericalFailure(
+            f"no faithful cancellation found; best sampled drift {worst:.3e}")
+    return out
+
+
+def rat_reduce(f: RationalFn) -> RationalFn:
+    """:func:`rat_reduce_many` of one function; raises its :class:`NumericalFailure`."""
+    (out,) = rat_reduce_many([f])
+    if isinstance(out, NumericalFailure):
+        raise out
+    return out

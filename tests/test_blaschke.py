@@ -15,10 +15,13 @@ from royalgamma.blaschke import (
     circle_grid,
     disc_grid,
     phasar_derivative,
+    phasar_derivatives,
     solve_blaschke,
     to_blaschke_product,
 )
+from royalgamma.blaschke import PhasarValue
 from royalgamma.errors import ExceptionalZeta, NotInner, ZeroOrPoleAtPoint
+from royalgamma.polyrat import TRIM_TOL
 from royalgamma.gamma import extract_royal_data
 from royalgamma.pick import BlaschkeData, build_pick_matrix, choose_tau, tau_candidate
 from royalgamma.polyrat import Poly, RationalFn, poly_eval
@@ -29,6 +32,48 @@ def build_for(data, tau=None):
     if tau is None:
         tau = choose_tau(m, data)
     return build_parametrization(m, data, tau)
+
+
+def _one_at_a_time_phasar(f, z):
+    """phasar_derivative as it was before the batch: four evaluations at one point."""
+    z = complex(z)
+    nz = poly_eval(f.num, z)
+    dz = poly_eval(f.den, z)
+    scale_n = max(1.0, float(np.max(np.abs(f.num.coeffs))) if not f.num.is_zero else 1.0)
+    scale_d = max(1.0, float(np.max(np.abs(f.den.coeffs))))
+    if abs(nz) <= TRIM_TOL * scale_n * 1e3:
+        raise ZeroOrPoleAtPoint(f"function vanishes at {z}")
+    if abs(dz) <= TRIM_TOL * scale_d * 1e3:
+        raise ZeroOrPoleAtPoint(f"function has a pole at {z}")
+    w = z * (poly_eval(f.num.derivative(), z) / nz - poly_eval(f.den.derivative(), z) / dz)
+    return PhasarValue(w.real, abs(w.imag))
+
+
+class TestPhasarDerivativesAreBitIdentical:
+    def _fns(self):
+        rng = np.random.default_rng(95)
+        fns = [RationalFn(Poly(rng.normal(size=n) + 1j * rng.normal(size=n)), Poly(rng.normal(size=d) + 1j * rng.normal(size=d)))
+               for n, d in ((1, 1), (2, 5), (5, 2), (4, 4), (9, 9), (13, 7))]
+        return fns + [blaschke_rational([0.5, 0.3j, -0.2 + 0.1j]), generate_h_nu(3, 0.4).p]
+
+    def test_values_match_one_at_a_time(self):
+        points = np.exp(1j * np.array([0.0, 0.7, 2.0, np.pi, -1.3]))
+        batch = phasar_derivatives(self._fns(), points)
+        for f, row in zip(self._fns(), batch):
+            for z, value in zip(points, row):
+                ref = _one_at_a_time_phasar(f, z)
+                assert (float(value), value.imag_residual) == (float(ref), ref.imag_residual)
+                assert np.array([float(value), value.imag_residual]).view(np.uint64).tolist() == np.array(
+                    [float(ref), ref.imag_residual]).view(np.uint64).tolist()
+                assert float(phasar_derivative(f, z)) == float(ref)
+
+    def test_first_failure_in_function_then_point_order(self):
+        fns = self._fns()
+        zero_at_half = blaschke_rational([0.5])
+        with pytest.raises(ZeroOrPoleAtPoint, match=r"vanishes at \(0.5\+0j\)"):
+            phasar_derivatives([fns[0], zero_at_half, blaschke_rational([2.0])], [1.0, 0.5, 2.0])
+        with pytest.raises(ZeroOrPoleAtPoint, match=r"pole at \(2\+0j\)"):
+            phasar_derivatives([fns[0], zero_at_half], [2.0, 0.5])
 
 
 class TestPhasarDerivative:

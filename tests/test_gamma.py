@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from conftest import (
+    _data_quality_ok,
     blaschke_rational,
     boundary_example_data,
     boundary_example_target,
@@ -9,10 +10,13 @@ from conftest import (
     poly_allclose,
     superficial_map,
 )
+from hypothesis import HealthCheck, assume, given, seed, settings
+from hypothesis import strategies as st
 
 from royalgamma.blaschke import build_parametrization, circle_grid
 from royalgamma.errors import (
     InvalidData,
+    RoyalGammaError,
     MultiplicityAboveOne,
     PreconditionViolated,
     RoyalRange,
@@ -312,6 +316,104 @@ class TestVerify:
         obj = verify_royal_solution(h, data).to_json_dict()
         assert obj["pass"] is True
         assert "residuals" in obj and "degree" in obj
+
+
+def _alone(result, data):
+    """Each report of a solve, and the report of verifying that map alone."""
+    assert result.solutions
+    return ([sol.report.to_json_dict() for sol in result.solutions],
+            [verify_royal_solution(sol.h, data).to_json_dict() for sol in result.solutions])
+
+
+class TestFamilyVerificationMatchesSingleMaps:
+    """Verifying a whole family, its cross-checks reduced in chunks, reports
+    for every member exactly what verifying that member alone reports."""
+
+    @pytest.mark.parametrize("data", [interior_example_data(), boundary_example_data()], ids=["interior", "boundary"])
+    def test_worked_examples(self, data):
+        together, alone = _alone(solve_royal_problem(data, omega_grid=24), data)
+        assert together == alone
+        assert all(report["pass"] for report in together)
+
+    def test_chunks_cut_through_a_map(self, monkeypatch):
+        import royalgamma.gamma
+
+        data = boundary_example_data()
+        reference = [sol.report.to_json_dict() for sol in solve_royal_problem(data, omega_grid=12).solutions]
+        monkeypatch.setattr(royalgamma.gamma, "CROSSCHECK_CHUNK", 3)
+        together, alone = _alone(solve_royal_problem(data, omega_grid=12), data)
+        assert together == alone == reference
+
+    def test_maps_without_a_cross_check_in_the_batch(self):
+        from royalgamma.gamma import _verify_maps
+
+        data = boundary_example_data()
+        members = [sol.h for sol in solve_royal_problem(data, omega_grid=8).solutions]
+        hs = [royal_range_map(), members[0], royal_range_map(), *members[1:], royal_range_map()]
+        together = [report.to_json_dict() for report in _verify_maps(hs, data, None)]
+        assert together == [verify_royal_solution(h, data).to_json_dict() for h in hs]
+        assert "royal_range" in together[0]["failures"]
+        assert "phi_omega_phasar_max" in together[1]["residuals"]
+
+    def test_a_failing_probe_stops_only_its_own_map(self, monkeypatch):
+        import royalgamma.gamma
+        from royalgamma.errors import NumericalFailure
+
+        data = boundary_example_data()
+        members = [sol.h for sol in solve_royal_problem(data, omega_grid=6).solutions]
+        # a map with another phasar derivative at the node: its residuals are its own
+        hs = [members[0], boundary_example_target(1j, 2.5, np.exp(0.4j)), *members[1:]]
+        alone = [verify_royal_solution(h, data).to_json_dict() for h in hs]
+        assert alone[1]["residuals"]["phi_omega_phasar_max"] > 1.0
+        original = royalgamma.gamma.rat_reduce_many
+        seen = []
+
+        def failing_third(fns):
+            out = original(fns)
+            for i in range(len(out)):
+                if len(seen) + i == 2:
+                    out[i] = NumericalFailure("third probe of the first map")
+            seen.extend(fns)
+            return out
+
+        monkeypatch.setattr(royalgamma.gamma, "rat_reduce_many", failing_third)
+        monkeypatch.setattr(royalgamma.gamma, "CROSSCHECK_CHUNK", 5)
+        together = [report.to_json_dict() for report in royalgamma.gamma._verify_maps(hs, data, None)]
+        assert "composed cross-check failed: third probe of the first map" in together[0]["failures"]
+        assert "phi_omega_interp_max" not in together[0]["residuals"]
+        assert together[1:] == alone[1:]
+
+    def test_aborted_cross_check_keeps_its_failure(self):
+        h = generate_h_nu(4, 0.5)
+        data = extract_royal_data(h)
+        result = solve_royal_problem(data, omega_grid=16, extra_omegas_fn=lambda tau: (complex(np.sqrt(h.p(tau))),))
+        together, alone = _alone(result, data)
+        assert together == alone
+        for report in together:
+            assert "composed cross-check failed: could not place probe points away from all singularities" in report["failures"]
+            assert "phi_omega_interp_max" not in report["residuals"]
+
+    @seed(1212)
+    @settings(max_examples=16, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(
+        radii=st.lists(st.floats(0.05, 0.6), min_size=1, max_size=8),
+        angles=st.lists(st.floats(0.0, 2 * np.pi), min_size=10, max_size=10),
+        beta_radius=st.floats(0.3, 0.9),
+        boundary=st.booleans(),
+    )
+    def test_superficial_maps(self, radii, angles, beta_radius, boundary):
+        # a unimodular beta puts every royal node on the circle
+        zeros = [r * np.exp(1j * a) for r, a in zip(radii, angles)]
+        beta = np.exp(1j * angles[-2]) * (1.0 if boundary else beta_radius)
+        try:
+            data = extract_royal_data(superficial_map(blaschke_rational(zeros, np.exp(1j * angles[-1])), beta))
+        except RoyalGammaError:
+            assume(False)
+        assume(_data_quality_ok(data))
+        result = solve_royal_problem(data, omega_grid=8)
+        assume(result.status == "solved")
+        together, alone = _alone(result, data)
+        assert together == alone
 
 
 class TestGenerateHNu:

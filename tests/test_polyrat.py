@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import poly_allclose
 
 from royalgamma import generate_h_nu
-from royalgamma.errors import ZeroPolynomial
+from royalgamma.errors import NumericalFailure, ZeroPolynomial
 from royalgamma.polyrat import (
     PD_TOL,
     RESIDUAL_TOL,
@@ -15,14 +15,18 @@ from royalgamma.polyrat import (
     Poly,
     RationalFn,
     RootCluster,
-    _companion_roots,
     _drift_candidates,
+    _pair_roots,
     _sampled_drift,
+    _stacked_companion_roots,
     _trim_coeffs,
     poly_derivative,
     poly_eval,
+    poly_eval_many,
     poly_roots,
+    poly_roots_many,
     rat_reduce,
+    rat_reduce_many,
 )
 
 
@@ -312,7 +316,7 @@ class TestArrayEvaluationIsBitIdentical:
 
     def test_drift_with_empty_avoid(self):
         for reference, candidate in self._pairs():
-            drift = _sampled_drift(reference, candidate, [])
+            (drift,) = _sampled_drift([reference], [candidate], [[]])
             assert drift > 0.0
             assert drift == _scalar_sampled_drift(reference, candidate, [])
 
@@ -320,7 +324,7 @@ class TestArrayEvaluationIsBitIdentical:
         early = [complex(z) + 1e-3 for z in _drift_candidates()[:3]] + [0.5j, -1.0]
         for reference, candidate in self._pairs():
             avoid = early + [rc.value for rc in poly_roots(reference.num) + poly_roots(reference.den)]
-            drift = _sampled_drift(reference, candidate, avoid)
+            (drift,) = _sampled_drift([reference], [candidate], [avoid])
             assert drift > 0.0
             assert drift == _scalar_sampled_drift(reference, candidate, avoid)
 
@@ -328,7 +332,7 @@ class TestArrayEvaluationIsBitIdentical:
         f = RationalFn(Poly.from_roots([0.2, 0.7j, -1.1]), Poly.from_roots([0.2, -0.5]))
         g = rat_reduce(f)
         avoid = [0.2, 0.7j, -1.1, -0.5]
-        assert _sampled_drift(f, g, avoid) == _scalar_sampled_drift(f, g, avoid)
+        assert _sampled_drift([f], [g], [avoid]) == [_scalar_sampled_drift(f, g, avoid)]
 
     def test_poly_roots_match_scalar_polish(self):
         rng = np.random.default_rng(2024)
@@ -396,7 +400,12 @@ class TestArrayEvaluationIsBitIdentical:
         polys += [Poly([complex(0.0, -0.0), -0.0, 2.0, 1.0]), Poly.from_roots([0.5, 0.5, 0.5, -1j])]
         for p in polys:
             assert p.degree >= 1
-            assert np.array_equal(_bits(_companion_roots(p.coeffs)), _bits(np.roots(p.coeffs[::-1])))
+            zeros = int(np.argmax(p.coeffs != 0))
+            # alone, and stacked under a row of the same shape
+            other = np.concatenate((np.zeros(zeros), _random_coeffs(rng, p.coeffs.size - zeros)))
+            for rows in (p.coeffs[None, :], np.array([other, p.coeffs])):
+                roots = _stacked_companion_roots(rows, zeros)[-1]
+                assert np.array_equal(_bits(roots), _bits(np.roots(p.coeffs[::-1])))
 
     def test_poly_eval_matches_zeros_like_horner(self):
         rng = np.random.default_rng(81)
@@ -421,6 +430,253 @@ class TestArrayEvaluationIsBitIdentical:
         for p in polys:
             for rc in poly_roots(p):
                 assert rc.residual == abs(poly_eval(p, rc.value))
+
+
+def _sequential_horner(coeffs, z):
+    return _reference_poly_eval(Poly._untrimmed(coeffs), z)
+
+
+def _sequential_poly_roots(p):
+    """poly_roots as it was before the batch kernel: one companion matrix per call."""
+    coeffs = p.coeffs
+    if p.degree == 0:
+        return []
+    zeros = 0
+    while coeffs[zeros] == 0:
+        zeros += 1
+    top = coeffs[zeros:][::-1]
+    n = top.size - 1
+    if not n:
+        raw = np.zeros(zeros, complex)
+    else:
+        companion = np.eye(n, k=-1, dtype=complex)
+        companion[0, :] = -top[1:] / top[0]
+        raw = np.linalg.eigvals(companion)
+        raw = np.concatenate((raw, np.zeros(zeros, complex))) if zeros else raw
+    values = _sequential_horner(coeffs, raw).tolist()
+    slopes = _sequential_horner(coeffs[1:] * np.arange(1, coeffs.size), raw).tolist()
+    polished = []
+    for r, fr, dfr in zip(raw.tolist(), values, slopes):
+        if dfr != 0:
+            step = fr / dfr
+            if abs(step) < 1e-4:
+                r = r - step
+        polished.append(complex(r))
+    polished.sort(key=lambda w: (w.real, w.imag))
+    clusters = []
+    for r in polished:
+        for members in clusters:
+            if abs(r - sum(members) / len(members)) <= ROOT_CLUSTER_TOL:
+                members.append(r)
+                break
+        else:
+            clusters.append([r])
+    centroids = []
+    for members in clusters:
+        centroid = complex(sum(members) / len(members))
+        if len(members) >= 2:
+            q = p
+            for _ in range(len(members) - 1):
+                q = poly_derivative(q)
+            dq = poly_derivative(q)
+            for _ in range(2):
+                dqv = poly_eval(dq, centroid)
+                if dqv == 0:
+                    break
+                step = poly_eval(q, centroid) / dqv
+                if abs(step) > 1e-3:
+                    break
+                centroid -= step
+        centroids.append(centroid)
+    residuals = _sequential_horner(coeffs, np.array(centroids)).tolist()
+    out = [RootCluster(c, len(m), abs(fc)) for c, m, fc in zip(centroids, clusters, residuals)]
+    out.sort(key=lambda rc: (rc.value.real, rc.value.imag))
+    return out
+
+
+def _sequential_drift(reference, candidate, avoid):
+    candidates = _drift_candidates()
+    avoid = np.asarray(avoid, dtype=complex)
+    kept = []
+    for start in range(0, candidates.size, 64):
+        block = candidates[start:start + 64]
+        gap = block[:, None] - avoid[None, :]
+        kept += block[~np.any(np.hypot(gap.real, gap.imag) < 5e-2, axis=1)].tolist()
+        if len(kept) >= 32:
+            break
+    z = np.array(kept[:32], dtype=complex)
+    values = [_sequential_horner(q.coeffs, z).tolist() for q in (reference.num, reference.den, candidate.num, candidate.den)]
+    worst = 0.0
+    for rn, rd, cn, cd in zip(*values):
+        ref = rn / rd
+        worst = max(worst, abs(ref - cn / cd) / max(1.0, abs(ref)))
+    return worst
+
+
+def _sequential_rat_reduce(f):
+    """rat_reduce as it was before the batch kernel: one function, one drift check per pairing."""
+    if f.num.is_zero:
+        return RationalFn(Poly([]), Poly([1.0]))
+    den_scale = float(np.max(np.abs(f.den.coeffs)))
+    f = RationalFn(Poly(f.num.coeffs / den_scale), Poly(f.den.coeffs / den_scale))
+    num_clusters = _sequential_poly_roots(f.num) if f.num.degree >= 1 else []
+    den_clusters = _sequential_poly_roots(f.den) if f.den.degree >= 1 else []
+    avoid = [rc.value for rc in num_clusters] + [rc.value for rc in den_clusters]
+    worst = None
+    for pair_tol in (ROOT_CLUSTER_TOL, ROOT_CLUSTER_TOL * 1e-2, ROOT_CLUSTER_TOL * 1e-4, 1e-300):
+        den_roots, (num_roots,), cancelled = _pair_roots(den_clusters, [num_clusters], pair_tol)
+        if cancelled:
+            lead_ratio = f.num.leading / f.den.leading
+            out = RationalFn(Poly.from_roots(num_roots, leading=lead_ratio), Poly.from_roots(den_roots, leading=1.0))
+        else:
+            out = f.normalized()
+        drift = _sequential_drift(f, out, avoid)
+        if drift <= RESIDUAL_TOL:
+            return out
+        worst = drift if worst is None else min(worst, drift)
+    return NumericalFailure(f"no faithful cancellation found; best sampled drift {worst:.3e}")
+
+
+def _cluster_bits(clusters):
+    return ([rc.multiplicity for rc in clusters], _bits([rc.value for rc in clusters]).tolist(),
+            np.array([rc.residual for rc in clusters]).view(np.uint64).tolist())
+
+
+def _same_function(ours, ref):
+    if isinstance(ref, NumericalFailure):
+        return isinstance(ours, NumericalFailure) and str(ours) == str(ref)
+    return all(np.array_equal(_bits(a.coeffs), _bits(b.coeffs)) for a, b in ((ours.num, ref.num), (ours.den, ref.den)))
+
+
+class TestBatchKernelsAreBitIdentical:
+    """poly_roots_many and rat_reduce_many give exactly what the one-at-a-time kernels gave."""
+
+    def _mixed_polys(self):
+        rng = np.random.default_rng(90)
+        polys = [Poly(_random_coeffs(rng, n + 1)) for n in (1, 2, 3, 4, 4, 4, 7, 12) for _ in range(3)]
+        polys += [Poly(np.concatenate((np.zeros(k), _random_coeffs(rng, n + 1)))) for k in (1, 2) for n in (0, 3, 3)]
+        polys += [Poly.from_roots([0.3 + 0.2j, 0.3 + 0.2j, -0.5, 0.9j], leading=2.0 - 1j)]
+        polys += [Poly.from_roots([0.0, 0.0, 0.4 - 0.1j, 0.4 - 0.1j, 0.8]), Poly([2.5 - 1j]), Poly([0.0, 0.0, 1.5j])]
+        return [polys[i] for i in rng.permutation(len(polys))]
+
+    def test_poly_roots_many_matches_the_sequential_kernel(self):
+        polys = self._mixed_polys()
+        batch = poly_roots_many(polys)
+        assert [_cluster_bits(c) for c in batch] == [_cluster_bits(_sequential_poly_roots(p)) for p in polys]
+        # the batch holds a double root and roots at zero
+        assert any(rc.multiplicity == 2 for clusters in batch for rc in clusters)
+        assert any(rc.value == 0 for clusters in batch for rc in clusters)
+        assert [_cluster_bits(poly_roots(p)) for p in polys] == [_cluster_bits(c) for c in batch]
+
+    def test_poly_eval_many_matches_poly_eval(self):
+        rng = np.random.default_rng(96)
+        polys = [Poly([]), Poly([-0.0]), Poly([1.5j])] + [Poly(_random_coeffs(rng, n)) for n in (2, 3, 5, 9, 14)]
+        points = np.concatenate(([0.0, -1.0, 1j], np.exp(1j * rng.uniform(0, 2 * np.pi, 5)), _random_coeffs(rng, 4)))
+        batch = poly_eval_many(polys, points)
+        for p, row in zip(polys, batch):
+            assert np.array_equal(_bits(row), _bits(poly_eval(p, points)))
+            assert np.array_equal(_bits(row), _bits([poly_eval(p, z) for z in points.tolist()]))
+
+    def test_poly_roots_many_rejects_a_zero_polynomial(self):
+        with pytest.raises(ZeroPolynomial):
+            poly_roots_many([Poly([1.0, 2.0]), Poly([])])
+
+    def _cases(self):
+        a = 0.3 + 0.4j
+        back_off = RationalFn(Poly.from_roots([a + 5e-8, 0.7j]), Poly.from_roots([a, -0.5]))
+        common = RationalFn(Poly.from_roots([a, 0.7j], leading=3.0), Poly.from_roots([a, -0.5], leading=0.5j))
+        zero = RationalFn(Poly([]), Poly([2.0, 1.0]))
+        rng = np.random.default_rng(91)
+        plain = [RationalFn(Poly(_random_coeffs(rng, n)), Poly(_random_coeffs(rng, n + d))) for n in (1, 3, 5) for d in (0, 2)]
+        return {"back_off": back_off, "common": common, "zero": zero, "plain": plain}
+
+    @pytest.mark.parametrize("case", ["back_off", "common", "zero"])
+    def test_rat_reduce_many_matches_the_sequential_reduction(self, case):
+        f = self._cases()[case]
+        (ours,) = rat_reduce_many([f])
+        assert _same_function(ours, _sequential_rat_reduce(f))
+        assert _same_function(rat_reduce(f), ours)
+
+    def test_rat_reduce_many_on_a_mixed_batch(self):
+        cases = self._cases()
+        fns = [cases["back_off"], *cases["plain"][:3], cases["zero"], cases["common"], *cases["plain"][3:]]
+        fns += [cases["back_off"], cases["zero"]]
+        batch = rat_reduce_many(fns)
+        assert len(batch) == len(fns)
+        for ours, f in zip(batch, fns):
+            assert _same_function(ours, _sequential_rat_reduce(f))
+
+    def test_a_failing_function_fails_alone(self, monkeypatch):
+        import royalgamma.polyrat
+
+        original = royalgamma.polyrat._sampled_drift
+
+        def drifting(references, candidates, avoids):
+            # every pairing of the one cubic numerator disagrees with its input
+            drifts = original(references, candidates, avoids)
+            return [1.0 if ref.num.degree == 3 else d for ref, d in zip(references, drifts)]
+
+        rng = np.random.default_rng(92)
+        fns = [RationalFn(Poly(_random_coeffs(rng, n)), Poly(_random_coeffs(rng, 3))) for n in (3, 4, 3)]
+        monkeypatch.setattr(royalgamma.polyrat, "_sampled_drift", drifting)
+        batch = rat_reduce_many(fns)
+        assert str(batch[1]) == "no faithful cancellation found; best sampled drift 1.000e+00"
+        for ours, f in zip(batch[::2], fns[::2]):
+            assert _same_function(ours, _sequential_rat_reduce(f))
+        with pytest.raises(NumericalFailure, match="no faithful cancellation"):
+            rat_reduce(fns[1])
+
+
+def _old_sub(a, b):
+    """Poly subtraction as it was written out before it became a + (-b)."""
+    a, b = a.coeffs, b.coeffs
+    if a.size < b.size:
+        out = -b
+        out[: a.size] += a
+        return Poly(out)
+    out = a.copy()
+    out[: b.size] -= b
+    return Poly(out)
+
+
+class TestComposedRowsAreBitIdentical:
+    """The stacked composed functions of the cross-check are the Poly arithmetic's, bit for bit."""
+
+    def _maps(self):
+        from conftest import blaschke_rational, superficial_map
+
+        from royalgamma.gamma import GammaInnerFn
+
+        yield generate_h_nu(0, 0.5)
+        yield generate_h_nu(2, 0.35)  # zero coefficients in both numerators
+        yield superficial_map(blaschke_rational([0.3j, -0.2, 0.5 + 0.1j], 1j), 0.4 - 0.3j)
+        rng = np.random.default_rng(93)
+        for sizes in ((3, 5, 4), (5, 2, 3), (2, 2, 6)):
+            # numerators longer or shorter than each other and the denominator, signed zeros inside
+            p, s, d = (_random_coeffs(rng, n) for n in sizes)
+            s[0], s[1:-1:2] = complex(0.0, -0.0), 0.0
+            yield GammaInnerFn(s=RationalFn(Poly(s), Poly(d)), p=RationalFn(Poly(p), Poly(d)))
+
+    def test_rows_match_the_poly_arithmetic(self):
+        from royalgamma.gamma import _composed, compose_phi_omega
+
+        omegas = list(np.exp(1j * (np.pi * (2.0 * np.arange(8) + 1.0) / 8.0 + 0.0137 * 5)))
+        omegas += [0.0, 1.0, -1j, complex(-0.0, 1.0), 2.5 - 0.5j]  # off the circle, and 0, which the trim shortens
+        for h in self._maps():
+            for omega, fn in zip(omegas, _composed(h, omegas)):
+                omega = complex(omega)
+                num = _old_sub(Poly(h.p.num.coeffs * complex(2.0 * omega)), h.s.num)
+                den = _old_sub(Poly(h.den.coeffs * complex(2.0)), Poly(h.s.num.coeffs * omega))
+                assert _same_function(fn, RationalFn(num, den))
+                assert _same_function(compose_phi_omega(omega, h), _sequential_rat_reduce(RationalFn(num, den)))
+
+    def test_operand_order_of_the_stacked_product(self):
+        # the coefficient array is the left operand, as in Poly.__rmul__
+        rng = np.random.default_rng(94)
+        coeffs, w = _random_coeffs(rng, 9), _random_coeffs(rng, 64)
+        rows = coeffs * w[:, None]
+        for row, factor in zip(rows, w.tolist()):
+            assert np.array_equal(_bits(row), _bits((Poly(coeffs) * factor).coeffs))
 
 
 @seed(989)
