@@ -50,10 +50,11 @@ from .polyrat import (
     TRIM_TOL,
     Poly,
     RationalFn,
-    joint_reduce,
+    joint_reduce_many,
     poly_eval,
     poly_eval_many,
     poly_roots,
+    poly_roots_many,
     rat_reduce,
     rat_reduce_many,
 )
@@ -186,15 +187,9 @@ class GammaInnerFn:
 
         Joint reduction cancels a denominator root only when both numerators
         share it; the denominator is then made monic and the map validated.
+        This is the one-map call of the batch a family is built with.
         """
-        if den.is_zero:
-            raise ZeroDivisionError("shared denominator is the zero polynomial")
-        (num_s, num_p), den = joint_reduce((num_s, num_p), den)
-        lead = den.leading
-        num_s, num_p, den = num_s / lead, num_p / lead, den / lead
-        h = cls(s=RationalFn(num_s, den), p=RationalFn(num_p, den))
-        _validate_gamma_inner(h)
-        return h
+        return _raised(_maps_from_numerators([(num_s, num_p, den)])[0])
 
     def to_json_dict(self) -> dict:
         return {
@@ -230,7 +225,41 @@ def _coeff_max(p: Poly) -> float:
     return float(np.max(np.abs(p.coeffs)))
 
 
-def _validate_gamma_inner(h: GammaInnerFn) -> None:
+def _raised(outcome):
+    """The map of a one-element batch, or its error raised."""
+    if isinstance(outcome, RoyalGammaError):
+        raise outcome
+    return outcome
+
+
+def _attempt(step, *args):
+    """``step(*args)``, or the package error it raises."""
+    try:
+        return step(*args)
+    except RoyalGammaError as exc:
+        return exc
+
+
+def _maps_from_numerators(triples: Sequence[tuple[Poly, Poly, Poly]]) -> list[GammaInnerFn | RoyalGammaError]:
+    """:meth:`GammaInnerFn.from_numerators` of each (num_s, num_p, den), or
+    its error: one ``poly_roots_many`` call finds the roots of every joint
+    reduction, and one those of every monic denominator."""
+    if any(den.is_zero for _, _, den in triples):
+        raise ZeroDivisionError("shared denominator is the zero polynomial")
+    maps = []
+    for (num_s, num_p), den in joint_reduce_many([((num_s, num_p), den) for num_s, num_p, den in triples]):
+        lead = den.leading
+        num_s, num_p, den = num_s / lead, num_p / lead, den / lead
+        maps.append(GammaInnerFn(s=RationalFn(num_s, den), p=RationalFn(num_p, den)))
+    found = iter(poly_roots_many([h.den for h in maps if h.den.degree >= 1]))
+    for h in maps:
+        if h.den.degree >= 1:
+            # fills the cached property with what its own poly_roots call gives
+            vars(h)["denominator_min_root_modulus"] = min(abs(rc.value) for rc in next(found))
+    return [_attempt(_validate_gamma_inner, h) for h in maps]
+
+
+def _validate_gamma_inner(h: GammaInnerFn) -> GammaInnerFn:
     min_mod = h.denominator_min_root_modulus
     if min_mod <= 1.0 + ROOT_CLUSTER_TOL:
         raise DenominatorZeroInDisc(f"denominator root of modulus {min_mod:.12g} in the closed disc")
@@ -240,6 +269,7 @@ def _validate_gamma_inner(h: GammaInnerFn) -> None:
             f"boundary identities violated: | |p|-1 | = {p_uni:.3e}, "
             f"|s - conj(s) p| = {sym:.3e}, |s| - 2 = {s_excess:.3e}"
         )
+    return h
 
 
 def royal_polynomial(h: GammaInnerFn) -> tuple[Poly, float]:
@@ -511,8 +541,23 @@ def construct_h(param: Parametrization, s0: complex, p0: complex) -> GammaInnerF
         s = 2 (2 p0 c - s0 d)/(s0 c - 2 d),  p = (-2 p0 a + s0 b)/(s0 c - 2 d).
 
     The inputs must satisfy |p0| = 1, s0 = conj(s0) p0, |s0| < 2 and the
-    defining identity s0 a - 2 b + 2 p0 c - s0 d = 0 within tolerance.
+    defining identity s0 a - 2 b + 2 p0 c - s0 d = 0 within tolerance.  This
+    is the one-member call of the batch a family is built with.
     """
+    return _raised(_construct_many(param, [(s0, p0)])[0])
+
+
+def _construct_many(param: Parametrization, base_values) -> list[GammaInnerFn | RoyalGammaError]:
+    """:func:`construct_h` of each (s0, p0), or the error that rejects it."""
+    admitted = [_attempt(_admit, param, s0, p0) for s0, p0 in base_values]
+    built = iter(_maps_from_numerators([item[2] for item in admitted if not isinstance(item, RoyalGammaError)]))
+    return [item if isinstance(item, RoyalGammaError) else _attempt(_anchored, param, next(built), *item[:2])
+            for item in admitted]
+
+
+def _admit(param: Parametrization, s0: complex, p0: complex):
+    """The base values checked and normalized, with the numerators and
+    denominator of their map."""
     s0, p0 = complex(s0), complex(p0)
     if abs(abs(p0) - 1.0) > RESIDUAL_TOL:
         raise PreconditionViolated(f"|p0| = {abs(p0):.12g} is not 1")
@@ -531,7 +576,12 @@ def construct_h(param: Parametrization, s0: complex, p0: complex) -> GammaInnerF
     num_s = 2.0 * (2.0 * p0 * param.c - s0 * param.d)
     num_p = -2.0 * p0 * param.a + s0 * param.b
     den = s0 * param.c - 2.0 * param.d
-    h = GammaInnerFn.from_numerators(num_s, num_p, den)
+    return s0, p0, (num_s, num_p, den)
+
+
+def _anchored(param: Parametrization, h: GammaInnerFn | RoyalGammaError, s0: complex, p0: complex) -> GammaInnerFn:
+    """The built map, checked to leave the royal variety and to take its base values at tau."""
+    h = _raised(h)
     if h.royal_range:
         raise RoyalRange("constructed map degenerates into the royal variety")
     anchor_gap = max(abs(h.s(param.tau) - s0), abs(h.p(param.tau) - p0))
@@ -591,16 +641,32 @@ class VerificationReport:
 def _phi_check_omegas(s_at_nodes: np.ndarray, data: BlaschkeData) -> np.ndarray:
     """Eight deterministic probe points staying away from the removable
     singularities -conj(eta_j) and from near-poles of the composed function,
-    given s at the nodes."""
+    given s at the nodes.
+
+    A rigid comb of eight is turned in 300 small steps; where no turn clears
+    every singularity (from nine boundary nodes on it cannot), each probe
+    goes on its own into the widest gaps between the singularities."""
     forbidden = [-np.conj(data.eta[j]) for j in range(data.k)]
+
+    def clear(probes):
+        ok = all(abs(w - f) > 0.05 for w in probes for f in forbidden)
+        # keep |2 - omega s| bounded away from zero at every node
+        return ok and bool(np.all(np.abs(2.0 - probes[:, None] * s_at_nodes[None, :]) > 0.02))
+
     for shift in range(300):
         probes = np.exp(1j * (np.pi * (2.0 * np.arange(8) + 1.0) / 8.0 + 0.0137 * shift))
-        ok = all(abs(w - f) > 0.05 for w in probes for f in forbidden)
-        if ok:
-            # keep |2 - omega s| bounded away from zero at every node
-            margins = np.abs(2.0 - probes[:, None] * s_at_nodes[None, :])
-            ok = bool(np.all(margins > 0.02))
-        if ok:
+        if clear(probes):
+            return probes
+    if forbidden:
+        starts = np.sort(np.angle(forbidden) % (2.0 * np.pi))
+        widths = np.diff(starts, append=starts[0] + 2.0 * np.pi)
+        counts = np.zeros(starts.size, int)
+        for _ in range(8):
+            # the next probe splits the gap whose probes lie farthest apart
+            counts[np.argmax(widths / (counts + 1))] += 1
+        probes = np.exp(1j * np.concatenate([start + width * np.arange(1, count + 1) / (count + 1)
+                                             for start, width, count in zip(starts, widths, counts)]))
+        if clear(probes):
             return probes
     raise NumericalFailure("could not place probe points away from all singularities")
 
@@ -774,11 +840,11 @@ def solve_royal_problem(
                 members.append(found)
     built: list[tuple[FamilyMember, GammaInnerFn]] = []
     skipped: list[str] = []
-    for mem in members:
-        try:
-            built.append((mem, construct_h(param, mem.s0, mem.p0)))
-        except RoyalGammaError as exc:
-            skipped.append(f"omega = {mem.omega}: {exc}")
+    for mem, h in zip(members, _construct_many(param, [(mem.s0, mem.p0) for mem in members])):
+        if isinstance(h, RoyalGammaError):
+            skipped.append(f"omega = {mem.omega}: {h}")
+        else:
+            built.append((mem, h))
     reports = _verify_maps([h for _, h in built], data, pass_tol)
     solutions = [RoyalSolution(mem.omega, mem.t, mem.s0, mem.p0, h, report)
                  for (mem, h), report in zip(built, reports)]

@@ -28,7 +28,7 @@ __all__ = [
     "poly_roots_many",
     "rat_reduce",
     "rat_reduce_many",
-    "joint_reduce",
+    "joint_reduce_many",
 ]
 
 
@@ -49,6 +49,11 @@ RESIDUAL_TOL = 1e-8
 
 # Margin for positive-definiteness and matrix-rank decisions.
 PD_TOL = 1e-10
+
+# Smallest batch whose sampled drift and first pairing run as array passes;
+# smaller batches take the scalar loops, which cost less there (the crossover
+# measured on cross-check functions is in the README).
+ARRAY_PASS_MIN = 6
 
 
 def _trim_coeffs(coeffs: np.ndarray) -> np.ndarray:
@@ -388,25 +393,30 @@ def _pair_roots(den_clusters, num_clusters, pair_tol: float):
     return expand(den_left), [None if left is None else expand(left) for left in nums_left], cancelled
 
 
-def joint_reduce(nums: tuple[Poly, ...], den: Poly):
-    """Cancel the denominator roots shared by every numerator over ``den``.
+def joint_reduce_many(items: Sequence[tuple[tuple[Poly, ...], Poly]]) -> list[tuple[tuple[Poly, ...], Poly]]:
+    """Cancel, for each (numerators, denominator) pair, the denominator roots
+    shared by every numerator.
 
     A zero numerator shares every root.  Each stripped polynomial keeps its
     leading coefficient; unlike :func:`rat_reduce` there is no sampled check.
-    Returns (numerators, denominator), the inputs themselves when nothing
+    All roots come from one :func:`poly_roots_many` call.  Returns
+    (numerators, denominator) per pair, the inputs themselves when nothing
     cancels.
     """
-    if den.degree < 1:
-        return nums, den
-    found = iter(poly_roots_many([den] + [q for q in nums if q.degree >= 1]))
-    den_clusters = next(found)
-    num_clusters = [None if q.is_zero else next(found) if q.degree >= 1 else [] for q in nums]
-    den_roots, num_roots, cancelled = _pair_roots(den_clusters, num_clusters, ROOT_CLUSTER_TOL)
-    if not cancelled:
-        return nums, den
-    stripped = tuple(q if roots is None else Poly.from_roots(roots, leading=q.leading)
-                     for q, roots in zip(nums, num_roots))
-    return stripped, Poly.from_roots(den_roots, leading=den.leading)
+    found = iter(poly_roots_many([q for nums, den in items if den.degree >= 1
+                                  for q in (den, *nums) if q.degree >= 1]))
+    out = []
+    for nums, den in items:
+        if den.degree >= 1:
+            den_clusters = next(found)
+            num_clusters = [None if q.is_zero else next(found) if q.degree >= 1 else [] for q in nums]
+            den_roots, num_roots, cancelled = _pair_roots(den_clusters, num_clusters, ROOT_CLUSTER_TOL)
+            if cancelled:
+                nums = tuple(q if roots is None else Poly.from_roots(roots, leading=q.leading)
+                             for q, roots in zip(nums, num_roots))
+                den = Poly.from_roots(den_roots, leading=den.leading)
+        out.append((nums, den))
+    return out
 
 
 @functools.cache
@@ -423,13 +433,28 @@ def _drift_candidates() -> np.ndarray:
     return out
 
 
+def _python_quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a / b`` elementwise by CPython's Smith algorithm in float64 steps: bit
+    for bit Python's complex division where the result is finite (numpy's
+    rounds differently), NaN where Python raises ZeroDivisionError."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    by_real = np.abs(br) >= np.abs(bi)
+    ratio = np.where(by_real, bi / br, br / bi)
+    denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
+    out = np.empty(ratio.shape, complex)
+    out.real = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom
+    out.imag = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom
+    return out
+
+
 def _sampled_drift(references: Sequence[RationalFn], candidates: Sequence[RationalFn], avoids) -> list[float]:
     """Relative disagreement of each candidate with its reference at 32
     deterministic points away from all roots: the first candidates of
     :func:`_drift_candidates` at least 5e-2 from every point of ``avoids[i]``,
     filtered 64 at a time.  Distances use ``np.hypot`` and the quotients
-    Python complex division, because numpy's complex ``abs`` and division
-    round differently from the scalar operations this check was defined with.
+    Python complex division (as array passes from ``ARRAY_PASS_MIN``
+    functions on), because numpy's complex ``abs`` and division round
+    differently from the scalar operations this check was defined with.
     """
     candidates_z = _drift_candidates()
     avoid = np.full((len(avoids), max(1, *map(len, avoids))), np.inf, complex)  # inf is near no candidate
@@ -447,15 +472,41 @@ def _sampled_drift(references: Sequence[RationalFn], candidates: Sequence[Ration
     kept = [points[:32] for points in kept]
     z = np.array([points + [0j] * (32 - len(points)) for points in kept])
     polys = [q for f, g in zip(references, candidates) for q in (f.num, f.den, g.num, g.den)]
-    rows = iter(poly_eval_many(polys, z.repeat(4, axis=0)).tolist())
+    values = poly_eval_many(polys, z.repeat(4, axis=0))
+    if len(kept) >= ARRAY_PASS_MIN:
+        # rows (reference num, reference den, candidate num, candidate den) per function
+        quads = values.reshape(len(kept), 2, 2, 32)
+        with np.errstate(all="ignore"):
+            ref, cand = _python_quotient(quads[:, :, 0], quads[:, :, 1]).transpose(1, 0, 2)
+            gap = ref - cand
+            distance, modulus = np.hypot(gap.real, gap.imag), np.hypot(ref.real, ref.imag)
+            drift = distance / np.maximum(1.0, modulus)
+        used = np.arange(32) < np.array([len(points) for points in kept])[:, None]
+        # where Python's division by zero or abs would raise, the loop raises
+        if np.isfinite(drift[used]).all() and np.isfinite(modulus[used]).all():
+            return np.where(used, drift, 0.0).max(axis=1).tolist()
+    rows = iter(values.tolist())
     drifts = []
-    for points, *values in zip(kept, rows, rows, rows, rows):
+    for points, *row_values in zip(kept, rows, rows, rows, rows):
         worst = 0.0
-        for rn, rd, cn, cd in zip(*(row[: len(points)] for row in values)):
+        for rn, rd, cn, cd in zip(*(row[: len(points)] for row in row_values)):
             ref = rn / rd
             worst = max(worst, abs(ref - cn / cd) / max(1.0, abs(ref)))
         drifts.append(worst)
     return drifts
+
+
+def _near_pairs(clusters) -> list[bool]:
+    """Per (numerator, denominator) pair of root clusters, whether the first
+    pairing cancels something: some root pair lies within ``ROOT_CLUSTER_TOL``,
+    by ``_pair_roots``' own distances in one ``np.hypot``.  None overflows: a
+    trimmed polynomial's roots are below 1 + 1 / TRIM_TOL (Cauchy's bound)."""
+    width = max(1, *(len(side) for pair in clusters for side in pair))
+    # NaN padding is near nothing
+    roots = np.array([[[rc.value for rc in side] + [np.nan] * (width - len(side)) for side in pair]
+                      for pair in clusters], complex)
+    gap = roots[:, 0, :, None] - roots[:, 1, None, :]
+    return (np.hypot(gap.real, gap.imag) <= ROOT_CLUSTER_TOL).any(axis=(1, 2)).tolist()
 
 
 # Pairing tolerances of the reduction, loosest first; 1e-300 cancels only exact pairs.
@@ -483,7 +534,9 @@ def rat_reduce_many(fns: Sequence[RationalFn]) -> list[RationalFn | NumericalFai
     tolerances, cancelling nothing in the worst case (faithfulness wins over
     eagerness); a function that still disagrees gets a
     :class:`NumericalFailure` in its place.  All roots and first checks are
-    computed together, bit for bit as for each function alone.
+    computed together, bit for bit as for each function alone; from
+    ``ARRAY_PASS_MIN`` functions on, the first pairing's "is any pair within
+    reach" test and the drift check are array passes.
     """
     out: list[RationalFn | NumericalFailure] = [None] * len(fns)
     work = []
@@ -498,7 +551,10 @@ def rat_reduce_many(fns: Sequence[RationalFn]) -> list[RationalFn | NumericalFai
     found = iter(poly_roots_many([q for _, f in work for q in (f.num, f.den) if q.degree >= 1]))
     clusters = [[next(found) if q.degree >= 1 else [] for q in (f.num, f.den)] for _, f in work]
     avoids = [[rc.value for rc in num + den] for num, den in clusters]
-    firsts = [_cancel(f, num, den, _PAIR_TOLS[0]) for (_, f), (num, den) in zip(work, clusters)]
+    # a function with no pair within the loosest tolerance cancels nothing there
+    near = _near_pairs(clusters) if len(work) >= ARRAY_PASS_MIN else [True] * len(work)
+    firsts = [_cancel(f, num, den, _PAIR_TOLS[0]) if pair else f.normalized()
+              for (_, f), (num, den), pair in zip(work, clusters, near)]
     drifts = _sampled_drift([f for _, f in work], firsts, avoids) if work else []
     for (index, f), (num, den), avoid, reduced, drift in zip(work, clusters, avoids, firsts, drifts):
         worst = drift

@@ -383,7 +383,15 @@ class TestFamilyVerificationMatchesSingleMaps:
         assert "phi_omega_interp_max" not in together[0]["residuals"]
         assert together[1:] == alone[1:]
 
-    def test_aborted_cross_check_keeps_its_failure(self):
+    def test_aborted_cross_check_keeps_its_failure(self, monkeypatch):
+        import royalgamma.gamma
+        from royalgamma.errors import NumericalFailure
+
+        def nowhere(s_at_nodes, data):
+            raise NumericalFailure("could not place probe points away from all singularities")
+
+        # every probe placement fails, as it did from degree 10 on before the gap fallback
+        monkeypatch.setattr(royalgamma.gamma, "_phi_check_omegas", nowhere)
         h = generate_h_nu(4, 0.5)
         data = extract_royal_data(h)
         result = solve_royal_problem(data, omega_grid=16, extra_omegas_fn=lambda tau: (complex(np.sqrt(h.p(tau))),))
@@ -414,6 +422,145 @@ class TestFamilyVerificationMatchesSingleMaps:
         assume(result.status == "solved")
         together, alone = _alone(result, data)
         assert together == alone
+
+
+def _bits(values):
+    return np.atleast_1d(np.asarray(values, dtype=complex)).view(np.uint64).tolist()
+
+
+def _map_facts(h):
+    """Everything construction fixes about a map, exact to the bit; an error by its type and text."""
+    if isinstance(h, RoyalGammaError):
+        return type(h).__name__, str(h)
+    return ([_bits(q.coeffs) for q in (h.s.num, h.p.num, h.den, h.s.den)], h.s.den is h.p.den,
+            _bits(h.denominator_min_root_modulus), _bits(h.circle_residuals))
+
+
+def _built_alone(param, pairs):
+    """construct_h of each (s0, p0) on its own, or the error it raises."""
+    out = []
+    for s0, p0 in pairs:
+        try:
+            out.append(construct_h(param, s0, p0))
+        except RoyalGammaError as exc:
+            out.append(exc)
+    return out
+
+
+class TestBatchedConstructionMatchesSingleMembers:
+    """A family's members are built in one batch, and each is bit for bit the
+    map construct_h builds for that member alone, or fails with its error."""
+
+    def _check(self, data, omega_grid):
+        from royalgamma.gamma import _construct_many
+
+        result = solve_royal_problem(data, omega_grid=omega_grid)
+        param, s0p0 = result.parametrization, result.s0p0
+        members = ([s0p0.member(omega) for omega in circle_grid(omega_grid)] if s0p0.kind == "family"
+                   else [s0p0])
+        members = [mem for mem in members if mem is not None]
+        alone = _built_alone(param, [(mem.s0, mem.p0) for mem in members])
+        batch = _construct_many(param, [(mem.s0, mem.p0) for mem in members])
+        assert [_map_facts(h) for h in batch] == [_map_facts(h) for h in alone]
+        # the solve reports the same maps, and skips the same members with the same words in the same order
+        assert [_map_facts(sol.h) for sol in result.solutions] == [
+            _map_facts(h) for h in alone if not isinstance(h, RoyalGammaError)]
+        assert list(result.skipped) == [f"omega = {mem.omega}: {h}" for mem, h in zip(members, alone)
+                                        if isinstance(h, RoyalGammaError)]
+        return result
+
+    def test_interior_example(self):
+        assert not self._check(interior_example_data(), 24).skipped
+
+    def test_boundary_example_with_members_in_the_royal_variety(self):
+        # omega = +-i give |t| = 1 up to rounding: the map falls into the royal variety
+        result = self._check(boundary_example_data(), 32)
+        assert len(result.skipped) == 2
+        assert all("degenerates into the royal variety" in text for text in result.skipped)
+
+    def test_precondition_failures_keep_their_place(self):
+        from royalgamma.gamma import _construct_many
+
+        data = boundary_example_data()
+        param = pipeline_parts(data)[2]
+        family = solve_s0_p0(param, data)
+        good = [family.member(omega) for omega in (np.exp(0.3j), np.exp(2.0j))]
+        pairs = [(0.1, 0.5), (good[0].s0, good[0].p0), (2.5, 1.0), (0.2j, 1.0), (good[1].s0, good[1].p0), (0.3, 1.0)]
+        batch = _construct_many(param, pairs)
+        alone = _built_alone(param, pairs)
+        assert [_map_facts(h) for h in batch] == [_map_facts(h) for h in alone]
+        assert [isinstance(h, PreconditionViolated) for h in batch] == [True, False, True, True, False, True]
+
+    def test_generator_map_is_unique(self):
+        h = generate_h_nu(1, 0.5)
+        result = self._check(extract_royal_data(h), 8)
+        assert result.s0p0.kind == "unique" and len(result.solutions) == 1
+
+    @seed(1313)
+    @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(
+        radii=st.lists(st.floats(0.05, 0.6), min_size=1, max_size=8),
+        angles=st.lists(st.floats(0.0, 2 * np.pi), min_size=10, max_size=10),
+        beta_radius=st.floats(0.3, 0.9),
+        boundary=st.booleans(),
+    )
+    def test_superficial_maps(self, radii, angles, beta_radius, boundary):
+        zeros = [r * np.exp(1j * a) for r, a in zip(radii, angles)]
+        beta = np.exp(1j * angles[-2]) * (1.0 if boundary else beta_radius)
+        try:
+            data = extract_royal_data(superficial_map(blaschke_rational(zeros, np.exp(1j * angles[-1])), beta))
+        except RoyalGammaError:
+            assume(False)
+        assume(_data_quality_ok(data))
+        result = solve_royal_problem(data, omega_grid=8)
+        assume(result.s0p0 is not None and result.s0p0.kind != "none")
+        self._check(data, 8)
+
+
+def _comb_probes(s_at_nodes, data):
+    """The probe placement of the rigid comb alone, as it was before the gap fallback."""
+    forbidden = [-np.conj(data.eta[j]) for j in range(data.k)]
+    for shift in range(300):
+        probes = np.exp(1j * (np.pi * (2.0 * np.arange(8) + 1.0) / 8.0 + 0.0137 * shift))
+        ok = all(abs(w - f) > 0.05 for w in probes for f in forbidden)
+        if ok:
+            margins = np.abs(2.0 - probes[:, None] * s_at_nodes[None, :])
+            ok = bool(np.all(margins > 0.02))
+        if ok:
+            return probes
+    return None
+
+
+class TestProbePlacement:
+    """The comb keeps its probes wherever it can place them; from nine
+    boundary nodes on, each probe goes into a gap between the singularities."""
+
+    def test_comb_probes_are_unchanged(self, solvable_instances):
+        from royalgamma.gamma import _phi_check_omegas
+
+        for data, h in solvable_instances[:20] + [(extract_royal_data(generate_h_nu(3, 0.5)), generate_h_nu(3, 0.5))]:
+            s_at_nodes = h.s(np.array(data.sigma))
+            comb = _comb_probes(s_at_nodes, data)
+            assert comb is not None
+            assert _bits(_phi_check_omegas(s_at_nodes, data)) == _bits(comb)
+
+    @pytest.mark.parametrize("nu", range(4, 15))
+    def test_generator_maps_pass_from_degree_ten(self, nu):
+        from royalgamma.gamma import _phi_check_omegas
+
+        for r in (0.2, 0.5, 0.8):
+            h = generate_h_nu(nu, r)
+            data = extract_royal_data(h)
+            s_at_nodes = h.s(np.array(data.sigma))
+            assert _comb_probes(s_at_nodes, data) is None
+            probes = _phi_check_omegas(s_at_nodes, data)
+            assert len(probes) == 8
+            forbidden = -np.conj(np.array(data.eta[: data.k]))
+            assert np.abs(probes[:, None] - forbidden[None, :]).min() > 0.05
+            assert np.abs(2.0 - probes[:, None] * s_at_nodes[None, :]).min() > 0.02
+            report = verify_royal_solution(h, data)
+            assert report.passed, report.failures
+            assert report.residuals["phi_omega_phasar_max"] < 1e-9
 
 
 class TestGenerateHNu:

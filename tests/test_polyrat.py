@@ -8,6 +8,7 @@ from conftest import poly_allclose
 from royalgamma import generate_h_nu
 from royalgamma.errors import NumericalFailure, ZeroPolynomial
 from royalgamma.polyrat import (
+    ARRAY_PASS_MIN,
     PD_TOL,
     RESIDUAL_TOL,
     ROOT_CLUSTER_TOL,
@@ -17,6 +18,7 @@ from royalgamma.polyrat import (
     RootCluster,
     _drift_candidates,
     _pair_roots,
+    _python_quotient,
     _sampled_drift,
     _stacked_companion_roots,
     _trim_coeffs,
@@ -625,6 +627,122 @@ class TestBatchKernelsAreBitIdentical:
             assert _same_function(ours, _sequential_rat_reduce(f))
         with pytest.raises(NumericalFailure, match="no faithful cancellation"):
             rat_reduce(fns[1])
+
+
+class TestArrayPassesAreBitIdentical:
+    """From ARRAY_PASS_MIN functions on, the drift check and the first
+    pairing test of rat_reduce_many are array passes; below, the loops run.
+    Either way each function gets the bits it gets alone."""
+
+    SIZES = (1, ARRAY_PASS_MIN - 1, ARRAY_PASS_MIN, 32)
+
+    def _functions(self, count):
+        # a true common factor, the 5e-8 back-off case and a zero numerator among random functions
+        cases = TestBatchKernelsAreBitIdentical()._cases()
+        rng = np.random.default_rng(95)
+        fns = [cases["common"], cases["back_off"], cases["zero"]]
+        while len(fns) < count:
+            n = int(rng.integers(1, 6))
+            fns.append(RationalFn(Poly(_random_coeffs(rng, n)), Poly(_random_coeffs(rng, n + int(rng.integers(0, 3))))))
+        return [fns[i] for i in np.random.default_rng(count).permutation(len(fns))][:count]
+
+    def test_crossover_is_inside_the_tested_sizes(self):
+        assert 1 < ARRAY_PASS_MIN <= 32
+
+    @pytest.mark.parametrize("count", SIZES)
+    def test_sampled_drift_matches_the_scalar_check(self, count):
+        rng = np.random.default_rng(96 + count)
+        references = [RationalFn(Poly(_random_coeffs(rng, 5)), Poly(_random_coeffs(rng, 4))) for _ in range(count)]
+        candidates = [RationalFn(Poly(f.num.coeffs * (1.0 + 10.0 ** -rng.integers(6, 14))), f.den) for f in references]
+        # some functions avoid their roots and some early sample points, some nothing
+        avoids = [[] if i % 3 == 0 else [rc.value for rc in poly_roots(f.num) + poly_roots(f.den)]
+                  + [complex(z) + 1e-3 for z in _drift_candidates()[: i % 4]] for i, f in enumerate(references)]
+        drifts = _sampled_drift(references, candidates, avoids)
+        expected = [_scalar_sampled_drift(f, g, avoid) for f, g, avoid in zip(references, candidates, avoids)]
+        assert np.array_equal(np.array(drifts).view(np.uint64), np.array(expected).view(np.uint64))
+        assert all(d > 0.0 for d in drifts)
+
+    def test_rows_short_of_32_points(self, monkeypatch):
+        import royalgamma.polyrat
+
+        # 20 candidates: every row is padded with z = 0, a pole of each function
+        short = _drift_candidates()[:20]
+        monkeypatch.setattr(royalgamma.polyrat, "_drift_candidates", lambda: short)
+        rng = np.random.default_rng(98)
+        references = [RationalFn(Poly(_random_coeffs(rng, 3)), Poly([0.0, 1.0, 0.5])) for _ in range(ARRAY_PASS_MIN)]
+        candidates = [RationalFn(f.num * (1.0 + 1e-9), f.den) for f in references]
+        avoids = [[0.0, -2.0] + [complex(z) for z in short[:i]] for i in range(ARRAY_PASS_MIN)]
+        drifts = _sampled_drift(references, candidates, avoids)
+        monkeypatch.setattr(royalgamma.polyrat, "ARRAY_PASS_MIN", 10**9)
+        expected = _sampled_drift(references, candidates, avoids)
+        assert np.array_equal(np.array(drifts).view(np.uint64), np.array(expected).view(np.uint64))
+        assert all(d > 0.0 for d in drifts)
+
+    @pytest.mark.parametrize("count", SIZES)
+    def test_rat_reduce_many_matches_one_function_at_a_time(self, count):
+        fns = self._functions(count)
+        batch = rat_reduce_many(fns)
+        for ours, f in zip(batch, fns):
+            assert _same_function(ours, rat_reduce(f))
+            assert _same_function(ours, _sequential_rat_reduce(f))
+
+    def test_a_batch_with_a_cancellation_takes_the_pairing(self, monkeypatch):
+        import royalgamma.polyrat
+
+        fns = self._functions(32)
+        cancelling = [f for f in fns if f.num.degree >= 1 and rat_reduce(f).den.degree < f.den.degree]
+        assert cancelling  # the true common factor and the back-off case
+        paired = []
+        original = royalgamma.polyrat._cancel
+        monkeypatch.setattr(royalgamma.polyrat, "_cancel", lambda f, *args: paired.append(f) or original(f, *args))
+        rat_reduce_many(fns)
+        # only functions with a root pair within reach walk _pair_roots
+        assert 0 < len(paired) < len(fns) - 1
+
+    def test_values_python_cannot_divide_take_the_loop(self, monkeypatch):
+        import royalgamma.polyrat
+
+        # a denominator that underflows to 0 at the sample points, and a quotient that overflows
+        underflow = RationalFn(Poly([1.0, 1.0]), Poly([0.0, 0.0, 5e-324]))
+        overflow = RationalFn(Poly([1e300, 1e300]), Poly([1e-20, 1e-30]))
+        plain = self._functions(ARRAY_PASS_MIN)[3:]
+        batch_of = lambda first: ([first, *plain], [first, *plain], [[]] * (1 + len(plain)))
+        with pytest.raises(ZeroDivisionError, match="complex division by zero"):
+            _sampled_drift(*batch_of(underflow))
+        monkeypatch.setattr(royalgamma.polyrat, "ARRAY_PASS_MIN", 10**9)  # the loop raises it too
+        with pytest.raises(ZeroDivisionError, match="complex division by zero"):
+            _sampled_drift(*batch_of(underflow))
+        monkeypatch.undo()
+        references, _, avoids = batch_of(overflow)
+        candidates = [RationalFn(f.num * 1.5, f.den) for f in references]
+        drifts = _sampled_drift(references, candidates, avoids)
+        assert drifts == [_scalar_sampled_drift(f, g, []) for f, g in zip(references, candidates)]
+        assert drifts[0] == 0.0  # Python's max passes over the NaN of inf / inf
+
+    def test_smith_division_matches_python(self):
+        rng = np.random.default_rng(97)
+        parts = [0.0, -0.0, 1.0, -1.0, 2.5, -3.0, 5e-324, -1e-310, 1e-300, 1e300, 1.7e308,
+                 np.inf, -np.inf, np.nan, *rng.normal(size=6)]
+        values = [complex(re, im) for re in parts for im in parts]
+        values += [complex(x, x) for x in (1.0, -2.0, 1e-310)] + [complex(x, -x) for x in (3.0, -0.5, 1e300)]
+        a = np.array([x for x in values for _ in values])
+        b = np.array([y for _ in values for y in values])
+        with np.errstate(all="ignore"):
+            ours = _python_quotient(a, b)
+        equal = 0
+        for x, y, q in zip(a.tolist(), b.tolist(), ours.tolist()):
+            try:
+                expected = x / y
+            except ZeroDivisionError:
+                assert np.isnan(q.real) and np.isnan(q.imag)
+                continue
+            if np.isnan(q.real) or np.isnan(q.imag):
+                # non-finite values never leave the array pass; Python gives NaN or inf too
+                assert not np.isfinite(expected)
+            else:
+                assert _bits(q).tolist() == _bits(expected).tolist(), (x, y)
+                equal += 1
+        assert equal > 0.6 * len(values) ** 2
 
 
 def _old_sub(a, b):
