@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +35,7 @@ __all__ = [
     "BlaschkeProduct",
     "Parametrization",
     "phasar_derivative",
-    "phasar_derivatives",
+    "phasar_from_values",
     "build_parametrization",
     "solve_blaschke",
     "to_blaschke_product",
@@ -79,30 +78,24 @@ class PhasarValue(float):
 
 def phasar_derivative(f: RationalFn, z: complex) -> PhasarValue:
     """Rate of change of arg f(e^(i theta)) at z on the circle: Re(z f'(z)/f(z))."""
-    return phasar_derivatives([f], [z])[0][0]
+    values = poly_eval_many([f.num, f.den, f.num.derivative(), f.den.derivative()], [complex(z)]).tolist()
+    return phasar_from_values(f, [z], values)[0]
 
 
-def phasar_derivatives(fns: Sequence[RationalFn], zs) -> list[list[PhasarValue]]:
-    """:func:`phasar_derivative` of each function at each point; the numerators,
-    denominators and their derivatives are all evaluated in one Horner pass.
-    Raises for the first function, and within it the first point, where a
-    function vanishes or has a pole."""
-    zs = [complex(z) for z in zs]
-    polys = [q for f in fns for q in (f.num, f.den, f.num.derivative(), f.den.derivative())]
-    values = iter(poly_eval_many(polys, zs).tolist())
+def phasar_from_values(f: RationalFn, zs, values) -> list[PhasarValue]:
+    """:func:`phasar_derivative` of ``f`` at each point of ``zs``, given the
+    values of f.num, f.den and their derivatives there as four lists of Python
+    complex numbers.  Raises at the first point where ``f`` vanishes or has a pole."""
+    scale_n = max(1.0, float(np.max(np.abs(f.num.coeffs))) if not f.num.is_zero else 1.0)
+    scale_d = max(1.0, float(np.max(np.abs(f.den.coeffs))))
     out = []
-    for f, at_num, at_den, at_dnum, at_dden in zip(fns, values, values, values, values):
-        scale_n = max(1.0, float(np.max(np.abs(f.num.coeffs))) if not f.num.is_zero else 1.0)
-        scale_d = max(1.0, float(np.max(np.abs(f.den.coeffs))))
-        row = []
-        for z, nz, dz, dnz, ddz in zip(zs, at_num, at_den, at_dnum, at_dden):
-            if abs(nz) <= TRIM_TOL * scale_n * 1e3:
-                raise ZeroOrPoleAtPoint(f"function vanishes at {z}")
-            if abs(dz) <= TRIM_TOL * scale_d * 1e3:
-                raise ZeroOrPoleAtPoint(f"function has a pole at {z}")
-            w = z * (dnz / nz - ddz / dz)
-            row.append(PhasarValue(w.real, abs(w.imag)))
-        out.append(row)
+    for z, nz, dz, dnz, ddz in zip([complex(z) for z in zs], *values):
+        if abs(nz) <= TRIM_TOL * scale_n * 1e3:
+            raise ZeroOrPoleAtPoint(f"function vanishes at {z}")
+        if abs(dz) <= TRIM_TOL * scale_d * 1e3:
+            raise ZeroOrPoleAtPoint(f"function has a pole at {z}")
+        w = z * (dnz / nz - ddz / dz)
+        out.append(PhasarValue(w.real, abs(w.imag)))
     return out
 
 

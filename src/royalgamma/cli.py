@@ -264,10 +264,8 @@ def _sweep_svg(result) -> str:
     s_panel = Panel(title="|s| on the circle, per sampled parameter", marker_xs=node_angles)
     p_panel = Panel(title="arg p on the circle, per sampled parameter", marker_xs=node_angles)
     for sol in sampled:
-        s_vals = sol.h.s(ring)
-        p_vals = sol.h.p(ring)
-        s_panel.curves.append((theta.tolist(), np.abs(s_vals).tolist()))
-        p_panel.curves.append((theta.tolist(), np.unwrap(np.angle(p_vals)).tolist()))
+        s_panel.curves.append((theta.tolist(), np.abs(sol.h.s(ring)).tolist()))
+        p_panel.curves.append((theta.tolist(), np.unwrap(np.angle(sol.h.p(ring))).tolist()))
     return panels_svg([s_panel, p_panel])
 
 
@@ -278,11 +276,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if result.s0p0.kind != "family":
         print(f"nothing to sweep: base values are {result.s0p0.kind}", file=sys.stderr)
         return EXIT_UNSOLVABLE
-    rows = _sweep_rows(result)
-    buf = []
-    for row in rows:
-        buf.append(",".join(row))
-    _write_text(args.output, "\n".join(buf) + "\n")
+    _write_text(args.output, "\n".join(",".join(row) for row in _sweep_rows(result)) + "\n")
     if args.plot:
         _write_text(os.path.splitext(args.output)[0] + ".svg", _sweep_svg(result))
     return EXIT_OK

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -24,7 +23,7 @@ from .blaschke import (
     build_parametrization,
     circle_grid,
     phasar_derivative,
-    phasar_derivatives,
+    phasar_from_values,
 )
 from .errors import (
     DenominatorZeroInDisc,
@@ -35,6 +34,7 @@ from .errors import (
     RoyalGammaError,
     RoyalRange,
     SingularPoint,
+    ZeroOrPoleAtPoint,
 )
 from .pick import (
     BlaschkeData,
@@ -52,11 +52,11 @@ from .polyrat import (
     RationalFn,
     joint_reduce_many,
     poly_eval,
+    poly_eval_compensated,
     poly_eval_many,
     poly_roots,
     poly_roots_many,
     rat_reduce,
-    rat_reduce_many,
 )
 
 __all__ = [
@@ -281,34 +281,10 @@ def royal_polynomial(h: GammaInnerFn) -> tuple[Poly, float]:
     return ss - pd4, scale
 
 
-def _composed(h: GammaInnerFn, omegas) -> list[RationalFn]:
-    """The rational functions (2 omega p - s)/(2 - omega s), one per omega, unreduced.
-
-    Stacked rows, bit for bit the Poly arithmetic: each coefficient array is
-    the left operand of its product, as in ``Poly.__rmul__`` (numpy's vector
-    complex multiply is not commutative bitwise), and the -0 and +0 padding
-    of a difference gives the entries ``Poly.__sub__`` copies or negates.  An
-    omega whose product the trim might shorten (say 0) takes Poly arithmetic.
-    """
-    omegas = [complex(omega) for omega in omegas]
-    p, s, two_den = h.p.num, h.s.num, 2.0 * h.den
-    size = max(p.coeffs.size, s.coeffs.size, two_den.coeffs.size)
-    left = np.full((2, len(omegas), size), complex(-0.0, -0.0))
-    right = np.zeros((2, len(omegas), size), complex)
-    left[0, :, : p.coeffs.size] = p_rows = p.coeffs * np.array([2.0 * omega for omega in omegas])[:, None]
-    right[1, :, : s.coeffs.size] = s_rows = s.coeffs * np.array(omegas)[:, None]
-    left[1, :, : two_den.coeffs.size] = two_den.coeffs
-    right[0, :, : s.coeffs.size] = s.coeffs
-    # Poly keeps a whole product row when its top coefficient clears the trim threshold twice over
-    whole = np.logical_and.reduce([np.abs(rows[:, -1:]).sum(axis=1) > 2.0 * TRIM_TOL
-                                   * np.abs(rows).max(axis=1, initial=0.0) for rows in (p_rows, s_rows)])
-    return [RationalFn(Poly(num), Poly(den)) if ok else RationalFn(2.0 * omega * p - s, two_den - omega * s)
-            for omega, ok, num, den in zip(omegas, whole, *(left - right))]
-
-
 def compose_phi_omega(omega: complex, h: GammaInnerFn) -> RationalFn:
     """The rational function (2 omega p - s)/(2 - omega s), reduced."""
-    return rat_reduce(_composed(h, [omega])[0])
+    omega = complex(omega)
+    return rat_reduce(RationalFn(2.0 * omega * h.p.num - h.s.num, 2.0 * h.den - omega * h.s.num))
 
 
 @dataclass(frozen=True)
@@ -671,11 +647,6 @@ def _phi_check_omegas(s_at_nodes: np.ndarray, data: BlaschkeData) -> np.ndarray:
     raise NumericalFailure("could not place probe points away from all singularities")
 
 
-# Composed functions of the cross-check reduced in one rat_reduce_many call,
-# the eight probes of four maps: it bounds the stacked arrays, and so the memory.
-CROSSCHECK_CHUNK = 32
-
-
 def verify_royal_solution(
     h: GammaInnerFn, data: BlaschkeData, *, pass_tol: float | None = None
 ) -> VerificationReport:
@@ -683,25 +654,23 @@ def verify_royal_solution(
 
     Checks, in order: interpolation of nodes and values, phasar derivative of
     p at boundary nodes, the three boundary identities on a 256-point circle
-    grid, reduced degree, the composed linear-fractional cross-check at eight
-    probe parameters, and the pole locations.  ``passed`` is true iff every
+    grid, reduced degree, the linear-fractional cross-check at eight probe
+    parameters, and the pole locations.  ``passed`` is true iff every
     residual is at most ``pass_tol`` (by default ``RESIDUAL_TOL``) and the
-    structural checks hold.  This is the one-map case of the verification a
-    family solve runs on all its members together.
+    structural checks hold.
     """
-    return _verify_maps([h], data, pass_tol)[0]
-
-
-def _draft_report(h: GammaInnerFn, data: BlaschkeData, sigma: np.ndarray, eta: np.ndarray):
-    """Residuals and failures of every check before the cross-check, and the
-    cross-check's probes, or None when it cannot run (a failure says why)."""
+    pass_tol = RESIDUAL_TOL if pass_tol is None else float(pass_tol)
+    sigma = np.array(data.sigma)
+    eta = np.array(data.eta)
+    polys = (h.s.num, h.p.num, h.den)
+    num_s, num_p, den, d_num_s, d_num_p, d_den = poly_eval_many([*polys, *(q.derivative() for q in polys)], sigma)
+    s_at_nodes, p_at_nodes = num_s / den, num_p / den
     residuals: dict[str, float] = {}
     failures: list[str] = []
-    s_at_nodes = h.s(sigma)
     residuals["interp_s_max"] = float(np.max(np.abs(s_at_nodes + 2.0 * eta)))
-    residuals["interp_p_max"] = float(np.max(np.abs(h.p(sigma) - eta * eta)))
+    residuals["interp_p_max"] = float(np.max(np.abs(p_at_nodes - eta * eta)))
     if data.k:
-        phasars = phasar_derivatives([h.p], data.sigma[: data.k])[0]
+        phasars = phasar_from_values(h.p, sigma[: data.k], [x[: data.k].tolist() for x in (num_p, den, d_num_p, d_den)])
         residuals["phasar_p_max"] = max([0.0, *(abs(float(ap) - 2.0 * rho) for ap, rho in zip(phasars, data.rho))])
     p_uni, sym, s_excess = h.circle_residuals
     residuals["circle_p_unimodular_max"] = p_uni
@@ -709,65 +678,54 @@ def _draft_report(h: GammaInnerFn, data: BlaschkeData, sigma: np.ndarray, eta: n
     residuals["circle_s_bound_excess"] = max(s_excess, 0.0)
     if h.degree != data.n:
         failures.append(f"degree {h.degree} != {data.n}")
-    probes = None
     if h.royal_range:
         failures.append("royal_range")
     else:
+        # compensated s and p keep their digits next to a denominator root; s', p' by the quotient rule
+        acc_s, acc_p, acc_den = poly_eval_compensated(polys, sigma)
+        s, p = acc_s / acc_den, acc_p / acc_den
+        ds, dp = (d_num_s - s * d_den) / acc_den, (d_num_p - p * d_den) / acc_den
         try:
             probes = _phi_check_omegas(s_at_nodes, data)
+            residuals.update(_crosscheck(probes, data, s, p, ds, dp))
         except RoyalGammaError as exc:
             failures.append(f"composed cross-check failed: {exc}")
-    return residuals, failures, probes
+    den_min = h.denominator_min_root_modulus
+    if den_min <= 1.0:
+        failures.append(f"denominator root of modulus {den_min:.12g} inside the closed disc")
+    for name, value in residuals.items():
+        if not value <= pass_tol:  # a NaN fails too
+            failures.append(f"{name} = {value:.3e} exceeds {pass_tol:.1e}")
+    return VerificationReport(
+        residuals=residuals, degree_expected=data.n, degree_actual=h.degree,
+        denominator_min_root_modulus=den_min, royal_range=h.royal_range,
+        passed=not failures, failures=tuple(failures), pass_tol=pass_tol,
+    )
 
 
-def _crosscheck(composed: list, data: BlaschkeData, sigma: np.ndarray, eta: np.ndarray) -> dict[str, float]:
-    """The cross-check residuals of one map from its reduced composed functions.
-
-    Only the functions before the first that failed to reduce are evaluated;
-    an error among them comes before that failure in probe order."""
-    fns = list(itertools.takewhile(lambda fn: not isinstance(fn, NumericalFailure), composed))
-    at_nodes = poly_eval_many([q for fn in fns for q in (fn.num, fn.den)], sigma)
-    phasars = phasar_derivatives(fns, data.sigma[: data.k]) if data.k else []
-    if len(fns) < len(composed):
-        raise composed[len(fns)]
-    interp = np.abs(at_nodes[0::2] / at_nodes[1::2] - eta).max(axis=1).tolist()
-    residuals = {"phi_omega_interp_max": max([0.0, *interp])}
-    if data.k:
-        residuals["phi_omega_phasar_max"] = max(
-            [0.0, *(abs(float(ap) - rho) for row in phasars for ap, rho in zip(row, data.rho))])
+def _crosscheck(probes: np.ndarray, data: BlaschkeData, s, p, ds, dp) -> dict[str, float]:
+    """Residuals of (2 omega p - s)/(2 - omega s), one function per probe
+    omega, from s, p, s' and p' at the nodes: with top = 2 omega p - s and
+    bottom = 2 - omega s (both at most 4 in modulus), its value top/bottom
+    should be eta_j, and its phasar derivative at a boundary node z, by the
+    chain rule Re(z ((2 omega p' - s')/top + omega s'/bottom)), rho_j.  Raises
+    at the first probe, and within it the first node, where bottom or (at a
+    boundary node) top is at most 1e3 TRIM_TOL."""
+    k = data.k
+    omega = probes[:, None]
+    top, bottom = 2.0 * omega * p - s, 2.0 - omega * s
+    vanishes = (np.abs(top) <= 1e3 * TRIM_TOL) & (np.arange(top.shape[1]) < k)
+    pole = np.abs(bottom) <= 1e3 * TRIM_TOL
+    if np.any(vanishes | pole):
+        probe, node = np.argwhere(vanishes | pole)[0]
+        what = "vanishes" if vanishes[probe, node] else "has a pole"
+        raise ZeroOrPoleAtPoint(f"function {what} at {complex(data.sigma[node])}")
+    residuals = {"phi_omega_interp_max": float(np.max(np.abs(top / bottom - np.array(data.eta))))}
+    if k:
+        z = np.array(data.sigma[:k])
+        phasar = z * ((2.0 * omega * dp[:k] - ds[:k]) / top[:, :k] + omega * ds[:k] / bottom[:, :k])
+        residuals["phi_omega_phasar_max"] = float(np.max(np.abs(phasar.real - np.array(data.rho))))
     return residuals
-
-
-def _verify_maps(hs: Sequence[GammaInnerFn], data: BlaschkeData, pass_tol: float | None) -> list[VerificationReport]:
-    """:func:`verify_royal_solution` of each map; the composed functions of
-    every probe of every map are reduced ``CROSSCHECK_CHUNK`` at a time."""
-    pass_tol = RESIDUAL_TOL if pass_tol is None else float(pass_tol)
-    sigma = np.array(data.sigma)
-    eta = np.array(data.eta)
-    drafts = [_draft_report(h, data, sigma, eta) for h in hs]
-    unreduced = (fn for h, (_, _, probes) in zip(hs, drafts) if probes is not None for fn in _composed(h, probes))
-    chunks = iter(lambda: list(itertools.islice(unreduced, CROSSCHECK_CHUNK)), [])
-    reduced = itertools.chain.from_iterable(map(rat_reduce_many, chunks))
-
-    reports = []
-    for h, (residuals, failures, probes) in zip(hs, drafts):
-        if probes is not None:
-            try:
-                residuals.update(_crosscheck(list(itertools.islice(reduced, len(probes))), data, sigma, eta))
-            except RoyalGammaError as exc:
-                failures.append(f"composed cross-check failed: {exc}")
-        den_min = h.denominator_min_root_modulus
-        if den_min <= 1.0:
-            failures.append(f"denominator root of modulus {den_min:.12g} inside the closed disc")
-        for name, value in residuals.items():
-            if value > pass_tol:
-                failures.append(f"{name} = {value:.3e} exceeds {pass_tol:.1e}")
-        reports.append(VerificationReport(
-            residuals=residuals, degree_expected=data.n, degree_actual=h.degree,
-            denominator_min_root_modulus=den_min, royal_range=h.royal_range,
-            passed=not failures, failures=tuple(failures), pass_tol=pass_tol,
-        ))
-    return reports
 
 
 @dataclass(frozen=True)
@@ -845,9 +803,8 @@ def solve_royal_problem(
             skipped.append(f"omega = {mem.omega}: {h}")
         else:
             built.append((mem, h))
-    reports = _verify_maps([h for _, h in built], data, pass_tol)
-    solutions = [RoyalSolution(mem.omega, mem.t, mem.s0, mem.p0, h, report)
-                 for (mem, h), report in zip(built, reports)]
+    solutions = [RoyalSolution(mem.omega, mem.t, mem.s0, mem.p0, h, verify_royal_solution(h, data, pass_tol=pass_tol))
+                 for mem, h in built]
     if not solutions:
         detail = "the family accepted no member with real t in (-1, 1) on the sampled grid"
         if skipped:

@@ -23,11 +23,11 @@ __all__ = [
     "RootCluster",
     "poly_eval",
     "poly_eval_many",
+    "poly_eval_compensated",
     "poly_derivative",
     "poly_roots",
     "poly_roots_many",
     "rat_reduce",
-    "rat_reduce_many",
     "joint_reduce_many",
 ]
 
@@ -49,11 +49,6 @@ RESIDUAL_TOL = 1e-8
 
 # Margin for positive-definiteness and matrix-rank decisions.
 PD_TOL = 1e-10
-
-# Smallest batch whose sampled drift and first pairing run as array passes;
-# smaller batches take the scalar loops, which cost less there (the crossover
-# measured on cross-check functions is in the README).
-ARRAY_PASS_MIN = 6
 
 
 def _trim_coeffs(coeffs: np.ndarray) -> np.ndarray:
@@ -203,6 +198,36 @@ def poly_eval_many(polys: Sequence[Poly], z) -> np.ndarray:
     for row, q in zip(coeffs, polys):
         row[: q.coeffs.size] = q.coeffs
     return _horner(coeffs, np.broadcast_to(z, (len(polys), z.shape[-1])))
+
+
+def _two_sum(a, b):
+    """a + b and its rounding error (Knuth's TwoSum)."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _two_product(a, b):
+    """a * b and its rounding error (Dekker's TwoProduct; 2**27 + 1 splits a double in halves)."""
+    a1, b1 = (x * 134217729.0 - (x * 134217729.0 - x) for x in (a, b))
+    p = a * b
+    return p, ((a1 * b1 - p) + a1 * (b - b1) + (a - a1) * b1) + (a - a1) * (b - b1)
+
+
+def poly_eval_compensated(polys: Sequence[Poly], z) -> np.ndarray:
+    """Each polynomial at the points ``z`` by compensated Horner (Graillat and
+    Ménissier-Morain, 2008): as accurate as Horner in twice the working
+    precision rounded once, so a value next to a root keeps its leading digits."""
+    z = np.asarray(z, dtype=complex)
+    size = max(q.coeffs.size for q in polys)
+    out = err = np.zeros((len(polys), z.size), complex)
+    for c in np.array([q.padded(size) for q in polys]).T[::-1, :, None]:
+        # out * z + c = out + e1 + e2 + e3 + e4 exactly, the products taken part by part
+        (p1, e1), (p2, e2) = _two_product(out, z.real), _two_product(1j * out, z.imag)
+        out, e3 = _two_sum(p1, p2)
+        out, e4 = _two_sum(out, c)
+        err = err * z + (e1 + e2 + e3 + e4)
+    return out + err
 
 
 def poly_derivative(p: Poly) -> Poly:
@@ -433,80 +458,29 @@ def _drift_candidates() -> np.ndarray:
     return out
 
 
-def _python_quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a / b`` elementwise by CPython's Smith algorithm in float64 steps: bit
-    for bit Python's complex division where the result is finite (numpy's
-    rounds differently), NaN where Python raises ZeroDivisionError."""
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    by_real = np.abs(br) >= np.abs(bi)
-    ratio = np.where(by_real, bi / br, br / bi)
-    denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
-    out = np.empty(ratio.shape, complex)
-    out.real = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom
-    out.imag = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom
-    return out
-
-
-def _sampled_drift(references: Sequence[RationalFn], candidates: Sequence[RationalFn], avoids) -> list[float]:
-    """Relative disagreement of each candidate with its reference at 32
+def _sampled_drift(reference: RationalFn, candidate: RationalFn, avoid) -> float:
+    """Relative disagreement of ``candidate`` with ``reference`` at 32
     deterministic points away from all roots: the first candidates of
-    :func:`_drift_candidates` at least 5e-2 from every point of ``avoids[i]``,
+    :func:`_drift_candidates` at least 5e-2 from every point of ``avoid``,
     filtered 64 at a time.  Distances use ``np.hypot`` and the quotients
-    Python complex division (as array passes from ``ARRAY_PASS_MIN``
-    functions on), because numpy's complex ``abs`` and division round
-    differently from the scalar operations this check was defined with.
+    Python complex division, because numpy's complex ``abs`` and division
+    round differently from the scalar operations this check was defined with.
     """
-    candidates_z = _drift_candidates()
-    avoid = np.full((len(avoids), max(1, *map(len, avoids))), np.inf, complex)  # inf is near no candidate
-    for row, points in zip(avoid, avoids):
-        row[: len(points)] = points
-    kept: list[list[complex]] = [[] for _ in avoids]
-    for start in range(0, candidates_z.size, 64):
-        pending = [i for i, points in enumerate(kept) if len(points) < 32]
-        if not pending:
+    candidates = _drift_candidates()
+    avoid = np.asarray(avoid, dtype=complex)
+    kept: list[complex] = []
+    for start in range(0, candidates.size, 64):
+        block = candidates[start:start + 64]
+        gap = block[:, None] - avoid[None, :]
+        kept += block[~np.any(np.hypot(gap.real, gap.imag) < 5e-2, axis=1)].tolist()
+        if len(kept) >= 32:
             break
-        block = candidates_z[start:start + 64]
-        gap = block[None, :, None] - avoid[pending, None, :]
-        for i, clear in zip(pending, ~np.any(np.hypot(gap.real, gap.imag) < 5e-2, axis=2)):
-            kept[i] += block[clear].tolist()
-    kept = [points[:32] for points in kept]
-    z = np.array([points + [0j] * (32 - len(points)) for points in kept])
-    polys = [q for f, g in zip(references, candidates) for q in (f.num, f.den, g.num, g.den)]
-    values = poly_eval_many(polys, z.repeat(4, axis=0))
-    if len(kept) >= ARRAY_PASS_MIN:
-        # rows (reference num, reference den, candidate num, candidate den) per function
-        quads = values.reshape(len(kept), 2, 2, 32)
-        with np.errstate(all="ignore"):
-            ref, cand = _python_quotient(quads[:, :, 0], quads[:, :, 1]).transpose(1, 0, 2)
-            gap = ref - cand
-            distance, modulus = np.hypot(gap.real, gap.imag), np.hypot(ref.real, ref.imag)
-            drift = distance / np.maximum(1.0, modulus)
-        used = np.arange(32) < np.array([len(points) for points in kept])[:, None]
-        # where Python's division by zero or abs would raise, the loop raises
-        if np.isfinite(drift[used]).all() and np.isfinite(modulus[used]).all():
-            return np.where(used, drift, 0.0).max(axis=1).tolist()
-    rows = iter(values.tolist())
-    drifts = []
-    for points, *row_values in zip(kept, rows, rows, rows, rows):
-        worst = 0.0
-        for rn, rd, cn, cd in zip(*(row[: len(points)] for row in row_values)):
-            ref = rn / rd
-            worst = max(worst, abs(ref - cn / cd) / max(1.0, abs(ref)))
-        drifts.append(worst)
-    return drifts
-
-
-def _near_pairs(clusters) -> list[bool]:
-    """Per (numerator, denominator) pair of root clusters, whether the first
-    pairing cancels something: some root pair lies within ``ROOT_CLUSTER_TOL``,
-    by ``_pair_roots``' own distances in one ``np.hypot``.  None overflows: a
-    trimmed polynomial's roots are below 1 + 1 / TRIM_TOL (Cauchy's bound)."""
-    width = max(1, *(len(side) for pair in clusters for side in pair))
-    # NaN padding is near nothing
-    roots = np.array([[[rc.value for rc in side] + [np.nan] * (width - len(side)) for side in pair]
-                      for pair in clusters], complex)
-    gap = roots[:, 0, :, None] - roots[:, 1, None, :]
-    return (np.hypot(gap.real, gap.imag) <= ROOT_CLUSTER_TOL).any(axis=(1, 2)).tolist()
+    values = poly_eval_many([reference.num, reference.den, candidate.num, candidate.den], kept[:32]).tolist()
+    worst = 0.0
+    for rn, rd, cn, cd in zip(*values):
+        ref = rn / rd
+        worst = max(worst, abs(ref - cn / cd) / max(1.0, abs(ref)))
+    return worst
 
 
 # Pairing tolerances of the reduction, loosest first; 1e-300 cancels only exact pairs.
@@ -521,9 +495,8 @@ def _cancel(f: RationalFn, num_clusters, den_clusters, pair_tol: float) -> Ratio
     return RationalFn(Poly.from_roots(num_roots, leading=lead_ratio), Poly.from_roots(den_roots, leading=1.0))
 
 
-def rat_reduce_many(fns: Sequence[RationalFn]) -> list[RationalFn | NumericalFailure]:
-    """Cancel root pairs shared by numerator and denominator, monic denominator,
-    in each function.
+def rat_reduce(f: RationalFn) -> RationalFn:
+    """Cancel root pairs shared by numerator and denominator; monic denominator.
 
     Roots of the numerator within ``ROOT_CLUSTER_TOL`` of a root of the
     denominator are cancelled, respecting multiplicities; the result is
@@ -532,46 +505,23 @@ def rat_reduce_many(fns: Sequence[RationalFn]) -> list[RationalFn | NumericalFai
     being a genuine common factor would move those sampled values, so on
     disagreement beyond ``RESIDUAL_TOL`` the pairing backs off to tighter
     tolerances, cancelling nothing in the worst case (faithfulness wins over
-    eagerness); a function that still disagrees gets a
-    :class:`NumericalFailure` in its place.  All roots and first checks are
-    computed together, bit for bit as for each function alone; from
-    ``ARRAY_PASS_MIN`` functions on, the first pairing's "is any pair within
-    reach" test and the drift check are array passes.
+    eagerness); a function that still disagrees raises
+    :class:`NumericalFailure`.
     """
-    out: list[RationalFn | NumericalFailure] = [None] * len(fns)
-    work = []
-    for index, f in enumerate(fns):
-        if f.num.is_zero:
-            out[index] = RationalFn(Poly([]), Poly([1.0]))
-        else:
-            # rescale so the denominator is O(1); extreme scales would overflow
-            # the leading-coefficient ratio of the cancelled form
-            den_scale = float(np.max(np.abs(f.den.coeffs)))
-            work.append((index, RationalFn(Poly(f.num.coeffs / den_scale), Poly(f.den.coeffs / den_scale))))
-    found = iter(poly_roots_many([q for _, f in work for q in (f.num, f.den) if q.degree >= 1]))
-    clusters = [[next(found) if q.degree >= 1 else [] for q in (f.num, f.den)] for _, f in work]
-    avoids = [[rc.value for rc in num + den] for num, den in clusters]
-    # a function with no pair within the loosest tolerance cancels nothing there
-    near = _near_pairs(clusters) if len(work) >= ARRAY_PASS_MIN else [True] * len(work)
-    firsts = [_cancel(f, num, den, _PAIR_TOLS[0]) if pair else f.normalized()
-              for (_, f), (num, den), pair in zip(work, clusters, near)]
-    drifts = _sampled_drift([f for _, f in work], firsts, avoids) if work else []
-    for (index, f), (num, den), avoid, reduced, drift in zip(work, clusters, avoids, firsts, drifts):
-        worst = drift
-        for pair_tol in _PAIR_TOLS[1:]:
-            if drift <= RESIDUAL_TOL:
-                break
-            reduced = _cancel(f, num, den, pair_tol)
-            (drift,) = _sampled_drift([f], [reduced], [avoid])
-            worst = min(worst, drift)
-        out[index] = reduced if drift <= RESIDUAL_TOL else NumericalFailure(
-            f"no faithful cancellation found; best sampled drift {worst:.3e}")
-    return out
-
-
-def rat_reduce(f: RationalFn) -> RationalFn:
-    """:func:`rat_reduce_many` of one function; raises its :class:`NumericalFailure`."""
-    (out,) = rat_reduce_many([f])
-    if isinstance(out, NumericalFailure):
-        raise out
-    return out
+    if f.num.is_zero:
+        return RationalFn(Poly([]), Poly([1.0]))
+    # rescale so the denominator is O(1); extreme scales would overflow the
+    # leading-coefficient ratio of the cancelled form
+    den_scale = float(np.max(np.abs(f.den.coeffs)))
+    f = RationalFn(Poly(f.num.coeffs / den_scale), Poly(f.den.coeffs / den_scale))
+    found = iter(poly_roots_many([q for q in (f.num, f.den) if q.degree >= 1]))
+    num, den = (next(found) if q.degree >= 1 else [] for q in (f.num, f.den))
+    avoid = [rc.value for rc in num + den]
+    worst = None
+    for pair_tol in _PAIR_TOLS:
+        reduced = _cancel(f, num, den, pair_tol)
+        drift = _sampled_drift(f, reduced, avoid)
+        if drift <= RESIDUAL_TOL:
+            return reduced
+        worst = drift if worst is None else min(worst, drift)
+    raise NumericalFailure(f"no faithful cancellation found; best sampled drift {worst:.3e}")

@@ -8,6 +8,9 @@ data off, and hand that data to the code under test.
 
 from __future__ import annotations
 
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -27,6 +30,77 @@ def poly_allclose(p: Poly, q: Poly, atol: float = 1e-9) -> bool:
     """Coefficient-wise agreement after padding to a common length."""
     n = max(p.coeffs.size, q.coeffs.size)
     return bool(np.all(np.abs(p.padded(n) - q.padded(n)) <= atol))
+
+
+class ExactComplex:
+    """A complex number (re + i im) 2**exp with integer re and im, for
+    oracles: floats convert without rounding, and sums and products are exact.
+    There is no division: divide the exact results as Fractions."""
+
+    __slots__ = ("re", "im", "exp")
+
+    def __init__(self, re: int = 0, im: int = 0, exp: int = 0):
+        self.re, self.im, self.exp = re, im, exp
+
+    @classmethod
+    def of(cls, z) -> "ExactComplex":
+        z = complex(z)
+        (a, b), (c, d) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+        scale = max(b, d)  # both powers of two
+        return cls(a * (scale // b), c * (scale // d), 1 - scale.bit_length())
+
+    def _aligned(self, other):
+        other = other if isinstance(other, ExactComplex) else ExactComplex.of(other)
+        exp = min(self.exp, other.exp)
+        a, b = self.re << (self.exp - exp), self.im << (self.exp - exp)
+        return a, b, other.re << (other.exp - exp), other.im << (other.exp - exp), exp
+
+    def __add__(self, other):
+        a, b, c, d, exp = self._aligned(other)
+        return ExactComplex(a + c, b + d, exp)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        a, b, c, d, exp = self._aligned(other)
+        return ExactComplex(a - c, b - d, exp)
+
+    def __rsub__(self, other):
+        return ExactComplex.of(other) - self
+
+    def __mul__(self, other):
+        other = other if isinstance(other, ExactComplex) else ExactComplex.of(other)
+        return ExactComplex(self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re,
+                            self.exp + other.exp)
+
+    __rmul__ = __mul__
+
+    def conj(self) -> "ExactComplex":
+        return ExactComplex(self.re, -self.im, self.exp)
+
+    def real(self) -> Fraction:
+        return self.re * Fraction(2) ** self.exp
+
+    def abs2(self) -> Fraction:
+        return (self.re * self.re + self.im * self.im) * Fraction(2) ** (2 * self.exp)
+
+
+def exact_horner(coeffs, z: ExactComplex) -> tuple[ExactComplex, ExactComplex]:
+    """The polynomial with the float coefficients ``coeffs`` (ascending) and
+    its derivative at ``z``, exactly."""
+    value = slope = ExactComplex()
+    for c in coeffs[::-1]:
+        slope = slope * z + value
+        value = value * z + complex(c)
+    return value, slope
+
+
+def to_decimal(q: Fraction, sqrt: bool = False) -> Decimal:
+    """``q``, or its square root, to 50 significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        value = Decimal(q.numerator) / Decimal(q.denominator)
+        return value.sqrt() if sqrt else value
 
 
 def fd_phasar(f, z, step=1e-6) -> float:

@@ -1,14 +1,21 @@
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from conftest import (
+    ExactComplex,
     _data_quality_ok,
     blaschke_rational,
     boundary_example_data,
     boundary_example_target,
+    exact_horner,
     interior_example_data,
     interior_example_target,
     poly_allclose,
+    random_solvable_instances,
     superficial_map,
+    to_decimal,
 )
 from hypothesis import HealthCheck, assume, given, seed, settings
 from hypothesis import strategies as st
@@ -309,6 +316,9 @@ class TestVerify:
         report = verify_royal_solution(royal_range_map(), data)
         assert report.royal_range
         assert not report.passed
+        assert "royal_range" in report.failures
+        # a map into the royal variety gets no cross-check
+        assert not any(name.startswith("phi_omega") for name in report.residuals)
 
     def test_json_shape(self):
         h = generate_h_nu(0, 0.5)
@@ -326,8 +336,8 @@ def _alone(result, data):
 
 
 class TestFamilyVerificationMatchesSingleMaps:
-    """Verifying a whole family, its cross-checks reduced in chunks, reports
-    for every member exactly what verifying that member alone reports."""
+    """A family solve reports for every member exactly what verifying that
+    member alone reports."""
 
     @pytest.mark.parametrize("data", [interior_example_data(), boundary_example_data()], ids=["interior", "boundary"])
     def test_worked_examples(self, data):
@@ -335,53 +345,54 @@ class TestFamilyVerificationMatchesSingleMaps:
         assert together == alone
         assert all(report["pass"] for report in together)
 
-    def test_chunks_cut_through_a_map(self, monkeypatch):
-        import royalgamma.gamma
-
-        data = boundary_example_data()
-        reference = [sol.report.to_json_dict() for sol in solve_royal_problem(data, omega_grid=12).solutions]
-        monkeypatch.setattr(royalgamma.gamma, "CROSSCHECK_CHUNK", 3)
-        together, alone = _alone(solve_royal_problem(data, omega_grid=12), data)
-        assert together == alone == reference
-
-    def test_maps_without_a_cross_check_in_the_batch(self):
-        from royalgamma.gamma import _verify_maps
-
-        data = boundary_example_data()
-        members = [sol.h for sol in solve_royal_problem(data, omega_grid=8).solutions]
-        hs = [royal_range_map(), members[0], royal_range_map(), *members[1:], royal_range_map()]
-        together = [report.to_json_dict() for report in _verify_maps(hs, data, None)]
-        assert together == [verify_royal_solution(h, data).to_json_dict() for h in hs]
-        assert "royal_range" in together[0]["failures"]
-        assert "phi_omega_phasar_max" in together[1]["residuals"]
-
     def test_a_failing_probe_stops_only_its_own_map(self, monkeypatch):
         import royalgamma.gamma
         from royalgamma.errors import NumericalFailure
 
         data = boundary_example_data()
-        members = [sol.h for sol in solve_royal_problem(data, omega_grid=6).solutions]
-        # a map with another phasar derivative at the node: its residuals are its own
-        hs = [members[0], boundary_example_target(1j, 2.5, np.exp(0.4j)), *members[1:]]
-        alone = [verify_royal_solution(h, data).to_json_dict() for h in hs]
-        assert alone[1]["residuals"]["phi_omega_phasar_max"] > 1.0
-        original = royalgamma.gamma.rat_reduce_many
-        seen = []
+        reference = [sol.report.to_json_dict() for sol in solve_royal_problem(data, omega_grid=6).solutions]
+        original = royalgamma.gamma._phi_check_omegas
+        calls = []
 
-        def failing_third(fns):
-            out = original(fns)
-            for i in range(len(out)):
-                if len(seen) + i == 2:
-                    out[i] = NumericalFailure("third probe of the first map")
-            seen.extend(fns)
-            return out
+        def failing_second(s_at_nodes, data):
+            calls.append(None)
+            if len(calls) == 2:
+                raise NumericalFailure("probes of the second map")
+            return original(s_at_nodes, data)
 
-        monkeypatch.setattr(royalgamma.gamma, "rat_reduce_many", failing_third)
-        monkeypatch.setattr(royalgamma.gamma, "CROSSCHECK_CHUNK", 5)
-        together = [report.to_json_dict() for report in royalgamma.gamma._verify_maps(hs, data, None)]
-        assert "composed cross-check failed: third probe of the first map" in together[0]["failures"]
-        assert "phi_omega_interp_max" not in together[0]["residuals"]
-        assert together[1:] == alone[1:]
+        monkeypatch.setattr(royalgamma.gamma, "_phi_check_omegas", failing_second)
+        together = [sol.report.to_json_dict() for sol in solve_royal_problem(data, omega_grid=6).solutions]
+        assert "composed cross-check failed: probes of the second map" in together[1]["failures"]
+        assert "phi_omega_interp_max" not in together[1]["residuals"]
+        assert together[:1] + together[2:] == reference[:1] + reference[2:]
+        assert "phi_omega_phasar_max" in together[0]["residuals"]
+
+    def test_maps_without_a_cross_check_between_members(self):
+        # verifying maps one after another carries nothing from one report to the next
+        data = boundary_example_data()
+        members = solve_royal_problem(data, omega_grid=8).solutions
+        hs = [royal_range_map(), members[0].h, royal_range_map(), *(sol.h for sol in members[1:]), royal_range_map()]
+        reports = [verify_royal_solution(h, data).to_json_dict() for h in hs]
+        assert reports[0] == reports[2] == reports[-1]
+        assert "royal_range" in reports[0]["failures"]
+        assert [reports[1], *reports[3:-1]] == [sol.report.to_json_dict() for sol in members]
+        assert "phi_omega_phasar_max" in reports[1]["residuals"]
+
+    def test_a_solve_verifies_each_member_once(self, monkeypatch):
+        import royalgamma.gamma
+
+        original = royalgamma.gamma.verify_royal_solution
+        calls = []
+
+        def counting(h, data, **options):
+            calls.append(options)
+            return original(h, data, **options)
+
+        monkeypatch.setattr(royalgamma.gamma, "verify_royal_solution", counting)
+        result = solve_royal_problem(boundary_example_data(), omega_grid=12, pass_tol=1e-6)
+        assert len(calls) == len(result.solutions) > 1
+        assert calls == [{"pass_tol": 1e-6}] * len(calls)
+        assert all(sol.report.pass_tol == 1e-6 for sol in result.solutions)
 
     def test_aborted_cross_check_keeps_its_failure(self, monkeypatch):
         import royalgamma.gamma
@@ -561,6 +572,148 @@ class TestProbePlacement:
             report = verify_royal_solution(h, data)
             assert report.passed, report.failures
             assert report.residuals["phi_omega_phasar_max"] < 1e-9
+
+
+def _exact_crosscheck(h, data, probes):
+    """The cross-check residuals in exact arithmetic, from the same float
+    coefficients, nodes, values and probes as the float64 report, rounded to
+    50 digits.  Multiplying through by the denominator,
+    (2 omega p - s)/(2 - omega s) is top/bottom with top = 2 omega num_p - num_s
+    and bottom = 2 den - omega num_s, and its phasar derivative is
+    Re(z (top'/top - bottom'/bottom))."""
+    interp2 = phasar = Fraction(0)
+    for j, z in enumerate(data.sigma):
+        z = ExactComplex.of(z)
+        (ns, dns), (np_, dnp), (d, dd) = (exact_horner(q.coeffs, z) for q in (h.s.num, h.p.num, h.den))
+        for omega in map(ExactComplex.of, probes.tolist()):
+            top, bottom = 2 * omega * np_ - ns, 2 * d - omega * ns
+            interp2 = max(interp2, (top - ExactComplex.of(data.eta[j]) * bottom).abs2() / bottom.abs2())
+            if j < data.k:
+                d_top, d_bottom = 2 * omega * dnp - dns, 2 * dd - omega * dns
+                product = top * bottom
+                # Re(z (top' bottom - bottom' top) / (top bottom)), one division
+                slope = (z * (d_top * bottom - d_bottom * top) * product.conj()).real() / product.abs2()
+                phasar = max(phasar, abs(slope - Fraction(data.rho[j])))
+    return to_decimal(interp2, sqrt=True), to_decimal(phasar)
+
+
+def _error(value: float, exact: Decimal) -> float:
+    return float(abs(Decimal(value) - exact))
+
+
+def _oracle_maps():
+    """(kind, map, data): worked-example and random family members, and h_nu up to degree 30."""
+    for data in (interior_example_data(), boundary_example_data()):
+        yield from (("worked", sol.h, data) for sol in solve_royal_problem(data, omega_grid=8).solutions)
+    for data, _ in random_solvable_instances(seed=31, count=6):
+        result = solve_royal_problem(data, omega_grid=4)
+        if result.s0p0 is not None and result.s0p0.kind == "family":
+            yield from (("family", sol.h, data) for sol in result.solutions)
+    for nu in (4, 10, 14):
+        for r in (0.2, 0.5, 0.8):
+            h = generate_h_nu(nu, r)
+            yield "h_nu", h, extract_royal_data(h)
+
+
+class TestPointCrossCheck:
+    """The cross-check evaluates (2 omega p - s)/(2 - omega s) and its phasar
+    derivative from s, p, s' and p' at the nodes."""
+
+    def test_residuals_match_an_exact_oracle(self):
+        from royalgamma.gamma import _phi_check_omegas
+
+        worst_interp = worst_phasar = 0.0
+        kinds = set()
+        for kind, h, data in _oracle_maps():
+            report = verify_royal_solution(h, data)
+            assert report.passed, report.failures
+            probes = _phi_check_omegas(h.s(np.array(data.sigma)), data)
+            interp, phasar = _exact_crosscheck(h, data, probes)
+            worst_interp = max(worst_interp, _error(report.residuals["phi_omega_interp_max"], interp))
+            if data.k:
+                worst_phasar = max(worst_phasar, _error(report.residuals["phi_omega_phasar_max"], phasar))
+            kinds.add(kind)
+        assert kinds == {"worked", "family", "h_nu"}
+        # the earlier cross-check, through the root-reduced composed functions,
+        # was off by up to 5.3e-14 and 5.5e-11 on these maps
+        assert worst_interp <= 5.3e-14
+        assert worst_phasar <= 5.5e-11
+
+    @pytest.mark.parametrize("kind", ["interior", "boundary", "h_nu"])
+    def test_residuals_match_the_composed_functions_at_the_nodes(self, kind):
+        from royalgamma.blaschke import phasar_derivative
+        from royalgamma.gamma import _phi_check_omegas, compose_phi_omega
+
+        if kind == "h_nu":
+            h = generate_h_nu(4, 0.5)
+            data = extract_royal_data(h)
+        else:
+            data = interior_example_data() if kind == "interior" else boundary_example_data()
+            h = solve_royal_problem(data, omega_grid=4).solutions[0].h
+        report = verify_royal_solution(h, data)
+        assert report.passed, report.failures
+        # the paper's Phi_omega o h, reduced as a rational function, at the same probes
+        composed = [compose_phi_omega(omega, h) for omega in _phi_check_omegas(h.s(np.array(data.sigma)), data)]
+        interp = max(abs(complex(f(z)) - eta) for f in composed for z, eta in zip(data.sigma, data.eta))
+        assert report.residuals["phi_omega_interp_max"] == pytest.approx(interp, abs=1e-12)
+        if data.k:
+            phasar = max(abs(float(phasar_derivative(f, z)) - rho) for f in composed for z, rho in zip(data.sigma, data.rho))
+            assert report.residuals["phi_omega_phasar_max"] == pytest.approx(phasar, abs=1e-11)
+        else:
+            assert "phi_omega_phasar_max" not in report.residuals
+
+    def test_interior_nodes_get_no_phasar_residual(self):
+        data = interior_example_data()
+        h = interior_example_target(0.5, np.exp(0.3j))
+        report = verify_royal_solution(h, data)
+        assert report.passed, report.failures
+        assert report.residuals["phi_omega_interp_max"] <= 1e-12
+        assert "phi_omega_phasar_max" not in report.residuals
+        assert "phasar_p_max" not in report.residuals
+
+    def test_a_wrong_phasar_derivative_is_measured(self):
+        from royalgamma.gamma import _phi_check_omegas
+
+        # the map's phasar derivative of p at the node is 2 * 2.5, the data ask for 2 * 1
+        data = boundary_example_data()
+        h = boundary_example_target(1j, 2.5, np.exp(0.4j))
+        report = verify_royal_solution(h, data)
+        _, phasar = _exact_crosscheck(h, data, _phi_check_omegas(h.s(np.array(data.sigma)), data))
+        assert report.residuals["phi_omega_phasar_max"] == pytest.approx(1.5, abs=1e-9)
+        assert _error(report.residuals["phi_omega_phasar_max"], phasar) <= 1e-12
+        assert "phi_omega_phasar_max = 1.500e+00 exceeds 1.0e-08" in report.failures
+
+    @pytest.mark.parametrize("example, omega, failure", [
+        # at a boundary node, omega = -conj(eta) makes top and bottom vanish together
+        ("boundary", -np.conj(1j), "function vanishes at (1+0j)"),
+        # at the interior node s = -1, so omega = 2 / s makes bottom vanish
+        ("interior", -2.0, "function has a pole at 0j"),
+    ])
+    def test_a_probe_at_a_singularity_fails_the_report(self, monkeypatch, example, omega, failure):
+        import warnings
+
+        import royalgamma.gamma
+
+        data = boundary_example_data() if example == "boundary" else interior_example_data()
+        h = solve_royal_problem(data, omega_grid=4).solutions[0].h
+        monkeypatch.setattr(royalgamma.gamma, "_phi_check_omegas", lambda s_at_nodes, data: np.array([0.5j, omega]))
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            report = verify_royal_solution(h, data)
+        assert not report.passed
+        assert f"composed cross-check failed: {failure}" in report.failures
+        assert not any(name.startswith("phi_omega") for name in report.residuals)
+        assert all(np.isfinite(value) for value in report.residuals.values())
+
+    def test_a_nan_residual_fails(self, monkeypatch):
+        import royalgamma.gamma
+
+        data = boundary_example_data()
+        h = solve_royal_problem(data, omega_grid=4).solutions[0].h
+        monkeypatch.setattr(royalgamma.gamma, "_crosscheck", lambda *args: {"phi_omega_interp_max": float("nan")})
+        report = verify_royal_solution(h, data)
+        assert not report.passed
+        assert "phi_omega_interp_max = nan exceeds 1.0e-08" in report.failures
 
 
 class TestGenerateHNu:

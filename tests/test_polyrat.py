@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import poly_allclose
+from conftest import ExactComplex, exact_horner, poly_allclose
 
 from royalgamma import generate_h_nu
 from royalgamma.errors import NumericalFailure, ZeroPolynomial
 from royalgamma.polyrat import (
-    ARRAY_PASS_MIN,
     PD_TOL,
     RESIDUAL_TOL,
     ROOT_CLUSTER_TOL,
@@ -18,17 +17,16 @@ from royalgamma.polyrat import (
     RootCluster,
     _drift_candidates,
     _pair_roots,
-    _python_quotient,
     _sampled_drift,
     _stacked_companion_roots,
     _trim_coeffs,
     poly_derivative,
     poly_eval,
+    poly_eval_compensated,
     poly_eval_many,
     poly_roots,
     poly_roots_many,
     rat_reduce,
-    rat_reduce_many,
 )
 
 
@@ -318,23 +316,55 @@ class TestArrayEvaluationIsBitIdentical:
 
     def test_drift_with_empty_avoid(self):
         for reference, candidate in self._pairs():
-            (drift,) = _sampled_drift([reference], [candidate], [[]])
+            drift = _sampled_drift(reference, candidate, [])
             assert drift > 0.0
             assert drift == _scalar_sampled_drift(reference, candidate, [])
 
     def test_drift_when_avoid_rejects_early_candidates(self):
-        early = [complex(z) + 1e-3 for z in _drift_candidates()[:3]] + [0.5j, -1.0]
-        for reference, candidate in self._pairs():
-            avoid = early + [rc.value for rc in poly_roots(reference.num) + poly_roots(reference.den)]
-            (drift,) = _sampled_drift([reference], [candidate], [avoid])
+        for count in range(4):
+            early = [complex(z) + 1e-3 for z in _drift_candidates()[:count]] + [0.5j, -1.0]
+            for reference, candidate in self._pairs():
+                avoid = early + [rc.value for rc in poly_roots(reference.num) + poly_roots(reference.den)]
+                drift = _sampled_drift(reference, candidate, avoid)
+                assert drift > 0.0
+                assert _bits(drift).tolist() == _bits(_scalar_sampled_drift(reference, candidate, avoid)).tolist()
+
+    def test_drift_with_fewer_than_32_clear_candidates(self, monkeypatch):
+        import royalgamma.polyrat
+
+        # 20 candidates, the first few of them avoided: the check uses the ones that remain
+        short = _drift_candidates()[:20]
+        monkeypatch.setattr(royalgamma.polyrat, "_drift_candidates", lambda: short)
+        rng = np.random.default_rng(98)
+        for i in range(6):
+            f = RationalFn(Poly(_random_coeffs(rng, 3)), Poly([0.0, 1.0, 0.5]))
+            g = RationalFn(f.num * (1.0 + 1e-9), f.den)
+            avoid = [0.0, -2.0] + [complex(z) for z in short[:i]]
+            kept = [complex(z) for z in short if all(abs(complex(z) - a) >= 5e-2 for a in avoid)]
+            assert len(kept) <= 20 - i
+            expected = 0.0
+            for z in kept:
+                ref = f(z)
+                expected = max(expected, abs(ref - g(z)) / max(1.0, abs(ref)))
+            drift = _sampled_drift(f, g, avoid)
             assert drift > 0.0
-            assert drift == _scalar_sampled_drift(reference, candidate, avoid)
+            assert _bits(drift).tolist() == _bits(expected).tolist()
+
+    def test_drift_raises_on_a_zero_denominator_and_max_skips_nan(self):
+        # a denominator that underflows to 0 at the sample points, and a quotient that overflows
+        underflow = RationalFn(Poly([1.0, 1.0]), Poly([0.0, 0.0, 5e-324]))
+        with pytest.raises(ZeroDivisionError, match="complex division by zero"):
+            _sampled_drift(underflow, underflow, [])
+        overflow = RationalFn(Poly([1e300, 1e300]), Poly([1e-20, 1e-30]))
+        candidate = RationalFn(overflow.num * 1.5, overflow.den)
+        # Python's max passes over the NaN of inf / inf
+        assert _sampled_drift(overflow, candidate, []) == _scalar_sampled_drift(overflow, candidate, []) == 0.0
 
     def test_drift_of_a_faithful_reduction(self):
         f = RationalFn(Poly.from_roots([0.2, 0.7j, -1.1]), Poly.from_roots([0.2, -0.5]))
         g = rat_reduce(f)
         avoid = [0.2, 0.7j, -1.1, -0.5]
-        assert _sampled_drift([f], [g], [avoid]) == [_scalar_sampled_drift(f, g, avoid)]
+        assert _sampled_drift(f, g, avoid) == _scalar_sampled_drift(f, g, avoid)
 
     def test_poly_roots_match_scalar_polish(self):
         rng = np.random.default_rng(2024)
@@ -551,7 +581,7 @@ def _same_function(ours, ref):
 
 
 class TestBatchKernelsAreBitIdentical:
-    """poly_roots_many and rat_reduce_many give exactly what the one-at-a-time kernels gave."""
+    """poly_roots_many and rat_reduce give exactly what the one-at-a-time kernels gave."""
 
     def _mixed_polys(self):
         rng = np.random.default_rng(90)
@@ -593,208 +623,77 @@ class TestBatchKernelsAreBitIdentical:
         return {"back_off": back_off, "common": common, "zero": zero, "plain": plain}
 
     @pytest.mark.parametrize("case", ["back_off", "common", "zero"])
-    def test_rat_reduce_many_matches_the_sequential_reduction(self, case):
+    def test_rat_reduce_matches_the_sequential_reduction(self, case):
         f = self._cases()[case]
-        (ours,) = rat_reduce_many([f])
-        assert _same_function(ours, _sequential_rat_reduce(f))
-        assert _same_function(rat_reduce(f), ours)
+        assert _same_function(rat_reduce(f), _sequential_rat_reduce(f))
 
-    def test_rat_reduce_many_on_a_mixed_batch(self):
-        cases = self._cases()
-        fns = [cases["back_off"], *cases["plain"][:3], cases["zero"], cases["common"], *cases["plain"][3:]]
-        fns += [cases["back_off"], cases["zero"]]
-        batch = rat_reduce_many(fns)
-        assert len(batch) == len(fns)
-        for ours, f in zip(batch, fns):
-            assert _same_function(ours, _sequential_rat_reduce(f))
+    @pytest.mark.parametrize("seed", [95, 96, 97])
+    def test_rat_reduce_matches_the_sequential_reduction_on_random_functions(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(32):
+            n = int(rng.integers(1, 6))
+            f = RationalFn(Poly(_random_coeffs(rng, n)), Poly(_random_coeffs(rng, n + int(rng.integers(0, 3)))))
+            assert _same_function(rat_reduce(f), _sequential_rat_reduce(f))
 
     def test_a_failing_function_fails_alone(self, monkeypatch):
         import royalgamma.polyrat
 
         original = royalgamma.polyrat._sampled_drift
 
-        def drifting(references, candidates, avoids):
-            # every pairing of the one cubic numerator disagrees with its input
-            drifts = original(references, candidates, avoids)
-            return [1.0 if ref.num.degree == 3 else d for ref, d in zip(references, drifts)]
+        def drifting(reference, candidate, avoid):
+            # every pairing of a cubic numerator disagrees with its input
+            return 1.0 if reference.num.degree == 3 else original(reference, candidate, avoid)
 
         rng = np.random.default_rng(92)
-        fns = [RationalFn(Poly(_random_coeffs(rng, n)), Poly(_random_coeffs(rng, 3))) for n in (3, 4, 3)]
+        cubic, quartic = (RationalFn(Poly(_random_coeffs(rng, n)), Poly(_random_coeffs(rng, 3))) for n in (4, 5))
         monkeypatch.setattr(royalgamma.polyrat, "_sampled_drift", drifting)
-        batch = rat_reduce_many(fns)
-        assert str(batch[1]) == "no faithful cancellation found; best sampled drift 1.000e+00"
-        for ours, f in zip(batch[::2], fns[::2]):
-            assert _same_function(ours, _sequential_rat_reduce(f))
-        with pytest.raises(NumericalFailure, match="no faithful cancellation"):
-            rat_reduce(fns[1])
+        with pytest.raises(NumericalFailure, match=r"no faithful cancellation found; best sampled drift 1\.000e\+00"):
+            rat_reduce(cubic)
+        assert _same_function(rat_reduce(quartic), _sequential_rat_reduce(quartic))
 
 
-class TestArrayPassesAreBitIdentical:
-    """From ARRAY_PASS_MIN functions on, the drift check and the first
-    pairing test of rat_reduce_many are array passes; below, the loops run.
-    Either way each function gets the bits it gets alone."""
+class TestCompensatedEvaluation:
+    """poly_eval_compensated against exact evaluation of the same float coefficients."""
 
-    SIZES = (1, ARRAY_PASS_MIN - 1, ARRAY_PASS_MIN, 32)
+    @staticmethod
+    def _relative_errors(polys, points, values):
+        out = []
+        for q, row in zip(polys, values):
+            for z, value in zip(points.tolist(), row.tolist()):
+                exact, _ = exact_horner(q.coeffs, ExactComplex.of(z))
+                out.append(float(((exact - value).abs2() / exact.abs2()) ** 0.5))
+        return np.array(out)
 
-    def _functions(self, count):
-        # a true common factor, the 5e-8 back-off case and a zero numerator among random functions
-        cases = TestBatchKernelsAreBitIdentical()._cases()
-        rng = np.random.default_rng(95)
-        fns = [cases["common"], cases["back_off"], cases["zero"]]
-        while len(fns) < count:
-            n = int(rng.integers(1, 6))
-            fns.append(RationalFn(Poly(_random_coeffs(rng, n)), Poly(_random_coeffs(rng, n + int(rng.integers(0, 3))))))
-        return [fns[i] for i in np.random.default_rng(count).permutation(len(fns))][:count]
+    def test_values_are_rounded_once(self):
+        rng = np.random.default_rng(61)
+        polys = [Poly(_random_coeffs(rng, n)) for n in (1, 2, 5, 9, 17, 30)]
+        points = np.concatenate((np.exp(1j * rng.uniform(0, 2 * np.pi, 6)), _random_coeffs(rng, 3)))
+        errors = self._relative_errors(polys, points, poly_eval_compensated(polys, points))
+        assert errors.max() <= 2.0 ** -52
 
-    def test_crossover_is_inside_the_tested_sizes(self):
-        assert 1 < ARRAY_PASS_MIN <= 32
-
-    @pytest.mark.parametrize("count", SIZES)
-    def test_sampled_drift_matches_the_scalar_check(self, count):
-        rng = np.random.default_rng(96 + count)
-        references = [RationalFn(Poly(_random_coeffs(rng, 5)), Poly(_random_coeffs(rng, 4))) for _ in range(count)]
-        candidates = [RationalFn(Poly(f.num.coeffs * (1.0 + 10.0 ** -rng.integers(6, 14))), f.den) for f in references]
-        # some functions avoid their roots and some early sample points, some nothing
-        avoids = [[] if i % 3 == 0 else [rc.value for rc in poly_roots(f.num) + poly_roots(f.den)]
-                  + [complex(z) + 1e-3 for z in _drift_candidates()[: i % 4]] for i, f in enumerate(references)]
-        drifts = _sampled_drift(references, candidates, avoids)
-        expected = [_scalar_sampled_drift(f, g, avoid) for f, g, avoid in zip(references, candidates, avoids)]
-        assert np.array_equal(np.array(drifts).view(np.uint64), np.array(expected).view(np.uint64))
-        assert all(d > 0.0 for d in drifts)
-
-    def test_rows_short_of_32_points(self, monkeypatch):
-        import royalgamma.polyrat
-
-        # 20 candidates: every row is padded with z = 0, a pole of each function
-        short = _drift_candidates()[:20]
-        monkeypatch.setattr(royalgamma.polyrat, "_drift_candidates", lambda: short)
-        rng = np.random.default_rng(98)
-        references = [RationalFn(Poly(_random_coeffs(rng, 3)), Poly([0.0, 1.0, 0.5])) for _ in range(ARRAY_PASS_MIN)]
-        candidates = [RationalFn(f.num * (1.0 + 1e-9), f.den) for f in references]
-        avoids = [[0.0, -2.0] + [complex(z) for z in short[:i]] for i in range(ARRAY_PASS_MIN)]
-        drifts = _sampled_drift(references, candidates, avoids)
-        monkeypatch.setattr(royalgamma.polyrat, "ARRAY_PASS_MIN", 10**9)
-        expected = _sampled_drift(references, candidates, avoids)
-        assert np.array_equal(np.array(drifts).view(np.uint64), np.array(expected).view(np.uint64))
-        assert all(d > 0.0 for d in drifts)
-
-    @pytest.mark.parametrize("count", SIZES)
-    def test_rat_reduce_many_matches_one_function_at_a_time(self, count):
-        fns = self._functions(count)
-        batch = rat_reduce_many(fns)
-        for ours, f in zip(batch, fns):
-            assert _same_function(ours, rat_reduce(f))
-            assert _same_function(ours, _sequential_rat_reduce(f))
-
-    def test_a_batch_with_a_cancellation_takes_the_pairing(self, monkeypatch):
-        import royalgamma.polyrat
-
-        fns = self._functions(32)
-        cancelling = [f for f in fns if f.num.degree >= 1 and rat_reduce(f).den.degree < f.den.degree]
-        assert cancelling  # the true common factor and the back-off case
-        paired = []
-        original = royalgamma.polyrat._cancel
-        monkeypatch.setattr(royalgamma.polyrat, "_cancel", lambda f, *args: paired.append(f) or original(f, *args))
-        rat_reduce_many(fns)
-        # only functions with a root pair within reach walk _pair_roots
-        assert 0 < len(paired) < len(fns) - 1
-
-    def test_values_python_cannot_divide_take_the_loop(self, monkeypatch):
-        import royalgamma.polyrat
-
-        # a denominator that underflows to 0 at the sample points, and a quotient that overflows
-        underflow = RationalFn(Poly([1.0, 1.0]), Poly([0.0, 0.0, 5e-324]))
-        overflow = RationalFn(Poly([1e300, 1e300]), Poly([1e-20, 1e-30]))
-        plain = self._functions(ARRAY_PASS_MIN)[3:]
-        batch_of = lambda first: ([first, *plain], [first, *plain], [[]] * (1 + len(plain)))
-        with pytest.raises(ZeroDivisionError, match="complex division by zero"):
-            _sampled_drift(*batch_of(underflow))
-        monkeypatch.setattr(royalgamma.polyrat, "ARRAY_PASS_MIN", 10**9)  # the loop raises it too
-        with pytest.raises(ZeroDivisionError, match="complex division by zero"):
-            _sampled_drift(*batch_of(underflow))
-        monkeypatch.undo()
-        references, _, avoids = batch_of(overflow)
-        candidates = [RationalFn(f.num * 1.5, f.den) for f in references]
-        drifts = _sampled_drift(references, candidates, avoids)
-        assert drifts == [_scalar_sampled_drift(f, g, []) for f, g in zip(references, candidates)]
-        assert drifts[0] == 0.0  # Python's max passes over the NaN of inf / inf
-
-    def test_smith_division_matches_python(self):
-        rng = np.random.default_rng(97)
-        parts = [0.0, -0.0, 1.0, -1.0, 2.5, -3.0, 5e-324, -1e-310, 1e-300, 1e300, 1.7e308,
-                 np.inf, -np.inf, np.nan, *rng.normal(size=6)]
-        values = [complex(re, im) for re in parts for im in parts]
-        values += [complex(x, x) for x in (1.0, -2.0, 1e-310)] + [complex(x, -x) for x in (3.0, -0.5, 1e300)]
-        a = np.array([x for x in values for _ in values])
-        b = np.array([y for _ in values for y in values])
-        with np.errstate(all="ignore"):
-            ours = _python_quotient(a, b)
-        equal = 0
-        for x, y, q in zip(a.tolist(), b.tolist(), ours.tolist()):
-            try:
-                expected = x / y
-            except ZeroDivisionError:
-                assert np.isnan(q.real) and np.isnan(q.imag)
-                continue
-            if np.isnan(q.real) or np.isnan(q.imag):
-                # non-finite values never leave the array pass; Python gives NaN or inf too
-                assert not np.isfinite(expected)
-            else:
-                assert _bits(q).tolist() == _bits(expected).tolist(), (x, y)
-                equal += 1
-        assert equal > 0.6 * len(values) ** 2
+    def test_values_next_to_a_root_keep_their_digits(self):
+        # a fivefold root next to the points: Horner's terms cancel to 1e-15 of their size
+        root = 0.7 + 0.2j
+        polys = [Poly.from_roots([root] * 5), Poly.from_roots([0.3j, -1.1, root])]
+        points = root + 1e-3 * np.exp(1j * np.array([0.3, 1.7, 4.0]))
+        compensated = self._relative_errors(polys, points, poly_eval_compensated(polys, points))
+        plain = self._relative_errors(polys, points, poly_eval_many(polys, points))
+        assert compensated.max() <= 2.0 ** -52
+        assert plain.max() >= 1e-2
 
 
-def _old_sub(a, b):
-    """Poly subtraction as it was written out before it became a + (-b)."""
-    a, b = a.coeffs, b.coeffs
-    if a.size < b.size:
-        out = -b
-        out[: a.size] += a
-        return Poly(out)
-    out = a.copy()
-    out[: b.size] -= b
-    return Poly(out)
+def test_compose_phi_omega_is_the_reduced_composition():
+    from conftest import blaschke_rational, superficial_map
 
+    from royalgamma.gamma import compose_phi_omega
 
-class TestComposedRowsAreBitIdentical:
-    """The stacked composed functions of the cross-check are the Poly arithmetic's, bit for bit."""
-
-    def _maps(self):
-        from conftest import blaschke_rational, superficial_map
-
-        from royalgamma.gamma import GammaInnerFn
-
-        yield generate_h_nu(0, 0.5)
-        yield generate_h_nu(2, 0.35)  # zero coefficients in both numerators
-        yield superficial_map(blaschke_rational([0.3j, -0.2, 0.5 + 0.1j], 1j), 0.4 - 0.3j)
-        rng = np.random.default_rng(93)
-        for sizes in ((3, 5, 4), (5, 2, 3), (2, 2, 6)):
-            # numerators longer or shorter than each other and the denominator, signed zeros inside
-            p, s, d = (_random_coeffs(rng, n) for n in sizes)
-            s[0], s[1:-1:2] = complex(0.0, -0.0), 0.0
-            yield GammaInnerFn(s=RationalFn(Poly(s), Poly(d)), p=RationalFn(Poly(p), Poly(d)))
-
-    def test_rows_match_the_poly_arithmetic(self):
-        from royalgamma.gamma import _composed, compose_phi_omega
-
-        omegas = list(np.exp(1j * (np.pi * (2.0 * np.arange(8) + 1.0) / 8.0 + 0.0137 * 5)))
-        omegas += [0.0, 1.0, -1j, complex(-0.0, 1.0), 2.5 - 0.5j]  # off the circle, and 0, which the trim shortens
-        for h in self._maps():
-            for omega, fn in zip(omegas, _composed(h, omegas)):
-                omega = complex(omega)
-                num = _old_sub(Poly(h.p.num.coeffs * complex(2.0 * omega)), h.s.num)
-                den = _old_sub(Poly(h.den.coeffs * complex(2.0)), Poly(h.s.num.coeffs * omega))
-                assert _same_function(fn, RationalFn(num, den))
-                assert _same_function(compose_phi_omega(omega, h), _sequential_rat_reduce(RationalFn(num, den)))
-
-    def test_operand_order_of_the_stacked_product(self):
-        # the coefficient array is the left operand, as in Poly.__rmul__
-        rng = np.random.default_rng(94)
-        coeffs, w = _random_coeffs(rng, 9), _random_coeffs(rng, 64)
-        rows = coeffs * w[:, None]
-        for row, factor in zip(rows, w.tolist()):
-            assert np.array_equal(_bits(row), _bits((Poly(coeffs) * factor).coeffs))
+    maps = [generate_h_nu(0, 0.5), generate_h_nu(2, 0.35),
+            superficial_map(blaschke_rational([0.3j, -0.2, 0.5 + 0.1j], 1j), 0.4 - 0.3j)]
+    omegas = [*np.exp(1j * (np.pi * (2.0 * np.arange(8) + 1.0) / 8.0 + 0.0137 * 5)), 1.0, -1j, 2.5 - 0.5j]
+    for h in maps:
+        for omega in omegas:
+            composed = RationalFn(2.0 * complex(omega) * h.p.num - h.s.num, 2.0 * h.den - complex(omega) * h.s.num)
+            assert _same_function(compose_phi_omega(omega, h), _sequential_rat_reduce(composed))
 
 
 @seed(989)
