@@ -301,10 +301,12 @@ def _factored_form_check_points() -> np.ndarray:
 def to_blaschke_product(f: RationalFn) -> BlaschkeProduct:
     """Recover the factored form of a rational inner function.
 
-    The input must be unimodular on the circle grid; its numerator zeros must
-    lie strictly inside the disc.  The unimodular constant is read off at the
-    first circle point away from the zeros, and the factored form is checked
-    against the input at 64 deterministic points before returning.
+    The input must be reduced, as :func:`solve_blaschke` returns it, and
+    unimodular on the circle grid; its numerator zeros, the product's zeros,
+    must lie strictly inside the disc.  The unimodular constant is read off
+    at the first circle point away from the zeros, and the factored form is
+    checked against the input at 64 deterministic points before returning, so
+    a common factor of numerator and denominator raises :class:`NotInner`.
     """
     grid = circle_grid(256)
     vals = f(grid)
@@ -312,10 +314,9 @@ def to_blaschke_product(f: RationalFn) -> BlaschkeProduct:
     if worst > RESIDUAL_TOL:
         raise NotInner(f"not unimodular on the circle: off by {worst:.3e}")
 
-    reduced = rat_reduce(f)
     zeros: list[complex] = []
-    if reduced.num.degree >= 1:
-        for rc in poly_roots(reduced.num):
+    if f.num.degree >= 1:
+        for rc in poly_roots(f.num):
             if abs(rc.value) >= 1.0:
                 raise NotInner(f"numerator zero {rc.value} is not inside the open disc")
             zeros.extend([rc.value] * rc.multiplicity)
@@ -326,7 +327,7 @@ def to_blaschke_product(f: RationalFn) -> BlaschkeProduct:
             anchor = complex(candidate)
             break
     base = BlaschkeProduct(unimodular_constant=1.0 + 0j, zeros=tuple(zeros))
-    constant = complex(reduced(anchor) / base(anchor))
+    constant = complex(f(anchor) / base(anchor))
     if abs(abs(constant) - 1.0) > RESIDUAL_TOL:
         raise NotInner(f"recovered constant has modulus {abs(constant):.12g}")
     result = BlaschkeProduct(unimodular_constant=constant / abs(constant), zeros=tuple(zeros))

@@ -55,7 +55,6 @@ from .polyrat import (
     poly_eval_compensated,
     poly_eval_many,
     poly_roots,
-    poly_roots_many,
     rat_reduce,
 )
 
@@ -129,25 +128,21 @@ def phi_omega(omega: complex, pt) -> complex:
 class GammaInnerFn:
     """Pair of rational functions (s, p) over one shared denominator.
 
-    Invariants (validated by :meth:`from_numerators`): the denominator has no
-    zeros in the closed unit disc, and on the circle |p| = 1, s = conj(s) p
-    and |s| <= 2 hold within the residual tolerance.  Each fact about the map
-    below is computed at most once.
+    Invariants (validated by :meth:`from_numerators`, the one builder): the
+    denominator has no zeros in the closed unit disc (its smallest root
+    modulus, from the joint reduction, is ``denominator_min_root_modulus``,
+    inf if it is constant), and on the circle |p| = 1, s = conj(s) p and
+    |s| <= 2 hold within the residual tolerance.  Each fact below is
+    computed at most once.
     """
 
     s: RationalFn
     p: RationalFn
+    denominator_min_root_modulus: float
 
     @property
     def den(self) -> Poly:
         return self.p.den
-
-    @functools.cached_property
-    def denominator_min_root_modulus(self) -> float:
-        """Smallest modulus of a root of the shared denominator; inf if constant."""
-        if self.den.degree < 1:
-            return float("inf")
-        return min(abs(rc.value) for rc in poly_roots(self.den))
 
     @functools.cached_property
     def circle_residuals(self) -> tuple[float, float, float]:
@@ -185,9 +180,10 @@ class GammaInnerFn:
     def from_numerators(cls, num_s: Poly, num_p: Poly, den: Poly) -> "GammaInnerFn":
         """Build from the shared-denominator representation.
 
-        Joint reduction cancels a denominator root only when both numerators
-        share it; the denominator is then made monic and the map validated.
-        This is the one-map call of the batch a family is built with.
+        The three polynomials are divided by the denominator's leading
+        coefficient; joint reduction then cancels a denominator root only when
+        both numerators share it, and the map is validated.  This is the
+        one-map call of the batch a family is built with.
         """
         return _raised(_maps_from_numerators([(num_s, num_p, den)])[0])
 
@@ -242,21 +238,17 @@ def _attempt(step, *args):
 
 def _maps_from_numerators(triples: Sequence[tuple[Poly, Poly, Poly]]) -> list[GammaInnerFn | RoyalGammaError]:
     """:meth:`GammaInnerFn.from_numerators` of each (num_s, num_p, den), or
-    its error: one ``poly_roots_many`` call finds the roots of every joint
-    reduction, and one those of every monic denominator."""
+    its error: one ``poly_roots_many`` call, inside the joint reduction of
+    the monic triples, finds every root the maps need."""
     if any(den.is_zero for _, _, den in triples):
         raise ZeroDivisionError("shared denominator is the zero polynomial")
-    maps = []
-    for (num_s, num_p), den in joint_reduce_many([((num_s, num_p), den) for num_s, num_p, den in triples]):
-        lead = den.leading
-        num_s, num_p, den = num_s / lead, num_p / lead, den / lead
-        maps.append(GammaInnerFn(s=RationalFn(num_s, den), p=RationalFn(num_p, den)))
-    found = iter(poly_roots_many([h.den for h in maps if h.den.degree >= 1]))
-    for h in maps:
-        if h.den.degree >= 1:
-            # fills the cached property with what its own poly_roots call gives
-            vars(h)["denominator_min_root_modulus"] = min(abs(rc.value) for rc in next(found))
-    return [_attempt(_validate_gamma_inner, h) for h in maps]
+    monic = [((num_s / den.leading, num_p / den.leading), den / den.leading) for num_s, num_p, den in triples]
+    out = []
+    for (num_s, num_p), den, roots in joint_reduce_many(monic):
+        h = GammaInnerFn(RationalFn(num_s, den), RationalFn(num_p, den),
+                         min((abs(z) for z in roots), default=float("inf")))
+        out.append(_attempt(_validate_gamma_inner, h))
+    return out
 
 
 def _validate_gamma_inner(h: GammaInnerFn) -> GammaInnerFn:
@@ -409,11 +401,13 @@ class S0P0Solution:
     notes: tuple[str, ...] = ()
 
     def member(self, omega: complex) -> FamilyMember | None:
-        """Family member at a unimodular omega, or None when t fails to be
-        real in (-1, 1) there."""
+        """Family member at a unimodular omega, or None when omega is zero or
+        not finite, or when t fails to be real in (-1, 1) there."""
         if self.kind != "family":
             raise ValueError("member() applies to family solutions only")
         omega = complex(omega)
+        if omega == 0 or not np.isfinite(omega):
+            return None
         omega = omega / abs(omega)
         u = omega * omega
         c, g, b = self.row
@@ -533,18 +527,18 @@ def _construct_many(param: Parametrization, base_values) -> list[GammaInnerFn | 
 
 def _admit(param: Parametrization, s0: complex, p0: complex):
     """The base values checked and normalized, with the numerators and
-    denominator of their map."""
+    denominator of their map.  Each check is written so that a NaN fails it."""
     s0, p0 = complex(s0), complex(p0)
-    if abs(abs(p0) - 1.0) > RESIDUAL_TOL:
+    if not abs(abs(p0) - 1.0) <= RESIDUAL_TOL:
         raise PreconditionViolated(f"|p0| = {abs(p0):.12g} is not 1")
     p0 = p0 / abs(p0)
-    if abs(s0) >= 2.0:
+    if not abs(s0) < 2.0:
         raise PreconditionViolated(f"|s0| = {abs(s0):.12g} is not below 2")
-    if abs(s0 - np.conj(s0) * p0) > RESIDUAL_TOL * max(1.0, abs(s0)):
+    if not abs(s0 - np.conj(s0) * p0) <= RESIDUAL_TOL * max(1.0, abs(s0)):
         raise PreconditionViolated("s0 != conj(s0) p0: the pair is off the distinguished boundary")
     identity = s0 * param.a - 2.0 * param.b + 2.0 * p0 * param.c - s0 * param.d
     scale = max(_coeff_max(param.a), _coeff_max(param.b), _coeff_max(param.c), _coeff_max(param.d), 1.0)
-    if _coeff_max(identity) > RESIDUAL_TOL * 4.0 * scale:
+    if not _coeff_max(identity) <= RESIDUAL_TOL * 4.0 * scale:
         raise PreconditionViolated(
             f"defining identity violated by {_coeff_max(identity):.3e} (scale {scale:.3e})"
         )

@@ -418,20 +418,22 @@ def _pair_roots(den_clusters, num_clusters, pair_tol: float):
     return expand(den_left), [None if left is None else expand(left) for left in nums_left], cancelled
 
 
-def joint_reduce_many(items: Sequence[tuple[tuple[Poly, ...], Poly]]) -> list[tuple[tuple[Poly, ...], Poly]]:
+def joint_reduce_many(items: Sequence[tuple[tuple[Poly, ...], Poly]]) -> list[tuple[tuple[Poly, ...], Poly, list]]:
     """Cancel, for each (numerators, denominator) pair, the denominator roots
     shared by every numerator.
 
     A zero numerator shares every root.  Each stripped polynomial keeps its
     leading coefficient; unlike :func:`rat_reduce` there is no sampled check.
     All roots come from one :func:`poly_roots_many` call.  Returns
-    (numerators, denominator) per pair, the inputs themselves when nothing
-    cancels.
+    (numerators, denominator, denominator roots) per pair: the inputs
+    themselves when nothing cancels, and the roots left after the
+    cancellation, each repeated by its multiplicity.
     """
     found = iter(poly_roots_many([q for nums, den in items if den.degree >= 1
                                   for q in (den, *nums) if q.degree >= 1]))
     out = []
     for nums, den in items:
+        den_roots: list[complex] = []
         if den.degree >= 1:
             den_clusters = next(found)
             num_clusters = [None if q.is_zero else next(found) if q.degree >= 1 else [] for q in nums]
@@ -440,7 +442,7 @@ def joint_reduce_many(items: Sequence[tuple[tuple[Poly, ...], Poly]]) -> list[tu
                 nums = tuple(q if roots is None else Poly.from_roots(roots, leading=q.leading)
                              for q, roots in zip(nums, num_roots))
                 den = Poly.from_roots(den_roots, leading=den.leading)
-        out.append((nums, den))
+        out.append((nums, den, den_roots))
     return out
 
 
@@ -487,21 +489,14 @@ def _sampled_drift(reference: RationalFn, candidate: RationalFn, avoid) -> float
 _PAIR_TOLS = (ROOT_CLUSTER_TOL, ROOT_CLUSTER_TOL * 1e-2, ROOT_CLUSTER_TOL * 1e-4, 1e-300)
 
 
-def _cancel(f: RationalFn, num_clusters, den_clusters, pair_tol: float) -> RationalFn:
-    den_roots, (num_roots,), cancelled = _pair_roots(den_clusters, [num_clusters], pair_tol)
-    if not cancelled:
-        return f.normalized()
-    lead_ratio = f.num.leading / f.den.leading
-    return RationalFn(Poly.from_roots(num_roots, leading=lead_ratio), Poly.from_roots(den_roots, leading=1.0))
-
-
 def rat_reduce(f: RationalFn) -> RationalFn:
     """Cancel root pairs shared by numerator and denominator; monic denominator.
 
     Roots of the numerator within ``ROOT_CLUSTER_TOL`` of a root of the
-    denominator are cancelled, respecting multiplicities; the result is
-    checked against the input at 32 deterministic sample points away from the
-    roots.  A pair that merely passes within the pairing tolerance without
+    denominator are cancelled, respecting multiplicities.  When nothing pairs,
+    the input is returned with its denominator made monic.  A cancelled form
+    is checked against the input at 32 deterministic sample points away from
+    the roots.  A pair that merely passes within the pairing tolerance without
     being a genuine common factor would move those sampled values, so on
     disagreement beyond ``RESIDUAL_TOL`` the pairing backs off to tighter
     tolerances, cancelling nothing in the worst case (faithfulness wins over
@@ -519,7 +514,15 @@ def rat_reduce(f: RationalFn) -> RationalFn:
     avoid = [rc.value for rc in num + den]
     worst = None
     for pair_tol in _PAIR_TOLS:
-        reduced = _cancel(f, num, den, pair_tol)
+        den_roots, (num_roots,), cancelled = _pair_roots(den, [num], pair_tol)
+        if not cancelled:
+            reduced = f.normalized()
+            if worst is None:
+                # the loosest pairing cancels nothing, so no tighter one does
+                return reduced
+        else:
+            reduced = RationalFn(Poly.from_roots(num_roots, leading=f.num.leading / f.den.leading),
+                                 Poly.from_roots(den_roots, leading=1.0))
         drift = _sampled_drift(f, reduced, avoid)
         if drift <= RESIDUAL_TOL:
             return reduced

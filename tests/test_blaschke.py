@@ -271,3 +271,10 @@ class TestToBlaschkeProduct:
     def test_not_inner_rejected(self):
         with pytest.raises(NotInner):
             to_blaschke_product(RationalFn(Poly([0.0, 2.0]), Poly([1.0])))
+
+    def test_a_common_factor_is_not_a_zero(self):
+        # the input must be reduced: a shared root inside the disc would be a spurious zero
+        f = blaschke_rational([0.3 + 0.2j, -0.4j], constant=np.exp(0.9j))
+        factor = Poly.from_roots([0.5j])
+        with pytest.raises(NotInner, match="factored form disagrees"):
+            to_blaschke_product(RationalFn(f.num * factor, f.den * factor))

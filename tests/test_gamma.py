@@ -166,6 +166,18 @@ class TestSolveS0P0:
         with pytest.raises(InvalidData):
             solve_s0_p0(param, other)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("omega", [0.0, float("nan"), complex(float("nan"), 0.0),
+                                       float("inf"), complex(0.0, float("inf"))])
+    def test_a_zero_or_non_finite_parameter_gives_no_member(self, omega):
+        data = interior_example_data()
+        sol = solve_s0_p0(pipeline_parts(data)[2], data)
+        assert sol.member(omega) is None
+        # the solve keeps every valid member of its grid
+        result = solve_royal_problem(data, omega_grid=8, extra_omegas_fn=lambda tau: (omega,))
+        assert result.status == "solved"
+        assert len(result.solutions) == 8 and not result.skipped
+
 
 class TestConstructH:
     def test_interior_example_member(self):
@@ -214,6 +226,15 @@ class TestConstructH:
             construct_h(param, 0.2j, 1.0)  # s0 != conj(s0) p0
         with pytest.raises(PreconditionViolated):
             construct_h(param, 0.3, 1.0)  # off the family: identity violated
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("s0, p0", [(float("nan"), 1.0), (complex(0.0, float("nan")), 1.0),
+                                        (0.5, float("nan")), (0.5, complex(1.0, float("nan")))])
+    def test_nan_base_values_violate_the_preconditions(self, s0, p0):
+        data = interior_example_data()
+        _, _, param = pipeline_parts(data)
+        with pytest.raises(PreconditionViolated, match="nan"):
+            construct_h(param, s0, p0)
 
 
 class TestRoyalNodes:
@@ -458,6 +479,16 @@ def _built_alone(param, pairs):
     return out
 
 
+def _assert_roots_reused(h, cancelled):
+    """The map's smallest denominator root modulus, from its joint reduction,
+    is the one its denominator's roots give: bit for bit when nothing cancelled."""
+    refound = min(abs(rc.value) for rc in poly_roots(h.den))
+    if cancelled:
+        assert abs(h.denominator_min_root_modulus - refound) <= 1e-12
+    else:
+        assert _bits(h.denominator_min_root_modulus) == _bits(refound)
+
+
 class TestBatchedConstructionMatchesSingleMembers:
     """A family's members are built in one batch, and each is bit for bit the
     map construct_h builds for that member alone, or fails with its error."""
@@ -473,6 +504,9 @@ class TestBatchedConstructionMatchesSingleMembers:
         alone = _built_alone(param, [(mem.s0, mem.p0) for mem in members])
         batch = _construct_many(param, [(mem.s0, mem.p0) for mem in members])
         assert [_map_facts(h) for h in batch] == [_map_facts(h) for h in alone]
+        for h in batch:
+            if not isinstance(h, RoyalGammaError):
+                _assert_roots_reused(h, cancelled=h.den.degree < param.degree)
         # the solve reports the same maps, and skips the same members with the same words in the same order
         assert [_map_facts(sol.h) for sol in result.solutions] == [
             _map_facts(h) for h in alone if not isinstance(h, RoyalGammaError)]
@@ -506,6 +540,15 @@ class TestBatchedConstructionMatchesSingleMembers:
         h = generate_h_nu(1, 0.5)
         result = self._check(extract_royal_data(h), 8)
         assert result.s0p0.kind == "unique" and len(result.solutions) == 1
+
+    def test_a_shared_factor_is_cancelled(self):
+        # (lambda - a) with |a| < 1 divides both numerators and the denominator
+        h = generate_h_nu(1, 0.5)
+        factor = Poly.from_roots([0.3 + 0.4j], leading=2.0 - 1j)
+        shared = GammaInnerFn.from_numerators(h.s.num * factor, h.p.num * factor, h.den * factor)
+        assert shared.den.degree == h.den.degree
+        assert gamma_inner_distance(shared, h) <= 1e-12
+        _assert_roots_reused(shared, cancelled=True)
 
     @seed(1313)
     @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])

@@ -645,11 +645,28 @@ class TestBatchKernelsAreBitIdentical:
             return 1.0 if reference.num.degree == 3 else original(reference, candidate, avoid)
 
         rng = np.random.default_rng(92)
-        cubic, quartic = (RationalFn(Poly(_random_coeffs(rng, n)), Poly(_random_coeffs(rng, 3))) for n in (4, 5))
+        # the cubic has a genuine common root, so its reduction cancels and checks the drift
+        common = Poly.from_roots([0.3 - 0.2j])
+        cubic = RationalFn(Poly(_random_coeffs(rng, 3)) * common, Poly(_random_coeffs(rng, 2)) * common)
+        quartic = RationalFn(Poly(_random_coeffs(rng, 5)), Poly(_random_coeffs(rng, 3)))
+        assert rat_reduce(cubic).den.degree == 1
         monkeypatch.setattr(royalgamma.polyrat, "_sampled_drift", drifting)
         with pytest.raises(NumericalFailure, match=r"no faithful cancellation found; best sampled drift 1\.000e\+00"):
             rat_reduce(cubic)
         assert _same_function(rat_reduce(quartic), _sequential_rat_reduce(quartic))
+
+    def test_nothing_to_pair_skips_the_drift_check(self, monkeypatch):
+        import royalgamma.polyrat
+
+        def forbidden(reference, candidate, avoid):
+            raise AssertionError("drift checked although nothing cancels")
+
+        functions = self._cases()["plain"]
+        monkeypatch.setattr(royalgamma.polyrat, "_sampled_drift", forbidden)
+        for f in functions:
+            reduced = rat_reduce(f)
+            assert (reduced.num.degree, reduced.den.degree) == (f.num.degree, f.den.degree)
+            assert _same_function(reduced, _sequential_rat_reduce(f))
 
 
 class TestCompensatedEvaluation:
