@@ -27,6 +27,7 @@ from .polyrat import (
     poly_eval,
     poly_eval_many,
     poly_roots,
+    poly_roots_many,
     rat_reduce,
 )
 
@@ -245,21 +246,18 @@ def build_parametrization(M: PickMatrix, data: BlaschkeData, tau: complex) -> Pa
 
 
 def _check_no_common_zero(param: Parametrization) -> None:
-    """Narrow the zeros of a to those that b, c and d share in turn, finding
-    the roots of each at most once; the zero polynomial shares every zero."""
-    if param.a.degree < 1:
+    """Narrow the zeros of a to those that b, c and d share in turn, with the
+    roots of all four from one ``poly_roots_many`` call; the zero polynomial
+    shares every zero, a nonzero constant none."""
+    others = [q for q in (param.b, param.c, param.d) if not q.is_zero]
+    if param.a.degree < 1 or any(q.degree < 1 for q in others):
         return
-    shared = [rc.value for rc in poly_roots(param.a)]
-    for q in (param.b, param.c, param.d):
-        if q.is_zero:
-            continue
-        if q.degree < 1:
-            return
-        roots = [rc.value for rc in poly_roots(q)]
-        shared = [z for z in shared if any(abs(z - w) <= ROOT_CLUSTER_TOL for w in roots)]
-        if not shared:
-            return
-    raise NumericalFailure(f"a, b, c, d share the zero {shared[0]}")
+    found = poly_roots_many([param.a, *others])
+    shared = [rc.value for rc in found[0]]
+    for clusters in found[1:]:
+        shared = [z for z in shared if any(abs(z - rc.value) <= ROOT_CLUSTER_TOL for rc in clusters)]
+    if shared:
+        raise NumericalFailure(f"a, b, c, d share the zero {shared[0]}")
 
 
 def _check_c_dominated_by_d(param: Parametrization) -> None:

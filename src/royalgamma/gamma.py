@@ -18,6 +18,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from ._crosscheck import _crosscheck, _phi_check_omegas
+from .basevalues import FamilyMember, S0P0Solution, solve_s0_p0
 from .blaschke import (
     Parametrization,
     build_parametrization,
@@ -34,7 +36,6 @@ from .errors import (
     RoyalGammaError,
     RoyalRange,
     SingularPoint,
-    ZeroOrPoleAtPoint,
 )
 from .pick import (
     BlaschkeData,
@@ -44,15 +45,19 @@ from .pick import (
     choose_tau,
 )
 from .polyrat import (
-    PD_TOL,
     RESIDUAL_TOL,
     ROOT_CLUSTER_TOL,
     TRIM_TOL,
     Poly,
     RationalFn,
+    _compensated_horner,
+    _horner,
+    _products,
+    _py_product,
+    _py_quotient,
+    _stacked,
+    _trimmed_sizes,
     joint_reduce_many,
-    poly_eval,
-    poly_eval_compensated,
     poly_eval_many,
     poly_roots,
     rat_reduce,
@@ -124,7 +129,12 @@ def phi_omega(omega: complex, pt) -> complex:
     return (2.0 * omega * p - s) / den
 
 
-@dataclass(frozen=True, eq=False)
+# Members a solve builds and verifies in one array pass.  A pass holds a few
+# kilobytes per member, so blocks of this many keep it small at any grid.
+_BLOCK = 256
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class GammaInnerFn:
     """Pair of rational functions (s, p) over one shared denominator.
 
@@ -132,42 +142,22 @@ class GammaInnerFn:
     denominator has no zeros in the closed unit disc (its smallest root
     modulus, from the joint reduction, is ``denominator_min_root_modulus``,
     inf if it is constant), and on the circle |p| = 1, s = conj(s) p and
-    |s| <= 2 hold within the residual tolerance.  Each fact below is
-    computed at most once.
+    |s| <= 2 hold within the residual tolerance.  The builder computes each
+    fact below once: ``circle_residuals`` are | |p| - 1 |, |s - conj(s) p|
+    and |s| - 2, each at its maximum over a 256-point circle grid, and
+    ``royal_range`` tells whether s^2 - 4p vanishes identically, i.e. the map
+    sends the disc into the royal variety.
     """
 
     s: RationalFn
     p: RationalFn
     denominator_min_root_modulus: float
+    circle_residuals: tuple[float, float, float]
+    royal_range: bool
 
     @property
     def den(self) -> Poly:
         return self.p.den
-
-    @functools.cached_property
-    def circle_residuals(self) -> tuple[float, float, float]:
-        """| |p| - 1 |, |s - conj(s) p| and |s| - 2, each at its maximum over a 256-point circle grid."""
-        grid = circle_grid(256)
-        dv = poly_eval(self.den, grid)
-        sv = poly_eval(self.s.num, grid) / dv
-        pv = poly_eval(self.p.num, grid) / dv
-        return (
-            float(np.max(np.abs(np.abs(pv) - 1.0))),
-            float(np.max(np.abs(sv - np.conj(sv) * pv))),
-            float(np.max(np.abs(sv)) - 2.0),
-        )
-
-    @functools.cached_property
-    def royal(self) -> tuple[Poly, float]:
-        """The royal polynomial and its scale, as :func:`royal_polynomial` returns them."""
-        return royal_polynomial(self)
-
-    @functools.cached_property
-    def royal_range(self) -> bool:
-        """Whether s^2 - 4p vanishes identically, i.e. the map sends the disc
-        into the royal variety."""
-        royal, scale = self.royal
-        return royal.is_zero or _coeff_max(royal) <= 100 * TRIM_TOL * scale
 
     @property
     def degree(self) -> int:
@@ -183,9 +173,11 @@ class GammaInnerFn:
         The three polynomials are divided by the denominator's leading
         coefficient; joint reduction then cancels a denominator root only when
         both numerators share it, and the map is validated.  This is the
-        one-map call of the batch a family is built with.
+        batch of one of the builder a family's members go through.
         """
-        return _raised(_maps_from_numerators([(num_s, num_p, den)])[0])
+        triple = (num_s, num_p, den)
+        rows = _stacked(triple)[None]
+        return _raised(_maps_from_numerators(rows, np.array([[q.coeffs.size for q in triple]]))[0])
 
     def to_json_dict(self) -> dict:
         return {
@@ -228,40 +220,104 @@ def _raised(outcome):
     return outcome
 
 
-def _attempt(step, *args):
-    """``step(*args)``, or the package error it raises."""
-    try:
-        return step(*args)
-    except RoyalGammaError as exc:
-        return exc
+class _Outcomes:
+    """The outcome of each member of a batch, and the members still standing:
+    a check rejects members with their error, and the rest go on to the next."""
+
+    def __init__(self, count: int):
+        self.items: list = [None] * count
+        self.live = np.arange(count)
+
+    def check(self, passed: np.ndarray, error: Callable[[int], RoyalGammaError]) -> np.ndarray:
+        """Reject the live members where ``passed`` (over them) is false, each with
+        ``error`` of its position among them; return ``passed``."""
+        if not passed.all():
+            for position in np.flatnonzero(~passed):
+                self.items[self.live[position]] = error(position)
+            self.live = self.live[passed]
+        return passed
+
+    def take(self, results: Sequence):
+        """Record a result for each live member; those whose result is an error drop out."""
+        for i, result in zip(self.live, results):
+            self.items[i] = result
+        self.live = self.live[[not isinstance(result, RoyalGammaError) for result in results]]
 
 
-def _maps_from_numerators(triples: Sequence[tuple[Poly, Poly, Poly]]) -> list[GammaInnerFn | RoyalGammaError]:
-    """:meth:`GammaInnerFn.from_numerators` of each (num_s, num_p, den), or
-    its error: one ``poly_roots_many`` call, inside the joint reduction of
-    the monic triples, finds every root the maps need."""
-    if any(den.is_zero for _, _, den in triples):
+def _maps_from_numerators(rows: np.ndarray, sizes: np.ndarray) -> list[GammaInnerFn | RoyalGammaError]:
+    """:meth:`GammaInnerFn.from_numerators` of each member's (num_s, num_p,
+    den), the rows of ``rows`` (members x 3 x coefficients, zero beyond the
+    lengths ``sizes``), or its error.
+
+    The monic division and the trim are array passes; one ``poly_roots_many``
+    call, inside the joint reduction, finds every denominator root; and the
+    circle residuals and the royal-range test are (members x points) and
+    (members x coefficients) passes over the members standing."""
+    if not sizes[:, 2].all():
         raise ZeroDivisionError("shared denominator is the zero polynomial")
-    monic = [((num_s / den.leading, num_p / den.leading), den / den.leading) for num_s, num_p, den in triples]
-    out = []
-    for (num_s, num_p), den, roots in joint_reduce_many(monic):
-        h = GammaInnerFn(RationalFn(num_s, den), RationalFn(num_p, den),
-                         min((abs(z) for z in roots), default=float("inf")))
-        out.append(_attempt(_validate_gamma_inner, h))
+    count, width = rows.shape[0], rows.shape[2]
+    monic = rows / rows[np.arange(count), 2, sizes[:, 2] - 1][:, None, None]
+    sizes = _trimmed_sizes(monic.reshape(-1, width), sizes.reshape(-1)).reshape(count, 3)
+    monic[np.arange(width) >= sizes[:, :, None]] = 0.0
+    pairs = [((Poly._untrimmed(num_s[:size_s].copy()), Poly._untrimmed(num_p[:size_p].copy())),
+              Poly._untrimmed(den[:size_den].copy()))
+             for (num_s, num_p, den), (size_s, size_p, size_den) in zip(monic, sizes.tolist())]
+    reduced = joint_reduce_many(pairs)
+    polys = [(num_s, num_p, den) for (num_s, num_p), den, _ in reduced]
+    for member, (_, den), triple in zip(monic, pairs, polys):
+        if triple[2] is not den:  # the joint reduction cancelled a factor
+            member[:] = _stacked(triple, width)
+    den_min = np.array([min((abs(z) for z in roots), default=float("inf")) for _, _, roots in reduced])
+
+    out = _Outcomes(count)
+    out.check(~(den_min <= 1.0 + ROOT_CLUSTER_TOL), lambda i: DenominatorZeroInDisc(
+        f"denominator root of modulus {den_min[i]:.12g} in the closed disc"))
+    standing = monic[out.live]
+    circle, royal = _circle_residuals(standing), _royal_ranges(standing)
+    passed = out.check(~np.any(circle > RESIDUAL_TOL, axis=1), lambda i: NumericalFailure(
+        "boundary identities violated: | |p|-1 | = {:.3e}, |s - conj(s) p| = {:.3e}, |s| - 2 = {:.3e}".format(*circle[i])))
+    for i, modulus, residuals, in_royal_variety in zip(
+            out.live, den_min[out.live].tolist(), circle[passed].tolist(), royal[passed].tolist()):
+        num_s, num_p, den = polys[i]
+        out.items[i] = GammaInnerFn(RationalFn(num_s, den), RationalFn(num_p, den), modulus, tuple(residuals),
+                                    in_royal_variety)
+    return out.items
+
+
+@functools.cache
+def _circle_points() -> np.ndarray:
+    """The 256-point circle grid the boundary identities are checked on."""
+    grid = circle_grid(256)
+    grid.setflags(write=False)
+    return grid
+
+
+def _circle_residuals(coeffs: np.ndarray) -> np.ndarray:
+    """| |p| - 1 |, |s - conj(s) p| and |s| - 2 of each map, the rows (num_s,
+    num_p, den) of ``coeffs`` (maps x 3 x coefficients), each at its maximum
+    over a 256-point circle grid: (maps x 3).  Eight maps at a time keep the
+    (maps x points) arrays small."""
+    out = np.empty((len(coeffs), 3))
+    for start in range(0, len(coeffs), 8):
+        chunk = coeffs[start:start + 8]
+        values = _horner(chunk.reshape(-1, chunk.shape[2]), _circle_points()).reshape(len(chunk), 3, 256)
+        quotients = values[:, :2] / values[:, 2:]
+        sv, pv = quotients[:, 0], quotients[:, 1]
+        out[start:start + 8, 0] = np.max(np.abs(np.abs(pv) - 1.0), axis=1)
+        out[start:start + 8, 1] = np.max(np.abs(sv - np.conj(sv) * pv), axis=1)
+        out[start:start + 8, 2] = np.max(np.abs(sv), axis=1) - 2.0
     return out
 
 
-def _validate_gamma_inner(h: GammaInnerFn) -> GammaInnerFn:
-    min_mod = h.denominator_min_root_modulus
-    if min_mod <= 1.0 + ROOT_CLUSTER_TOL:
-        raise DenominatorZeroInDisc(f"denominator root of modulus {min_mod:.12g} in the closed disc")
-    p_uni, sym, s_excess = h.circle_residuals
-    if p_uni > RESIDUAL_TOL or sym > RESIDUAL_TOL or s_excess > RESIDUAL_TOL:
-        raise NumericalFailure(
-            f"boundary identities violated: | |p|-1 | = {p_uni:.3e}, "
-            f"|s - conj(s) p| = {sym:.3e}, |s| - 2 = {s_excess:.3e}"
-        )
-    return h
+def _royal_ranges(coeffs: np.ndarray) -> np.ndarray:
+    """Whether s^2 - 4p vanishes identically for each map, the rows (num_s,
+    num_p, den) of ``coeffs`` (maps x 3 x coefficients): the largest
+    coefficient of num_s^2 - 4 num_p den against the larger of the two
+    products' largest coefficients, as in :func:`royal_polynomial`."""
+    products = _products(coeffs[:, :2], coeffs[:, 0::2])  # num_s num_s and num_p den
+    ss, pd4 = products[:, 0], 4.0 * products[:, 1]
+    scale = np.maximum(np.maximum(np.abs(ss).max(axis=1), np.abs(pd4).max(axis=1)), 1e-300)
+    return np.abs(ss - pd4).max(axis=1) <= 100 * TRIM_TOL * scale
 
 
 def royal_polynomial(h: GammaInnerFn) -> tuple[Poly, float]:
@@ -318,7 +374,7 @@ def royal_nodes(h: GammaInnerFn) -> RoyalData:
     snap_band = 10.0 * ROOT_CLUSTER_TOL
     boundary: list[tuple[complex, int]] = []
     interior: list[tuple[complex, int]] = []
-    for rc in poly_roots(h.royal[0]):
+    for rc in poly_roots(royal_polynomial(h)[0]):
         mod = abs(rc.value)
         if abs(mod - 1.0) <= snap_band:
             if rc.multiplicity % 2 != 0:
@@ -373,138 +429,6 @@ def extract_royal_data(h: GammaInnerFn) -> BlaschkeData:
     return BlaschkeData(sigma=sigma, eta=rd.values, rho=rd.boundary_rho, k=rd.boundary_count)
 
 
-class FamilyMember(NamedTuple):
-    omega: complex | None
-    t: float | None
-    s0: complex
-    p0: complex
-
-
-@dataclass(frozen=True)
-class S0P0Solution:
-    """Outcome of the base-value solve: a unique pair, a one-parameter family,
-    or no admissible pair at all.
-
-    ``row`` holds the single scalar equation c*u + g*v + b = 0 (u = omega^2,
-    v = t*omega) in the family case.  ``residual`` is the least-squares or
-    constraint-violation size backing a "none" verdict.
-    """
-
-    kind: str  # "unique" | "family" | "none"
-    residual: float
-    s0: complex | None = None
-    p0: complex | None = None
-    omega: complex | None = None
-    t: float | None = None
-    row: tuple[complex, complex, complex] | None = None
-    singular_values: tuple[float, ...] = ()
-    notes: tuple[str, ...] = ()
-
-    def member(self, omega: complex) -> FamilyMember | None:
-        """Family member at a unimodular omega, or None when omega is zero or
-        not finite, or when t fails to be real in (-1, 1) there."""
-        if self.kind != "family":
-            raise ValueError("member() applies to family solutions only")
-        omega = complex(omega)
-        if omega == 0 or not np.isfinite(omega):
-            return None
-        omega = omega / abs(omega)
-        u = omega * omega
-        c, g, b = self.row
-        row_scale = max(abs(c), abs(g), abs(b), 1.0)
-        if abs(g) <= TRIM_TOL * row_scale:
-            return None
-        v = -(c * u + b) / g
-        t_complex = v * np.conj(omega)
-        if abs(t_complex.imag) > RESIDUAL_TOL:
-            return None
-        t = float(t_complex.real)
-        if abs(t) >= 1.0:
-            return None
-        return FamilyMember(omega, t, 2.0 * t * omega, u)
-
-
-def solve_s0_p0(param: Parametrization, data: BlaschkeData) -> S0P0Solution:
-    """Solve for base values (s0, p0) on the distinguished boundary with |s0| < 2.
-
-    Writing s0 = 2 t omega, p0 = omega^2, the degree-(n-1) coefficient
-    polynomials of the defining identity stack into an n x 3 system
-    [Q_c | Q_g | Q_b] in the unknowns u = omega^2, v = t omega.  Rank
-    decisions use singular values against PD_TOL times the largest one;
-    near-threshold values are reported in ``notes`` rather than silently
-    resolved.
-
-    The system never vanishes, so its largest singular value is positive, its
-    rank is at least one, and no family leaves every admissible pair free.
-    Each column is a kernel numerator sum_i conj(w_i) P_i, a combination of
-    the partial products P_i = prod_{l != i} (1 - conj(sigma_l) lambda),
-    which are linearly independent for distinct nodes.  So Q_b = n_xy
-    vanishes only if wy = M^-1 y_tau does, that is only if
-    y_tau = conj(eta) x_tau is 0.  Every entry 1/(1 - conj(sigma_j) tau) of
-    x_tau is nonzero, so then every eta_j is 0, n_yy vanishes too, and
-    Q_g = n_xx + n_yy = n_xx is nonzero because wx = M^-1 x_tau is.
-    """
-    if param.data_hash != data.canonical_digest():
-        raise InvalidData("parametrization was built from different interpolation data")
-    n_xx, n_xy, n_yx, n_yy = param.kernel_numerators
-    q_g = n_xx + n_yy
-    stacked = np.column_stack([poly.padded(data.n) for poly in (n_yx, q_g, n_xy)])
-
-    sv_full = np.linalg.svd(stacked, compute_uv=False)
-    scale = float(sv_full[0])
-    solution = functools.partial(S0P0Solution, singular_values=tuple(float(s) for s in sv_full))
-    thr = PD_TOL * scale
-    notes = tuple(
-        f"singular value {float(s):.3e} is near the rank threshold {thr:.3e}"
-        for s in sv_full
-        if thr / 10.0 < float(s) < thr * 10.0
-    )
-    solution = functools.partial(solution, notes=notes)
-    rank_full = int(np.count_nonzero(sv_full > thr))
-
-    lhs = stacked[:, :2]
-    rhs = -stacked[:, 2]
-    sv_lhs = np.linalg.svd(lhs, compute_uv=False)
-    rank_lhs = int(np.count_nonzero(sv_lhs > thr))
-
-    if rank_lhs == 0:
-        return solution(kind="none", residual=float(np.linalg.norm(rhs)) / scale)
-    if rank_lhs == 1:
-        if rank_full >= 2:
-            sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=PD_TOL)
-            return solution(kind="none", residual=float(np.linalg.norm(lhs @ sol - rhs)) / scale)
-        idx = int(np.argmax(np.linalg.norm(stacked, axis=1)))
-        c, g, b = (complex(stacked[idx, j]) for j in range(3))
-        return solution(kind="family", residual=0.0, row=(c, g, b))
-
-    # full-rank left-hand side: at most one candidate pair
-    sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-    u, v = complex(sol[0]), complex(sol[1])
-    res = float(np.linalg.norm(lhs @ sol - rhs)) / scale
-    if res > RESIDUAL_TOL:
-        return solution(kind="none", residual=res)
-    unimodularity = abs(abs(u) - 1.0)
-    if unimodularity > RESIDUAL_TOL:
-        return solution(
-            kind="none", residual=max(res, unimodularity),
-            notes=notes + (f"unique candidate has |omega^2| = {abs(u):.12g}",),
-        )
-    omega = complex(np.sqrt(u / abs(u)))
-    t_complex = v * np.conj(omega)
-    if abs(t_complex.imag) > RESIDUAL_TOL:
-        return solution(
-            kind="none", residual=max(res, abs(t_complex.imag)),
-            notes=notes + ("unique candidate has non-real t",),
-        )
-    t = float(t_complex.real)
-    if abs(t) >= 1.0:
-        return solution(
-            kind="none", residual=max(res, abs(t) - 1.0),
-            notes=notes + (f"unique candidate has |t| = {abs(t):.12g} >= 1",),
-        )
-    return solution(kind="unique", residual=res, s0=2.0 * t * omega, p0=u / abs(u), omega=omega, t=t)
-
-
 def construct_h(param: Parametrization, s0: complex, p0: complex) -> GammaInnerFn:
     """Assemble the map with base values (s0, p0) from the parametrization:
 
@@ -512,52 +436,83 @@ def construct_h(param: Parametrization, s0: complex, p0: complex) -> GammaInnerF
 
     The inputs must satisfy |p0| = 1, s0 = conj(s0) p0, |s0| < 2 and the
     defining identity s0 a - 2 b + 2 p0 c - s0 d = 0 within tolerance.  This
-    is the one-member call of the batch a family is built with.
+    is the batch of one of the construction a family's members go through.
     """
     return _raised(_construct_many(param, [(s0, p0)])[0])
 
 
 def _construct_many(param: Parametrization, base_values) -> list[GammaInnerFn | RoyalGammaError]:
-    """:func:`construct_h` of each (s0, p0), or the error that rejects it."""
-    admitted = [_attempt(_admit, param, s0, p0) for s0, p0 in base_values]
-    built = iter(_maps_from_numerators([item[2] for item in admitted if not isinstance(item, RoyalGammaError)]))
-    return [item if isinstance(item, RoyalGammaError) else _attempt(_anchored, param, next(built), *item[:2])
-            for item in admitted]
+    """:func:`construct_h` of each pair (s0, p0), or the error that rejects it.
 
+    Every check runs once over the members that passed the checks before
+    it, in construct_h's order, and is written so that a NaN fails it.  The
+    base values are checked with a member's Python complex arithmetic taken
+    part by part; the defining identity, both numerators and the denominator
+    are (members x coefficients) arrays, with ``Poly``'s padding and trim;
+    the maps are built and validated together; and the royal-range test and
+    the values at tau close the batch."""
+    base = np.array(base_values, dtype=complex).reshape(-1, 2)
+    s0, p0 = base.T
+    s0_modulus, p0_modulus = np.hypot(s0.real, s0.imag), np.hypot(p0.real, p0.imag)
+    out = _Outcomes(s0.size)
 
-def _admit(param: Parametrization, s0: complex, p0: complex):
-    """The base values checked and normalized, with the numerators and
-    denominator of their map.  Each check is written so that a NaN fails it."""
-    s0, p0 = complex(s0), complex(p0)
-    if not abs(abs(p0) - 1.0) <= RESIDUAL_TOL:
-        raise PreconditionViolated(f"|p0| = {abs(p0):.12g} is not 1")
-    p0 = p0 / abs(p0)
-    if not abs(s0) < 2.0:
-        raise PreconditionViolated(f"|s0| = {abs(s0):.12g} is not below 2")
-    if not abs(s0 - np.conj(s0) * p0) <= RESIDUAL_TOL * max(1.0, abs(s0)):
-        raise PreconditionViolated("s0 != conj(s0) p0: the pair is off the distinguished boundary")
-    identity = s0 * param.a - 2.0 * param.b + 2.0 * p0 * param.c - s0 * param.d
-    scale = max(_coeff_max(param.a), _coeff_max(param.b), _coeff_max(param.c), _coeff_max(param.d), 1.0)
-    if not _coeff_max(identity) <= RESIDUAL_TOL * 4.0 * scale:
-        raise PreconditionViolated(
-            f"defining identity violated by {_coeff_max(identity):.3e} (scale {scale:.3e})"
-        )
+    def precondition(passed, text):
+        out.check(passed, lambda i: PreconditionViolated(text(i)))
+        return out.live
 
-    num_s = 2.0 * (2.0 * p0 * param.c - s0 * param.d)
-    num_p = -2.0 * p0 * param.a + s0 * param.b
-    den = s0 * param.c - 2.0 * param.d
-    return s0, p0, (num_s, num_p, den)
+    live = precondition(np.abs(p0_modulus - 1.0) <= RESIDUAL_TOL, lambda i: f"|p0| = {p0_modulus[i]:.12g} is not 1")
+    p0[live] = _py_quotient(p0[live], p0_modulus[live])
+    live = precondition(s0_modulus[live] < 2.0, lambda i: f"|s0| = {s0_modulus[live[i]]:.12g} is not below 2")
+    gap = s0[live] - _py_product(np.conj(s0[live]), p0[live])
+    live = precondition(np.hypot(gap.real, gap.imag) <= RESIDUAL_TOL * np.maximum(1.0, s0_modulus[live]),
+                        lambda i: "s0 != conj(s0) p0: the pair is off the distinguished boundary")
 
+    # s0 a, s0 b, s0 c, s0 d, 2 p0 c and -2 p0 a, each the coefficients of one Poly product
+    parts = (param.a, param.b, param.c, param.d, param.c, param.a)
+    stacked = _stacked(parts)
+    scalars = np.empty((live.size, 6), complex)
+    scalars[:, :4] = s0[live, None]
+    scalars[:, 4:] = _py_product(p0[live, None], [2.0, -2.0])
+    products = stacked * scalars[:, :, None]
+    s0_a, s0_b, s0_c, s0_d, two_p0_c, minus_two_p0_a = (
+        products[:, k, :q.coeffs.size] for k, q in enumerate(parts))
+    # -(2.0 * b) and -(2.0 * d) as Poly computes them; doubling a trimmed Poly trims nothing
+    minus_two_b, minus_two_d = (-(q.coeffs * 2.0) for q in (param.b, param.d))
 
-def _anchored(param: Parametrization, h: GammaInnerFn | RoyalGammaError, s0: complex, p0: complex) -> GammaInnerFn:
-    """The built map, checked to leave the royal variety and to take its base values at tau."""
-    h = _raised(h)
-    if h.royal_range:
-        raise RoyalRange("constructed map degenerates into the royal variety")
-    anchor_gap = max(abs(h.s(param.tau) - s0), abs(h.p(param.tau) - p0))
-    if anchor_gap > 1e-6:
-        raise NumericalFailure(f"constructed map misses its base values by {anchor_gap:.3e}")
-    return h
+    def plus(left, right):
+        """``Poly``'s sum, row by row: the longer operand with the shorter added to its low part."""
+        if left.shape[-1] < right.shape[-1]:
+            left, right = right, left
+        total = np.empty((live.size, left.shape[-1]), complex)
+        total[:] = left
+        total[:, :right.shape[-1]] += right
+        return total
+
+    identity = plus(plus(plus(s0_a, minus_two_b), two_p0_c), -s0_d)
+    violation = np.abs(identity).max(axis=1)
+    scale = max(float(np.abs(stacked).max()), 1.0)
+    passed = violation <= RESIDUAL_TOL * 4.0 * scale
+    precondition(passed, lambda i: f"defining identity violated by {violation[i]:.3e} (scale {scale:.3e})")
+    numerators = (plus(two_p0_c, -s0_d) * 2.0, plus(minus_two_p0_a, s0_b), plus(s0_c, minus_two_d))
+    widths = [part.shape[1] for part in numerators]
+    rows = np.zeros((live.size, 3, max(widths)), complex)
+    for k, part in enumerate(numerators):
+        rows[:, k, :widths[k]] = part
+    rows = rows[passed]
+    sizes = _trimmed_sizes(rows.reshape(-1, rows.shape[2]), np.array(widths * len(rows), dtype=int)).reshape(-1, 3)
+    rows[np.arange(rows.shape[2]) >= sizes[:, :, None]] = 0.0
+    out.take(_maps_from_numerators(rows, sizes))
+    out.check(~np.array([out.items[i].royal_range for i in out.live], bool),
+              lambda i: RoyalRange("constructed map degenerates into the royal variety"))
+    polys = [q for i in out.live for q in (out.items[i].s.num, out.items[i].p.num, out.items[i].den)]
+    values = poly_eval_many(polys, [param.tau]).reshape(-1, 3).T
+    # numpy's quotient: the gap only meets the threshold, so its last bit does not matter
+    misses = values[:2] / values[2] - base[out.live].T
+    s_miss, p_miss = np.hypot(misses.real, misses.imag)
+    anchor_gap = np.where(p_miss > s_miss, p_miss, s_miss)  # Python's max(s gap, p gap)
+    out.check(~(anchor_gap > 1e-6), lambda i: NumericalFailure(
+        f"constructed map misses its base values by {anchor_gap[i]:.3e}"))
+    return out.items
 
 
 def generate_h_nu(nu: int, r: float) -> GammaInnerFn:
@@ -608,39 +563,6 @@ class VerificationReport:
         }
 
 
-def _phi_check_omegas(s_at_nodes: np.ndarray, data: BlaschkeData) -> np.ndarray:
-    """Eight deterministic probe points staying away from the removable
-    singularities -conj(eta_j) and from near-poles of the composed function,
-    given s at the nodes.
-
-    A rigid comb of eight is turned in 300 small steps; where no turn clears
-    every singularity (from nine boundary nodes on it cannot), each probe
-    goes on its own into the widest gaps between the singularities."""
-    forbidden = [-np.conj(data.eta[j]) for j in range(data.k)]
-
-    def clear(probes):
-        ok = all(abs(w - f) > 0.05 for w in probes for f in forbidden)
-        # keep |2 - omega s| bounded away from zero at every node
-        return ok and bool(np.all(np.abs(2.0 - probes[:, None] * s_at_nodes[None, :]) > 0.02))
-
-    for shift in range(300):
-        probes = np.exp(1j * (np.pi * (2.0 * np.arange(8) + 1.0) / 8.0 + 0.0137 * shift))
-        if clear(probes):
-            return probes
-    if forbidden:
-        starts = np.sort(np.angle(forbidden) % (2.0 * np.pi))
-        widths = np.diff(starts, append=starts[0] + 2.0 * np.pi)
-        counts = np.zeros(starts.size, int)
-        for _ in range(8):
-            # the next probe splits the gap whose probes lie farthest apart
-            counts[np.argmax(widths / (counts + 1))] += 1
-        probes = np.exp(1j * np.concatenate([start + width * np.arange(1, count + 1) / (count + 1)
-                                             for start, width, count in zip(starts, widths, counts)]))
-        if clear(probes):
-            return probes
-    raise NumericalFailure("could not place probe points away from all singularities")
-
-
 def verify_royal_solution(
     h: GammaInnerFn, data: BlaschkeData, *, pass_tol: float | None = None
 ) -> VerificationReport:
@@ -651,75 +573,69 @@ def verify_royal_solution(
     grid, reduced degree, the linear-fractional cross-check at eight probe
     parameters, and the pole locations.  ``passed`` is true iff every
     residual is at most ``pass_tol`` (by default ``RESIDUAL_TOL``) and the
-    structural checks hold.
+    structural checks hold.  This is the batch of one of the verification a
+    family's members go through.
     """
+    return _verify_many([h], data, pass_tol)[0]
+
+
+def _verify_many(maps: Sequence[GammaInnerFn], data: BlaschkeData, pass_tol: float | None) -> list[VerificationReport]:
+    """:func:`verify_royal_solution` of each map, as (maps x nodes) array passes."""
     pass_tol = RESIDUAL_TOL if pass_tol is None else float(pass_tol)
-    sigma = np.array(data.sigma)
-    eta = np.array(data.eta)
-    polys = (h.s.num, h.p.num, h.den)
-    num_s, num_p, den, d_num_s, d_num_p, d_den = poly_eval_many([*polys, *(q.derivative() for q in polys)], sigma)
+    sigma, eta, k = np.array(data.sigma), np.array(data.eta), data.k
+    coeffs = _stacked([q for h in maps for q in (h.s.num, h.p.num, h.den)])
+    derivatives = np.zeros_like(coeffs)
+    derivatives[:, :-1] = coeffs[:, 1:] * np.arange(1, coeffs.shape[1])
+    values = _horner(np.concatenate((coeffs, derivatives)), sigma)
+    num_s, num_p, den, d_num_s, d_num_p, d_den = values.reshape(2, -1, 3, sigma.size).transpose(0, 2, 1, 3).reshape(6, -1, sigma.size)
     s_at_nodes, p_at_nodes = num_s / den, num_p / den
-    residuals: dict[str, float] = {}
-    failures: list[str] = []
-    residuals["interp_s_max"] = float(np.max(np.abs(s_at_nodes + 2.0 * eta)))
-    residuals["interp_p_max"] = float(np.max(np.abs(p_at_nodes - eta * eta)))
-    if data.k:
-        phasars = phasar_from_values(h.p, sigma[: data.k], [x[: data.k].tolist() for x in (num_p, den, d_num_p, d_den)])
-        residuals["phasar_p_max"] = max([0.0, *(abs(float(ap) - 2.0 * rho) for ap, rho in zip(phasars, data.rho))])
-    p_uni, sym, s_excess = h.circle_residuals
-    residuals["circle_p_unimodular_max"] = p_uni
-    residuals["circle_s_symmetry_max"] = sym
-    residuals["circle_s_bound_excess"] = max(s_excess, 0.0)
-    if h.degree != data.n:
-        failures.append(f"degree {h.degree} != {data.n}")
-    if h.royal_range:
-        failures.append("royal_range")
-    else:
-        # compensated s and p keep their digits next to a denominator root; s', p' by the quotient rule
-        acc_s, acc_p, acc_den = poly_eval_compensated(polys, sigma)
-        s, p = acc_s / acc_den, acc_p / acc_den
-        ds, dp = (d_num_s - s * d_den) / acc_den, (d_num_p - p * d_den) / acc_den
-        try:
-            probes = _phi_check_omegas(s_at_nodes, data)
-            residuals.update(_crosscheck(probes, data, s, p, ds, dp))
-        except RoyalGammaError as exc:
-            failures.append(f"composed cross-check failed: {exc}")
-    den_min = h.denominator_min_root_modulus
-    if den_min <= 1.0:
-        failures.append(f"denominator root of modulus {den_min:.12g} inside the closed disc")
-    for name, value in residuals.items():
-        if not value <= pass_tol:  # a NaN fails too
-            failures.append(f"{name} = {value:.3e} exceeds {pass_tol:.1e}")
-    return VerificationReport(
-        residuals=residuals, degree_expected=data.n, degree_actual=h.degree,
-        denominator_min_root_modulus=den_min, royal_range=h.royal_range,
-        passed=not failures, failures=tuple(failures), pass_tol=pass_tol,
-    )
+    interp_s = np.max(np.abs(s_at_nodes + 2.0 * eta), axis=1).tolist()
+    interp_p = np.max(np.abs(p_at_nodes - eta * eta), axis=1).tolist()
 
+    # the cross-check, for the maps off the royal variety
+    live = np.array([not h.royal_range for h in maps], bool)
+    live = slice(None) if live.all() else live
+    # compensated s and p keep their digits next to a denominator root; s', p' by the quotient rule
+    rows = coeffs.reshape(len(maps), 3, coeffs.shape[1])[live].reshape(-1, coeffs.shape[1])
+    acc_s, acc_p, acc_den = _compensated_horner(rows, sigma).reshape(-1, 3, sigma.size).transpose(1, 0, 2)
+    s, p = acc_s / acc_den, acc_p / acc_den
+    ds, dp = (d_num_s[live] - s * d_den[live]) / acc_den, (d_num_p[live] - p * d_den[live]) / acc_den
+    crosschecks = iter(_crosscheck(_phi_check_omegas(s_at_nodes[live], data), data, s, p, ds, dp))
 
-def _crosscheck(probes: np.ndarray, data: BlaschkeData, s, p, ds, dp) -> dict[str, float]:
-    """Residuals of (2 omega p - s)/(2 - omega s), one function per probe
-    omega, from s, p, s' and p' at the nodes: with top = 2 omega p - s and
-    bottom = 2 - omega s (both at most 4 in modulus), its value top/bottom
-    should be eta_j, and its phasar derivative at a boundary node z, by the
-    chain rule Re(z ((2 omega p' - s')/top + omega s'/bottom)), rho_j.  Raises
-    at the first probe, and within it the first node, where bottom or (at a
-    boundary node) top is at most 1e3 TRIM_TOL."""
-    k = data.k
-    omega = probes[:, None]
-    top, bottom = 2.0 * omega * p - s, 2.0 - omega * s
-    vanishes = (np.abs(top) <= 1e3 * TRIM_TOL) & (np.arange(top.shape[1]) < k)
-    pole = np.abs(bottom) <= 1e3 * TRIM_TOL
-    if np.any(vanishes | pole):
-        probe, node = np.argwhere(vanishes | pole)[0]
-        what = "vanishes" if vanishes[probe, node] else "has a pole"
-        raise ZeroOrPoleAtPoint(f"function {what} at {complex(data.sigma[node])}")
-    residuals = {"phi_omega_interp_max": float(np.max(np.abs(top / bottom - np.array(data.eta))))}
-    if k:
-        z = np.array(data.sigma[:k])
-        phasar = z * ((2.0 * omega * dp[:k] - ds[:k]) / top[:, :k] + omega * ds[:k] / bottom[:, :k])
-        residuals["phi_omega_phasar_max"] = float(np.max(np.abs(phasar.real - np.array(data.rho))))
-    return residuals
+    reports = []
+    for index, h in enumerate(maps):
+        residuals: dict[str, float] = {"interp_s_max": interp_s[index], "interp_p_max": interp_p[index]}
+        failures: list[str] = []
+        if k:
+            parts = [x[index, :k].tolist() for x in (num_p, den, d_num_p, d_den)]
+            phasars = phasar_from_values(h.p, sigma[:k], parts)
+            residuals["phasar_p_max"] = max([0.0, *(abs(float(ap) - 2.0 * rho) for ap, rho in zip(phasars, data.rho))])
+        p_uni, sym, s_excess = h.circle_residuals
+        residuals["circle_p_unimodular_max"] = p_uni
+        residuals["circle_s_symmetry_max"] = sym
+        residuals["circle_s_bound_excess"] = max(s_excess, 0.0)
+        if h.degree != data.n:
+            failures.append(f"degree {h.degree} != {data.n}")
+        if h.royal_range:
+            failures.append("royal_range")
+        else:
+            outcome = next(crosschecks)
+            if isinstance(outcome, str):
+                failures.append(f"composed cross-check failed: {outcome}")
+            else:
+                residuals.update(outcome)
+        den_min = h.denominator_min_root_modulus
+        if den_min <= 1.0:
+            failures.append(f"denominator root of modulus {den_min:.12g} inside the closed disc")
+        for name, value in residuals.items():
+            if not value <= pass_tol:  # a NaN fails too
+                failures.append(f"{name} = {value:.3e} exceeds {pass_tol:.1e}")
+        reports.append(VerificationReport(
+            residuals=residuals, degree_expected=data.n, degree_actual=h.degree,
+            denominator_min_root_modulus=den_min, royal_range=h.royal_range,
+            passed=not failures, failures=tuple(failures), pass_tol=pass_tol,
+        ))
+    return reports
 
 
 @dataclass(frozen=True)
@@ -767,7 +683,9 @@ def solve_royal_problem(
     A unique base-value pair gives one solution; a family is sampled on an
     ``omega_grid``-point circle grid, plus the parameters that
     ``extra_omegas_fn`` returns for the chosen base point (e.g. an exact
-    parameter computed from a candidate solution)."""
+    parameter computed from a candidate solution).  The members are selected
+    in one array pass, then built and verified in array passes over blocks
+    of them; a map and a report are made per member only as output."""
     M = build_pick_matrix(data)
     positivity = check_positive_definite(M)
     result = functools.partial(RoyalPipelineResult, data=data, positivity=positivity)
@@ -780,25 +698,19 @@ def solve_royal_problem(
     if s0p0.kind == "none":
         return result("not_solvable", 3, f"no admissible base values (s0, p0); residual {s0p0.residual:.6g}")
     if s0p0.kind == "unique":
-        members = [FamilyMember(s0p0.omega, s0p0.t, s0p0.s0, s0p0.p0)]
+        members = FamilyMember(*(np.array([part]) for part in (s0p0.omega, s0p0.t, s0p0.s0, s0p0.p0)))
     else:
-        omegas = list(circle_grid(omega_grid))
-        if extra_omegas_fn is not None:
-            omegas.extend(extra_omegas_fn(param.tau))
-        members = []
-        for omega in omegas:
-            found = s0p0.member(omega)
-            if found is not None:
-                members.append(found)
-    built: list[tuple[FamilyMember, GammaInnerFn]] = []
+        extras = [] if extra_omegas_fn is None else [complex(omega) for omega in extra_omegas_fn(param.tau)]
+        members = s0p0.members(np.concatenate((circle_grid(omega_grid), np.array(extras, dtype=complex))))
+    solutions: list[RoyalSolution] = []
     skipped: list[str] = []
-    for mem, h in zip(members, _construct_many(param, [(mem.s0, mem.p0) for mem in members])):
-        if isinstance(h, RoyalGammaError):
-            skipped.append(f"omega = {mem.omega}: {h}")
-        else:
-            built.append((mem, h))
-    solutions = [RoyalSolution(mem.omega, mem.t, mem.s0, mem.p0, h, verify_royal_solution(h, data, pass_tol=pass_tol))
-                 for mem, h in built]
+    for start in range(0, members.omega.size, _BLOCK):
+        block = [part[start:start + _BLOCK].tolist() for part in members]
+        built = _construct_many(param, np.column_stack((members.s0[start:start + _BLOCK], members.p0[start:start + _BLOCK])))
+        skipped += [f"omega = {omega}: {h}" for omega, h in zip(block[0], built) if isinstance(h, RoyalGammaError)]
+        kept = [(mem, h) for mem, h in zip(zip(*block), built) if not isinstance(h, RoyalGammaError)]
+        reports = _verify_many([h for _, h in kept], data, pass_tol)
+        solutions += [RoyalSolution(*mem, h, report) for (mem, h), report in zip(kept, reports)]
     if not solutions:
         detail = "the family accepted no member with real t in (-1, 1) on the sampled grid"
         if skipped:

@@ -67,6 +67,15 @@ def _trim_coeffs(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[:keep].copy()
 
 
+def _trimmed_sizes(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """How many coefficients ``Poly`` keeps of each row's first ``sizes``
+    entries, decided as :func:`_trim_coeffs` decides it; the entries beyond
+    them must be zero."""
+    kept = ~(np.hypot(rows.real, rows.imag) <= TRIM_TOL * np.abs(rows).max(axis=1, keepdims=True))
+    # beyond its size a row keeps nothing, unless a NaN scale keeps everything
+    return np.minimum(np.where(kept, np.arange(1, rows.shape[1] + 1), 0).max(axis=1), sizes)
+
+
 class Poly:
     """Dense complex polynomial, coefficient of lambda**j at index j.
 
@@ -171,11 +180,16 @@ class Poly:
 
 def _horner(coeffs: np.ndarray, z) -> np.ndarray:
     """One polynomial at every point of ``z``; for 2-D ``coeffs``, the
-    polynomial of each row at the points in the same row of ``z``."""
+    polynomial of each row at the points ``z`` or, for 2-D ``z``, at the
+    points in the same row of ``z``."""
     # numpy arithmetic even at a scalar z: Python complex rounds x*y + w differently
     z = np.asarray(z, dtype=complex)
-    out = np.zeros(z.shape, complex)
-    for c in (coeffs.T[:, :, None] if coeffs.ndim == 2 else coeffs)[::-1]:
+    if coeffs.ndim == 2:
+        out = np.zeros((coeffs.shape[0], z.shape[-1]), complex)
+        coeffs = coeffs.T[:, :, None]
+    else:
+        out = np.zeros(z.shape, complex)
+    for c in coeffs[::-1]:
         out = out * z + c
     return out
 
@@ -193,11 +207,58 @@ def poly_eval_many(polys: Sequence[Poly], z) -> np.ndarray:
     in one row-wise Horner pass: bit for bit the values :func:`poly_eval`
     gives.  The zero padding on top of a shorter row keeps its Horner value
     at +0 until the first true coefficient."""
-    z = np.asarray(z, dtype=complex)
-    coeffs = np.zeros((len(polys), max((q.coeffs.size for q in polys), default=0)), complex)
+    return _horner(_stacked(polys), z)
+
+
+def _stacked(polys: Sequence[Poly], width: int = 1) -> np.ndarray:
+    """The coefficients of each polynomial as a row, zero-padded on top to a
+    common width of at least ``width``."""
+    coeffs = np.zeros((len(polys), max([width] + [q.coeffs.size for q in polys])), complex)
     for row, q in zip(coeffs, polys):
         row[: q.coeffs.size] = q.coeffs
-    return _horner(coeffs, np.broadcast_to(z, (len(polys), z.shape[-1])))
+    return coeffs
+
+
+def _complex(re, im) -> np.ndarray:
+    """The complex array with these real and imaginary parts, exactly."""
+    out = np.empty(np.broadcast(re, im).shape, complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _py_product(a, b) -> np.ndarray:
+    """a * b elementwise, rounded as Python's (and numpy's scalar) complex
+    product rounds it; numpy's array product fuses some of its steps."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return _complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def _py_quotient(a, b) -> np.ndarray:
+    """a / b elementwise, rounded as Python's complex division rounds it
+    (Smith's method; numpy's multiplies by a reciprocal instead).  A real
+    ``b`` is the complex number (b, +0.0), as Python takes a float."""
+    a = np.asarray(a, dtype=complex)
+    if not np.iscomplexobj(b):
+        ratio = 0.0 / b
+        return _complex((a.real + a.imag * ratio) / b, (a.imag - a.real * ratio) / b)
+    # divide through by the larger part of b; the other part over it is the ratio
+    by_real = np.abs(b.real) >= np.abs(b.imag)
+    larger, smaller = np.where(by_real, b.real, b.imag), np.where(by_real, b.imag, b.real)
+    first, second = np.where(by_real, a.real, a.imag), np.where(by_real, a.imag, a.real)
+    ratio = smaller / larger
+    denom = larger + smaller * ratio
+    cross = first * ratio
+    return _complex((first + second * ratio) / denom, np.where(by_real, second - cross, cross - second) / denom)
+
+
+def _products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The product of the polynomials whose coefficients run along the last
+    axis of ``left`` and ``right``, one for each index of the other axes."""
+    width = right.shape[-1]
+    out = np.zeros(left.shape[:-1] + (left.shape[-1] + width - 1,), complex)
+    for power in range(left.shape[-1]):
+        out[..., power:power + width] += left[..., power:power + 1] * right
+    return out
 
 
 def _two_sum(a, b):
@@ -207,27 +268,55 @@ def _two_sum(a, b):
     return s, (a - (s - t)) + (b - t)
 
 
-def _two_product(a, b):
-    """a * b and its rounding error (Dekker's TwoProduct; 2**27 + 1 splits a double in halves)."""
-    a1, b1 = (x * 134217729.0 - (x * 134217729.0 - x) for x in (a, b))
-    p = a * b
-    return p, ((a1 * b1 - p) + a1 * (b - b1) + (a - a1) * b1) + (a - a1) * (b - b1)
+def _halves(x):
+    """Dekker's split of x into a high half of 26 bits and the low rest (2**27 + 1 splits a double)."""
+    scaled = x * 134217729.0
+    high = scaled - (scaled - x)
+    return high, x - high
+
+
+def _product_error(a_halves, b_halves, p):
+    """The rounding error of the product p = a * b, from the halves of a and b (Dekker's TwoProduct)."""
+    (a1, a2), (b1, b2) = a_halves, b_halves
+    return ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+def _compensated_horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Each row of ``coeffs`` at the points ``z`` by compensated Horner.
+
+    A step's value v is kept as two planes, its real and imaginary parts.
+    v z is v Re(z) plus (i v) Im(z), both products taken part by part in one
+    pass with their rounding errors; z's parts are split in halves once, and
+    v's once per step for both products."""
+    rows, size = coeffs.shape[0], z.size
+    # arrays over (part, row, point), the real part at index 0 and the imaginary part at 1
+    z_parts = np.empty((2, 1, rows, size))
+    z_parts[0], z_parts[1] = z.real, z.imag
+    z_halves = _halves(z_parts)
+    planes = np.empty((coeffs.shape[1], 2, rows, size))
+    planes[:, 0], planes[:, 1] = coeffs.T.real[:, :, None], coeffs.T.imag[:, :, None]
+    swap_sign = np.array([-1.0, 1.0])[:, None, None]  # v Im(z) swapped and so signed is (i v) Im(z)
+    out = np.zeros((2, rows, size))
+    err = np.zeros((rows, size), complex)
+    for c in planes[::-1]:
+        products = out * z_parts  # [v Re(z), v Im(z)], each as [real part, imaginary part]
+        errors = _product_error(_halves(out), z_halves, products)
+        out, e3 = _two_sum(products[0], products[1, ::-1] * swap_sign)
+        out, e4 = _two_sum(out, c)
+        errors = ((errors[0] + errors[1, ::-1] * swap_sign) + e3) + e4
+        err = err * z
+        err.real += errors[0]
+        err.imag += errors[1]
+    err.real += out[0]
+    err.imag += out[1]
+    return err
 
 
 def poly_eval_compensated(polys: Sequence[Poly], z) -> np.ndarray:
     """Each polynomial at the points ``z`` by compensated Horner (Graillat and
     Ménissier-Morain, 2008): as accurate as Horner in twice the working
     precision rounded once, so a value next to a root keeps its leading digits."""
-    z = np.asarray(z, dtype=complex)
-    size = max(q.coeffs.size for q in polys)
-    out = err = np.zeros((len(polys), z.size), complex)
-    for c in np.array([q.padded(size) for q in polys]).T[::-1, :, None]:
-        # out * z + c = out + e1 + e2 + e3 + e4 exactly, the products taken part by part
-        (p1, e1), (p2, e2) = _two_product(out, z.real), _two_product(1j * out, z.imag)
-        out, e3 = _two_sum(p1, p2)
-        out, e4 = _two_sum(out, c)
-        err = err * z + (e1 + e2 + e3 + e4)
-    return out + err
+    return _compensated_horner(_stacked(polys), np.asarray(z, dtype=complex))
 
 
 def poly_derivative(p: Poly) -> Poly:
@@ -424,20 +513,44 @@ def joint_reduce_many(items: Sequence[tuple[tuple[Poly, ...], Poly]]) -> list[tu
 
     A zero numerator shares every root.  Each stripped polynomial keeps its
     leading coefficient; unlike :func:`rat_reduce` there is no sampled check.
-    All roots come from one :func:`poly_roots_many` call.  Returns
-    (numerators, denominator, denominator roots) per pair: the inputs
+    Returns (numerators, denominator, denominator roots) per pair: the inputs
     themselves when nothing cancels, and the roots left after the
     cancellation, each repeated by its multiplicity.
+
+    Every denominator's roots come from one :func:`poly_roots_many` call.  A
+    pair can cancel only where all its numerators nearly vanish at a root z
+    of the denominator, within 1e-3 of sum_j |c_j| (|z| + 1)^j: a numerator
+    with a found root within ``ROOT_CLUSTER_TOL`` of z is at most that
+    distance times this sum there, plus its small residual at the root.
+    Only for such pairs are the numerators' roots found, in one more call,
+    and paired.
     """
-    found = iter(poly_roots_many([q for nums, den in items if den.degree >= 1
-                                  for q in (den, *nums) if q.degree >= 1]))
+    pairs = [index for index, (_, den) in enumerate(items) if den.degree >= 1]
+    den_clusters = dict(zip(pairs, poly_roots_many([items[index][1] for index in pairs])))
+    numerators = [q for index in pairs for q in items[index][0]]
+    width = max([1] + [len(clusters) for clusters in den_clusters.values()])
+    points = np.zeros((len(numerators), width), complex)
+    rows = iter(points)
+    for index in pairs:
+        for _ in items[index][0]:
+            row = next(rows)
+            row[: len(den_clusters[index])] = [rc.value for rc in den_clusters[index]]
+    coeffs = _stacked(numerators)
+    vanishing = np.abs(_horner(coeffs, points)) <= 1e-3 * _horner(np.abs(coeffs), np.abs(points) + 1.0).real
+    vanishing = iter(vanishing.tolist())
+    cancelling = set()
+    for index in pairs:
+        nums = items[index][0]
+        together = [all(column) for column in zip(*(next(vanishing) for _ in nums))]
+        if not nums or any(together[: len(den_clusters[index])]):
+            cancelling.add(index)
+    found = iter(poly_roots_many([q for index in sorted(cancelling) for q in items[index][0] if q.degree >= 1]))
     out = []
-    for nums, den in items:
-        den_roots: list[complex] = []
-        if den.degree >= 1:
-            den_clusters = next(found)
+    for index, (nums, den) in enumerate(items):
+        den_roots = [rc.value for rc in den_clusters.get(index, []) for _ in range(rc.multiplicity)]
+        if index in cancelling:
             num_clusters = [None if q.is_zero else next(found) if q.degree >= 1 else [] for q in nums]
-            den_roots, num_roots, cancelled = _pair_roots(den_clusters, num_clusters, ROOT_CLUSTER_TOL)
+            den_roots, num_roots, cancelled = _pair_roots(den_clusters[index], num_clusters, ROOT_CLUSTER_TOL)
             if cancelled:
                 nums = tuple(q if roots is None else Poly.from_roots(roots, leading=q.leading)
                              for q, roots in zip(nums, num_roots))

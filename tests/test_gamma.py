@@ -368,22 +368,23 @@ class TestFamilyVerificationMatchesSingleMaps:
 
     def test_a_failing_probe_stops_only_its_own_map(self, monkeypatch):
         import royalgamma.gamma
-        from royalgamma.errors import NumericalFailure
 
+        # the family's maps are verified in one pass; a probe at a singularity of the second map fails only it
         data = boundary_example_data()
         reference = [sol.report.to_json_dict() for sol in solve_royal_problem(data, omega_grid=6).solutions]
         original = royalgamma.gamma._phi_check_omegas
-        calls = []
+        passes = []
 
-        def failing_second(s_at_nodes, data):
-            calls.append(None)
-            if len(calls) == 2:
-                raise NumericalFailure("probes of the second map")
-            return original(s_at_nodes, data)
+        def singular_second(s_at_nodes, data):
+            passes.append(len(s_at_nodes))
+            probes = original(s_at_nodes, data)
+            probes[1, 3] = -np.conj(data.eta[0])  # top and bottom vanish together at the boundary node
+            return probes
 
-        monkeypatch.setattr(royalgamma.gamma, "_phi_check_omegas", failing_second)
+        monkeypatch.setattr(royalgamma.gamma, "_phi_check_omegas", singular_second)
         together = [sol.report.to_json_dict() for sol in solve_royal_problem(data, omega_grid=6).solutions]
-        assert "composed cross-check failed: probes of the second map" in together[1]["failures"]
+        assert passes == [len(together)] and len(together) > 2
+        assert "composed cross-check failed: function vanishes at (1+0j)" in together[1]["failures"]
         assert "phi_omega_interp_max" not in together[1]["residuals"]
         assert together[:1] + together[2:] == reference[:1] + reference[2:]
         assert "phi_omega_phasar_max" in together[0]["residuals"]
@@ -402,25 +403,26 @@ class TestFamilyVerificationMatchesSingleMaps:
     def test_a_solve_verifies_each_member_once(self, monkeypatch):
         import royalgamma.gamma
 
-        original = royalgamma.gamma.verify_royal_solution
+        original = royalgamma.gamma._verify_many
         calls = []
 
-        def counting(h, data, **options):
-            calls.append(options)
-            return original(h, data, **options)
+        def counting(maps, data, pass_tol):
+            calls.append((list(maps), pass_tol))
+            return original(maps, data, pass_tol)
 
-        monkeypatch.setattr(royalgamma.gamma, "verify_royal_solution", counting)
+        monkeypatch.setattr(royalgamma.gamma, "_verify_many", counting)
         result = solve_royal_problem(boundary_example_data(), omega_grid=12, pass_tol=1e-6)
-        assert len(calls) == len(result.solutions) > 1
-        assert calls == [{"pass_tol": 1e-6}] * len(calls)
+        # one pass over the family, in which every built map is verified exactly once, under the solve's pass_tol
+        assert len(calls) == 1 and len(result.solutions) > 1
+        assert [id(h) for h in calls[0][0]] == [id(sol.h) for sol in result.solutions]
+        assert calls[0][1] == 1e-6
         assert all(sol.report.pass_tol == 1e-6 for sol in result.solutions)
 
     def test_aborted_cross_check_keeps_its_failure(self, monkeypatch):
         import royalgamma.gamma
-        from royalgamma.errors import NumericalFailure
 
         def nowhere(s_at_nodes, data):
-            raise NumericalFailure("could not place probe points away from all singularities")
+            return np.full((len(s_at_nodes), 8), complex(np.nan, np.nan))
 
         # every probe placement fails, as it did from degree 10 on before the gap fallback
         monkeypatch.setattr(royalgamma.gamma, "_phi_check_omegas", nowhere)
@@ -432,6 +434,33 @@ class TestFamilyVerificationMatchesSingleMaps:
         for report in together:
             assert "composed cross-check failed: could not place probe points away from all singularities" in report["failures"]
             assert "phi_omega_interp_max" not in report["residuals"]
+
+    def test_a_mixed_batch(self, monkeypatch):
+        import royalgamma.gamma
+        from royalgamma.gamma import _verify_many
+
+        data = boundary_example_data()
+        members = [sol.h for sol in solve_royal_problem(data, omega_grid=8).solutions]
+        factor = Poly.from_roots([0.3 + 0.4j], leading=2.0 - 1j)
+        shared = GammaInnerFn.from_numerators(*(q * factor for q in (members[3].s.num, members[3].p.num, members[3].den)))
+        wrong_degree = GammaInnerFn.from_numerators(Poly([0.0, 2.0]) * 1j, Poly([0.0, 0.0, -1.0]), Poly([1.0]))
+        # the cross-check of members[1] aborts: a probe at the singularity of its boundary node
+        target = members[1].s(np.array(data.sigma))
+        original = royalgamma.gamma._phi_check_omegas
+
+        def aborting(s_at_nodes, data):
+            probes = original(s_at_nodes, data)
+            probes[np.all(s_at_nodes == target, axis=-1), 3] = -np.conj(data.eta[0])
+            return probes
+
+        monkeypatch.setattr(royalgamma.gamma, "_phi_check_omegas", aborting)
+        maps = [members[0], royal_range_map(), members[1], shared, wrong_degree, royal_range_map(), *members[2:]]
+        together = [report.to_json_dict() for report in _verify_many(maps, data, None)]
+        assert together == [verify_royal_solution(h, data).to_json_dict() for h in maps]
+        assert "composed cross-check failed: function vanishes at (1+0j)" in together[2]["failures"]
+        assert "royal_range" in together[1]["failures"] and "royal_range" in together[5]["failures"]
+        assert together[3]["pass"] and not together[4]["pass"]
+        assert "phi_omega_phasar_max" in together[0]["residuals"]
 
     @seed(1212)
     @settings(max_examples=16, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
@@ -465,7 +494,7 @@ def _map_facts(h):
     if isinstance(h, RoyalGammaError):
         return type(h).__name__, str(h)
     return ([_bits(q.coeffs) for q in (h.s.num, h.p.num, h.den, h.s.den)], h.s.den is h.p.den,
-            _bits(h.denominator_min_root_modulus), _bits(h.circle_residuals))
+            _bits(h.denominator_min_root_modulus), _bits(h.circle_residuals), h.royal_range)
 
 
 def _built_alone(param, pairs):
@@ -474,6 +503,31 @@ def _built_alone(param, pairs):
     for s0, p0 in pairs:
         try:
             out.append(construct_h(param, s0, p0))
+        except RoyalGammaError as exc:
+            out.append(exc)
+    return out
+
+
+def _member_bits(member):
+    """A family member's omega, t, s0 and p0, exact to the bit."""
+    return None if member is None else [_bits(part) for part in member]
+
+
+def _numerator_rows(triples):
+    """(num_s, num_p, den) triples as the rows and lengths the batch builder takes."""
+    rows = np.zeros((len(triples), 3, max(q.coeffs.size for triple in triples for q in triple)), complex)
+    for row, triple in zip(rows, triples):
+        for part, q in zip(row, triple):
+            part[: q.coeffs.size] = q.coeffs
+    return rows, np.array([[q.coeffs.size for q in triple] for triple in triples])
+
+
+def _from_numerators_alone(triples):
+    """GammaInnerFn.from_numerators of each triple on its own, or the error it raises."""
+    out = []
+    for triple in triples:
+        try:
+            out.append(GammaInnerFn.from_numerators(*triple))
         except RoyalGammaError as exc:
             out.append(exc)
     return out
@@ -550,6 +604,45 @@ class TestBatchedConstructionMatchesSingleMembers:
         assert gamma_inner_distance(shared, h) <= 1e-12
         _assert_roots_reused(shared, cancelled=True)
 
+    def test_a_mixed_batch(self):
+        from royalgamma.gamma import _construct_many, _maps_from_numerators
+
+        data = boundary_example_data()
+        param = pipeline_parts(data)[2]
+        family = solve_s0_p0(param, data)
+        grid = circle_grid(32)
+        # in the middle: no member at NaN, infinite and zero omega; the grid's omega = +-i (grid[8], grid[24])
+        # are members up to rounding, and their maps fall into the royal variety
+        omegas = [*grid[5:10], complex(np.nan, 0.0), complex(0.0, np.inf), 0j, *grid[22:27]]
+        members = family.members(np.array(omegas))
+        alone = [family.member(omega) for omega in omegas]
+        assert [_member_bits(member) for member in zip(*members)] == [
+            _member_bits(member) for member in alone if member is not None]
+        assert [member is None for member in alone] == [False] * 5 + [True] * 3 + [False] * 5
+
+        # in the middle: NaN base values and precondition failures
+        pairs = [(member.s0, member.p0) for member in alone if member is not None]
+        pairs[5:5] = [(complex(np.nan, 0.0), 1.0), (0.5, complex(1.0, np.nan)), (0.1, 0.5), (2.5, 1.0), (0.3, 1.0)]
+        batch = _construct_many(param, pairs)
+        assert [_map_facts(h) for h in batch] == [_map_facts(h) for h in _built_alone(param, pairs)]
+        assert [type(h).__name__ for h in batch if isinstance(h, RoyalGammaError)] == (
+            ["RoyalRange"] + ["PreconditionViolated"] * 5 + ["RoyalRange"])
+
+        # in the middle: a cancelled shared factor, a denominator root in the disc, violated boundary
+        # identities and a map into the royal variety, among maps whose triples are not monic
+        h = generate_h_nu(1, 0.5)
+        factor = Poly.from_roots([0.3 + 0.4j], leading=2.0 - 1j)
+        triples = [(q.s.num * 3j, q.p.num * 3j, q.den * 3j) for q in (b for b in batch if not isinstance(b, RoyalGammaError))]
+        triples[2:2] = [(h.s.num * factor, h.p.num * factor, h.den * factor),
+                        (h.s.num, h.p.num, Poly.from_roots([0.5, -3.0, 2.0j, 1.5])),
+                        (h.s.num * 1.1, h.p.num, h.den),
+                        (Poly([0.0, 2.0]), Poly([0.0, 0.0, 1.0]), Poly([1.0]))]
+        built = _maps_from_numerators(*_numerator_rows(triples))
+        assert [_map_facts(q) for q in built] == [_map_facts(q) for q in _from_numerators_alone(triples)]
+        assert [type(q).__name__ for q in built[2:6]] == ["GammaInnerFn", "DenominatorZeroInDisc", "NumericalFailure",
+                                                          "GammaInnerFn"]
+        assert built[2].den.degree == h.den.degree and built[5].royal_range
+
     @seed(1313)
     @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
     @given(
@@ -569,6 +662,36 @@ class TestBatchedConstructionMatchesSingleMembers:
         result = solve_royal_problem(data, omega_grid=8)
         assume(result.s0p0 is not None and result.s0p0.kind != "none")
         self._check(data, 8)
+
+
+class TestSolveBlocks:
+    """A solve builds and verifies its members in blocks of a fixed size; the
+    blocks change no map, report or skip text."""
+
+    @pytest.mark.parametrize("block", [1, 3, 4])
+    def test_blocks_do_not_change_results(self, monkeypatch, block):
+        import royalgamma.gamma
+
+        data = boundary_example_data()
+        whole = solve_royal_problem(data, omega_grid=32)
+        param = whole.parametrization
+        members = [member for member in map(whole.s0p0.member, circle_grid(32)) if member is not None]
+        alone = _built_alone(param, [(member.s0, member.p0) for member in members])
+        skips = [i for i, h in enumerate(alone) if isinstance(h, RoyalGammaError)]
+        # a block boundary falls between a skipped member and a kept one; with blocks of one, a block
+        # holds only a skipped member
+        assert len(skips) == 2 and any(i % block == 0 or (i + 1) % block == 0 for i in skips)
+        monkeypatch.setattr(royalgamma.gamma, "_BLOCK", block)
+        blocked = solve_royal_problem(data, omega_grid=32)
+        kept = [(member, h) for member, h in zip(members, alone) if not isinstance(h, RoyalGammaError)]
+        assert [_map_facts(sol.h) for sol in blocked.solutions] == [_map_facts(h) for _, h in kept]
+        assert [sol.report.to_json_dict() for sol in blocked.solutions] == [
+            verify_royal_solution(h, data).to_json_dict() for _, h in kept]
+        assert [_member_bits((sol.omega, sol.t, sol.s0, sol.p0)) for sol in blocked.solutions] == [
+            _member_bits(member) for member, _ in kept]
+        assert list(blocked.skipped) == [f"omega = {member.omega}: {h}" for member, h in zip(members, alone)
+                                         if isinstance(h, RoyalGammaError)]
+        assert [_map_facts(sol.h) for sol in whole.solutions] == [_map_facts(sol.h) for sol in blocked.solutions]
 
 
 def _comb_probes(s_at_nodes, data):
@@ -739,7 +862,7 @@ class TestPointCrossCheck:
 
         data = boundary_example_data() if example == "boundary" else interior_example_data()
         h = solve_royal_problem(data, omega_grid=4).solutions[0].h
-        monkeypatch.setattr(royalgamma.gamma, "_phi_check_omegas", lambda s_at_nodes, data: np.array([0.5j, omega]))
+        monkeypatch.setattr(royalgamma.gamma, "_phi_check_omegas", lambda s_at_nodes, data: np.array([[0.5j, omega]]))
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
             report = verify_royal_solution(h, data)
@@ -753,7 +876,7 @@ class TestPointCrossCheck:
 
         data = boundary_example_data()
         h = solve_royal_problem(data, omega_grid=4).solutions[0].h
-        monkeypatch.setattr(royalgamma.gamma, "_crosscheck", lambda *args: {"phi_omega_interp_max": float("nan")})
+        monkeypatch.setattr(royalgamma.gamma, "_crosscheck", lambda *args: [{"phi_omega_interp_max": float("nan")}])
         report = verify_royal_solution(h, data)
         assert not report.passed
         assert "phi_omega_interp_max = nan exceeds 1.0e-08" in report.failures
@@ -899,25 +1022,24 @@ class TestPipelineComputesOnce:
     def test_circle_residuals_and_royal_polynomial_once_per_map(self, monkeypatch):
         import royalgamma.gamma
 
-        counts = {"circle": 0, "royal": 0}
-        original_grid = royalgamma.gamma.circle_grid
-        original_royal = royalgamma.gamma.royal_polynomial
+        maps_per_call = {"_circle_residuals": [], "_royal_ranges": [], "royal_polynomial": []}
 
-        def counting_grid(m):
-            counts["circle"] += m == 256
-            return original_grid(m)
+        def counting(name):
+            original = getattr(royalgamma.gamma, name)
 
-        def counting_royal(h):
-            counts["royal"] += 1
-            return original_royal(h)
+            def wrapper(first, *args):
+                maps_per_call[name].append(1 if name == "royal_polynomial" else len(first))
+                return original(first, *args)
+            return wrapper
 
-        monkeypatch.setattr(royalgamma.gamma, "circle_grid", counting_grid)
-        monkeypatch.setattr(royalgamma.gamma, "royal_polynomial", counting_royal)
-        data = extract_royal_data(generate_h_nu(0, 0.5))
-        counts.update(circle=0, royal=0)
-        result = solve_royal_problem(data, omega_grid=16)
-        assert result.solutions
-        assert counts == {"circle": len(result.solutions), "royal": len(result.solutions)}
+        for name in maps_per_call:
+            monkeypatch.setattr(royalgamma.gamma, name, counting(name))
+        result = solve_royal_problem(boundary_example_data(), omega_grid=16)
+        # the members at omega = +-i are built and validated, then fall into the royal variety
+        built = len(result.solutions) + sum("royal variety" in text for text in result.skipped)
+        assert len(result.solutions) > 1 and built == len(result.solutions) + 2
+        # one pass each over the family's built maps; verification reads both facts off the maps
+        assert maps_per_call == {"_circle_residuals": [built], "_royal_ranges": [built], "royal_polynomial": []}
 
     def test_two_kernel_solves_per_solve(self, monkeypatch):
         import royalgamma.pick

@@ -20,6 +20,7 @@ from royalgamma.polyrat import (
     _sampled_drift,
     _stacked_companion_roots,
     _trim_coeffs,
+    joint_reduce_many,
     poly_derivative,
     poly_eval,
     poly_eval_compensated,
@@ -580,6 +581,47 @@ def _same_function(ours, ref):
     return all(np.array_equal(_bits(a.coeffs), _bits(b.coeffs)) for a, b in ((ours.num, ref.num), (ours.den, ref.den)))
 
 
+def _joint_reduce_all_roots(items):
+    """joint_reduce_many as it was before the screen: every numerator's roots found and paired."""
+    found = iter(poly_roots_many([q for nums, den in items if den.degree >= 1
+                                  for q in (den, *nums) if q.degree >= 1]))
+    out = []
+    for nums, den in items:
+        den_roots = []
+        if den.degree >= 1:
+            den_clusters = next(found)
+            num_clusters = [None if q.is_zero else next(found) if q.degree >= 1 else [] for q in nums]
+            den_roots, num_roots, cancelled = _pair_roots(den_clusters, num_clusters, ROOT_CLUSTER_TOL)
+            if cancelled:
+                nums = tuple(q if roots is None else Poly.from_roots(roots, leading=q.leading)
+                             for q, roots in zip(nums, num_roots))
+                den = Poly.from_roots(den_roots, leading=den.leading)
+        out.append((nums, den, den_roots))
+    return out
+
+
+def test_joint_reduction_finds_numerator_roots_only_where_they_can_pair():
+    # shared factors exact and off by 1e-12 to 1e-2, double roots, zero and constant numerators
+    rng = np.random.default_rng(93)
+    items = []
+    for offset in (0.0, 1e-12, 1e-9, 1e-7, 1e-6, 1e-4, 1e-2):
+        for degree in (1, 2, 4, 8):
+            shared = _random_coeffs(rng, 1)[0] * 0.9
+            factors = [Poly.from_roots([shared + offset * np.exp(1j * rng.uniform(0, 6.3))]) for _ in range(3)]
+            num_s, num_p, den = (Poly(_random_coeffs(rng, degree)) * factor for factor in factors)
+            items.append(((num_s, num_p), den))
+            items.append(((num_s * factors[0], num_p * factors[1]), den * factors[2]))
+    items += [((Poly([]), Poly(_random_coeffs(rng, 3))), Poly.from_roots([0.5, -0.2j])),
+              ((Poly([2.0]), Poly(_random_coeffs(rng, 3))), Poly.from_roots([0.5, -0.2j])),
+              ((Poly([]), Poly([])), Poly.from_roots([0.5, 0.5])),
+              ((Poly(_random_coeffs(rng, 2)), Poly(_random_coeffs(rng, 2))), Poly([1.5]))]
+    ours, reference = joint_reduce_many(items), _joint_reduce_all_roots(items)
+    for (nums, den, roots), (ref_nums, ref_den, ref_roots) in zip(ours, reference):
+        assert [_bits(q.coeffs).tolist() for q in (*nums, den)] == [_bits(q.coeffs).tolist() for q in (*ref_nums, ref_den)]
+        assert _bits(roots).tolist() == _bits(ref_roots).tolist()
+    assert sum(out_den.degree < in_den.degree for (_, in_den), (_, out_den, _) in zip(items, reference)) >= 10
+
+
 class TestBatchKernelsAreBitIdentical:
     """poly_roots_many and rat_reduce give exactly what the one-at-a-time kernels gave."""
 
@@ -669,8 +711,52 @@ class TestBatchKernelsAreBitIdentical:
             assert _same_function(reduced, _sequential_rat_reduce(f))
 
 
+def _complex_compensated(polys, z):
+    """Compensated Horner on complex arrays, each product with z's real and
+    imaginary part split anew at every step: the formula poly_eval_compensated
+    had before it split z's parts once and each value once per step."""
+    def two_sum(a, b):
+        s = a + b
+        t = s - a
+        return s, (a - (s - t)) + (b - t)
+
+    def two_product(a, b):
+        a1, b1 = (x * 134217729.0 - (x * 134217729.0 - x) for x in (a, b))
+        p = a * b
+        return p, ((a1 * b1 - p) + a1 * (b - b1) + (a - a1) * b1) + (a - a1) * (b - b1)
+
+    z = np.asarray(z, dtype=complex)
+    size = max(q.coeffs.size for q in polys)
+    out = err = np.zeros((len(polys), z.size), complex)
+    for c in np.array([q.padded(size) for q in polys]).T[::-1, :, None]:
+        (p1, e1), (p2, e2) = two_product(out, z.real), two_product(1j * out, z.imag)
+        out, e3 = two_sum(p1, p2)
+        out, e4 = two_sum(out, c)
+        err = err * z + (e1 + e2 + e3 + e4)
+    return out + err
+
+
 class TestCompensatedEvaluation:
     """poly_eval_compensated against exact evaluation of the same float coefficients."""
+
+    def test_values_match_the_complex_formula_bit_for_bit(self):
+        rng = np.random.default_rng(67)
+        for trial in range(300):
+            polys = [Poly(_random_coeffs(rng, int(n))) for n in rng.integers(1, 32, rng.integers(1, 5))]
+            if trial % 3 == 1:
+                # real coefficients, some exactly zero, at real points and the roots of unity of order four
+                polys = [Poly(np.where(rng.random(q.coeffs.size) < 0.3, 0.0, q.coeffs.real)) for q in polys]
+                points = np.concatenate((rng.normal(size=4), [1.0, -1.0, 1j, -1j]))
+            elif trial % 3 == 2:
+                # next to the roots of a product of linear factors, and on them
+                roots = _random_coeffs(rng, int(rng.integers(1, 31)))
+                polys.append(Poly.from_roots(roots, leading=_random_coeffs(rng, 1)[0]))
+                points = np.concatenate((roots + 1e-9 * np.exp(1j * rng.uniform(0, 2 * np.pi, roots.size)), roots))
+            else:
+                points = _random_coeffs(rng, 6)
+            polys = [q for q in polys if not q.is_zero] or [Poly([1.0])]
+            ours, reference = poly_eval_compensated(polys, points), _complex_compensated(polys, points)
+            assert np.array_equal(ours.view(np.uint64), reference.view(np.uint64))
 
     @staticmethod
     def _relative_errors(polys, points, values):
