@@ -13,7 +13,7 @@ import numpy as np
 from .blaschke import Parametrization
 from .errors import InvalidData
 from .pick import BlaschkeData
-from .polyrat import PD_TOL, RESIDUAL_TOL, TRIM_TOL, _py_product, _py_quotient
+from .polyrat import PD_TOL, RESIDUAL_TOL, TRIM_TOL
 
 
 class FamilyMember(NamedTuple):
@@ -52,9 +52,8 @@ class S0P0Solution:
 
     def members(self, omegas) -> FamilyMember:
         """The members :meth:`member` gives at the parameters ``omegas``, in
-        order, as arrays (omega, t, s0, p0) over the accepted parameters: one
-        array pass that takes a member's Python complex arithmetic part by
-        part."""
+        order, as arrays (omega, t, s0, p0) over the accepted parameters, in
+        one elementwise array pass."""
         if self.kind != "family":
             raise ValueError("members() applies to family solutions only")
         omegas = np.asarray(omegas, dtype=complex)
@@ -62,14 +61,14 @@ class S0P0Solution:
         if abs(g) <= TRIM_TOL * max(abs(c), abs(g), abs(b), 1.0):
             omegas = omegas[:0]
         omegas = omegas[(omegas != 0) & np.isfinite(omegas)]
-        omega = _py_quotient(omegas, np.hypot(omegas.real, omegas.imag))
-        u = _py_product(omega, omega)
+        omega = omegas / np.abs(omegas)
+        u = omega * omega
         # v = -(c u + b)/g, and t = v conj(omega) must be real in (-1, 1)
-        t_complex = _py_product(_py_quotient(-(_py_product(c, u) + b), g), np.conj(omega))
+        t_complex = -(c * u + b) / g * np.conj(omega)
         t = t_complex.real
         accepted = ~(np.abs(t_complex.imag) > RESIDUAL_TOL) & ~(np.abs(t) >= 1.0)
         omega, t, u = omega[accepted], t[accepted], u[accepted]
-        return FamilyMember(omega, t, _py_product(2.0 * t, omega), u)
+        return FamilyMember(omega, t, 2.0 * t * omega, u)
 
 
 def solve_s0_p0(param: Parametrization, data: BlaschkeData) -> S0P0Solution:

@@ -5,6 +5,7 @@ boundary-augmented interpolation problem."""
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -275,7 +276,7 @@ def solve_blaschke(param: Parametrization, zeta: complex) -> RationalFn:
     defining scalar for some boundary node; the formula degenerates there.
     """
     zeta = complex(zeta)
-    if abs(abs(zeta) - 1.0) > 1e-6:
+    if not abs(abs(zeta) - 1.0) <= 1e-6:  # a NaN fails too
         raise InvalidData(f"parameter zeta must be unimodular, |zeta| = {abs(zeta):.12g}")
     zeta = zeta / abs(zeta)
     for alpha, beta in param.exceptional.pairs:
@@ -302,14 +303,15 @@ def to_blaschke_product(f: RationalFn) -> BlaschkeProduct:
     The input must be reduced, as :func:`solve_blaschke` returns it, and
     unimodular on the circle grid; its numerator zeros, the product's zeros,
     must lie strictly inside the disc.  The unimodular constant is read off
-    at the first circle point away from the zeros, and the factored form is
+    at the first circle point away from the zeros (five fixed points, then
+    the grid), a NaN fails every check, and the factored form is
     checked against the input at 64 deterministic points before returning, so
     a common factor of numerator and denominator raises :class:`NotInner`.
     """
     grid = circle_grid(256)
     vals = f(grid)
     worst = float(np.max(np.abs(np.abs(vals) - 1.0)))
-    if worst > RESIDUAL_TOL:
+    if not worst <= RESIDUAL_TOL:
         raise NotInner(f"not unimodular on the circle: off by {worst:.3e}")
 
     zeros: list[complex] = []
@@ -319,19 +321,17 @@ def to_blaschke_product(f: RationalFn) -> BlaschkeProduct:
                 raise NotInner(f"numerator zero {rc.value} is not inside the open disc")
             zeros.extend([rc.value] * rc.multiplicity)
 
-    anchor = None
-    for candidate in [1.0 + 0j, 1j, -1.0 + 0j, -1j, np.exp(0.7j)]:
-        if all(abs(candidate - a) > 1e-3 for a in zeros):
-            anchor = complex(candidate)
-            break
+    # five fixed points, then the grid; with no point away from the zeros the constant is NaN and fails
+    candidates = itertools.chain([1.0 + 0j, 1j, -1.0 + 0j, -1j, np.exp(0.7j)], grid)
+    anchor = next((complex(z) for z in candidates if all(abs(z - a) > 1e-3 for a in zeros)), complex("nan"))
     base = BlaschkeProduct(unimodular_constant=1.0 + 0j, zeros=tuple(zeros))
     constant = complex(f(anchor) / base(anchor))
-    if abs(abs(constant) - 1.0) > RESIDUAL_TOL:
+    if not abs(abs(constant) - 1.0) <= RESIDUAL_TOL:
         raise NotInner(f"recovered constant has modulus {abs(constant):.12g}")
     result = BlaschkeProduct(unimodular_constant=constant / abs(constant), zeros=tuple(zeros))
 
     pts = _factored_form_check_points()
     drift = float(np.max(np.abs(f(pts) - result(pts))))
-    if drift > RESIDUAL_TOL * 10:
+    if not drift <= RESIDUAL_TOL * 10:
         raise NotInner(f"factored form disagrees with the input by {drift:.3e}")
     return result

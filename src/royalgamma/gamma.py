@@ -53,8 +53,6 @@ from .polyrat import (
     _compensated_horner,
     _horner,
     _products,
-    _py_product,
-    _py_quotient,
     _stacked,
     _trimmed_sizes,
     joint_reduce_many,
@@ -446,11 +444,12 @@ def _construct_many(param: Parametrization, base_values) -> list[GammaInnerFn | 
 
     Every check runs once over the members that passed the checks before
     it, in construct_h's order, and is written so that a NaN fails it.  The
-    base values are checked with a member's Python complex arithmetic taken
-    part by part; the defining identity, both numerators and the denominator
-    are (members x coefficients) arrays, with ``Poly``'s padding and trim;
-    the maps are built and validated together; and the royal-range test and
-    the values at tau close the batch."""
+    defining identity, both numerators and the denominator are fixed linear
+    combinations of a, b, c and d, so each member's four come from one
+    elementwise weighted sum, trimmed as ``Poly`` trims; the arithmetic is
+    row by row, so a member's bits do not depend on its batch.  The maps are
+    built and validated together, and the royal-range test and the values at
+    tau close the batch."""
     base = np.array(base_values, dtype=complex).reshape(-1, 2)
     s0, p0 = base.T
     s0_modulus, p0_modulus = np.hypot(s0.real, s0.imag), np.hypot(p0.real, p0.imag)
@@ -461,55 +460,33 @@ def _construct_many(param: Parametrization, base_values) -> list[GammaInnerFn | 
         return out.live
 
     live = precondition(np.abs(p0_modulus - 1.0) <= RESIDUAL_TOL, lambda i: f"|p0| = {p0_modulus[i]:.12g} is not 1")
-    p0[live] = _py_quotient(p0[live], p0_modulus[live])
+    p0[live] /= p0_modulus[live]
     live = precondition(s0_modulus[live] < 2.0, lambda i: f"|s0| = {s0_modulus[live[i]]:.12g} is not below 2")
-    gap = s0[live] - _py_product(np.conj(s0[live]), p0[live])
+    gap = s0[live] - np.conj(s0[live]) * p0[live]
     live = precondition(np.hypot(gap.real, gap.imag) <= RESIDUAL_TOL * np.maximum(1.0, s0_modulus[live]),
                         lambda i: "s0 != conj(s0) p0: the pair is off the distinguished boundary")
 
-    # s0 a, s0 b, s0 c, s0 d, 2 p0 c and -2 p0 a, each the coefficients of one Poly product
-    parts = (param.a, param.b, param.c, param.d, param.c, param.a)
-    stacked = _stacked(parts)
-    scalars = np.empty((live.size, 6), complex)
-    scalars[:, :4] = s0[live, None]
-    scalars[:, 4:] = _py_product(p0[live, None], [2.0, -2.0])
-    products = stacked * scalars[:, :, None]
-    s0_a, s0_b, s0_c, s0_d, two_p0_c, minus_two_p0_a = (
-        products[:, k, :q.coeffs.size] for k, q in enumerate(parts))
-    # -(2.0 * b) and -(2.0 * d) as Poly computes them; doubling a trimmed Poly trims nothing
-    minus_two_b, minus_two_d = (-(q.coeffs * 2.0) for q in (param.b, param.d))
-
-    def plus(left, right):
-        """``Poly``'s sum, row by row: the longer operand with the shorter added to its low part."""
-        if left.shape[-1] < right.shape[-1]:
-            left, right = right, left
-        total = np.empty((live.size, left.shape[-1]), complex)
-        total[:] = left
-        total[:, :right.shape[-1]] += right
-        return total
-
-    identity = plus(plus(plus(s0_a, minus_two_b), two_p0_c), -s0_d)
-    violation = np.abs(identity).max(axis=1)
-    scale = max(float(np.abs(stacked).max()), 1.0)
+    # rows: the identity s0 a - 2 b + 2 p0 c - s0 d, num_s, num_p and den; columns weight a, b, c and d
+    s0, p0 = s0[live], p0[live]
+    zero, two = np.zeros_like(s0), np.full_like(s0, 2.0)
+    weights = np.stack((s0, -two, 2.0 * p0, -s0, zero, zero, 4.0 * p0, -2.0 * s0,
+                        -2.0 * p0, s0, zero, zero, zero, zero, s0, -two), axis=1).reshape(-1, 4, 4, 1)
+    abcd = _stacked((param.a, param.b, param.c, param.d))
+    rows = (weights * abcd).sum(axis=2)
+    violation = np.abs(rows[:, 0]).max(axis=1)
+    scale = max(float(np.abs(abcd).max()), 1.0)
     passed = violation <= RESIDUAL_TOL * 4.0 * scale
     precondition(passed, lambda i: f"defining identity violated by {violation[i]:.3e} (scale {scale:.3e})")
-    numerators = (plus(two_p0_c, -s0_d) * 2.0, plus(minus_two_p0_a, s0_b), plus(s0_c, minus_two_d))
-    widths = [part.shape[1] for part in numerators]
-    rows = np.zeros((live.size, 3, max(widths)), complex)
-    for k, part in enumerate(numerators):
-        rows[:, k, :widths[k]] = part
-    rows = rows[passed]
-    sizes = _trimmed_sizes(rows.reshape(-1, rows.shape[2]), np.array(widths * len(rows), dtype=int)).reshape(-1, 3)
-    rows[np.arange(rows.shape[2]) >= sizes[:, :, None]] = 0.0
+    rows, width = rows[passed, 1:], rows.shape[2]
+    sizes = _trimmed_sizes(rows.reshape(-1, width), width).reshape(-1, 3)
+    rows[np.arange(width) >= sizes[:, :, None]] = 0.0
     out.take(_maps_from_numerators(rows, sizes))
     out.check(~np.array([out.items[i].royal_range for i in out.live], bool),
               lambda i: RoyalRange("constructed map degenerates into the royal variety"))
     polys = [q for i in out.live for q in (out.items[i].s.num, out.items[i].p.num, out.items[i].den)]
     values = poly_eval_many(polys, [param.tau]).reshape(-1, 3).T
-    # numpy's quotient: the gap only meets the threshold, so its last bit does not matter
     misses = values[:2] / values[2] - base[out.live].T
-    s_miss, p_miss = np.hypot(misses.real, misses.imag)
-    anchor_gap = np.where(p_miss > s_miss, p_miss, s_miss)  # Python's max(s gap, p gap)
+    anchor_gap = np.maximum(*np.hypot(misses.real, misses.imag))
     out.check(~(anchor_gap > 1e-6), lambda i: NumericalFailure(
         f"constructed map misses its base values by {anchor_gap[i]:.3e}"))
     return out.items

@@ -219,38 +219,6 @@ def _stacked(polys: Sequence[Poly], width: int = 1) -> np.ndarray:
     return coeffs
 
 
-def _complex(re, im) -> np.ndarray:
-    """The complex array with these real and imaginary parts, exactly."""
-    out = np.empty(np.broadcast(re, im).shape, complex)
-    out.real, out.imag = re, im
-    return out
-
-
-def _py_product(a, b) -> np.ndarray:
-    """a * b elementwise, rounded as Python's (and numpy's scalar) complex
-    product rounds it; numpy's array product fuses some of its steps."""
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    return _complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
-
-
-def _py_quotient(a, b) -> np.ndarray:
-    """a / b elementwise, rounded as Python's complex division rounds it
-    (Smith's method; numpy's multiplies by a reciprocal instead).  A real
-    ``b`` is the complex number (b, +0.0), as Python takes a float."""
-    a = np.asarray(a, dtype=complex)
-    if not np.iscomplexobj(b):
-        ratio = 0.0 / b
-        return _complex((a.real + a.imag * ratio) / b, (a.imag - a.real * ratio) / b)
-    # divide through by the larger part of b; the other part over it is the ratio
-    by_real = np.abs(b.real) >= np.abs(b.imag)
-    larger, smaller = np.where(by_real, b.real, b.imag), np.where(by_real, b.imag, b.real)
-    first, second = np.where(by_real, a.real, a.imag), np.where(by_real, a.imag, a.real)
-    ratio = smaller / larger
-    denom = larger + smaller * ratio
-    cross = first * ratio
-    return _complex((first + second * ratio) / denom, np.where(by_real, second - cross, cross - second) / denom)
-
-
 def _products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """The product of the polynomials whose coefficients run along the last
     axis of ``left`` and ``right``, one for each index of the other axes."""

@@ -20,7 +20,7 @@ from royalgamma.blaschke import (
     to_blaschke_product,
 )
 from royalgamma.blaschke import PhasarValue
-from royalgamma.errors import ExceptionalZeta, NotInner, ZeroOrPoleAtPoint
+from royalgamma.errors import ExceptionalZeta, InvalidData, NotInner, ZeroOrPoleAtPoint
 from royalgamma.polyrat import TRIM_TOL
 from royalgamma.gamma import extract_royal_data
 from royalgamma.pick import BlaschkeData, build_pick_matrix, choose_tau, tau_candidate
@@ -195,6 +195,12 @@ class TestSolveBlaschke:
         with pytest.raises(ExceptionalZeta):
             solve_blaschke(param, 1j)
 
+    @pytest.mark.parametrize("zeta", [complex(np.nan, 0.0), complex(1.0, np.nan)])
+    def test_a_nan_parameter_is_invalid(self, zeta):
+        param = build_for(interior_example_data(), 1.0)
+        with pytest.raises(InvalidData, match="unimodular"):
+            solve_blaschke(param, zeta)
+
     def test_family_properties(self, solvable_instances):
         for data, _ in solvable_instances[:12]:
             param = build_for(data)
@@ -267,6 +273,19 @@ class TestToBlaschkeProduct:
         product = to_blaschke_product(f)
         pts = 0.8 * circle_grid(17)
         np.testing.assert_allclose(product(pts), f(pts), atol=1e-10)
+
+    def test_zeros_next_to_every_fixed_anchor(self):
+        # each of 1, i, -1, -i and exp(0.7i) lies within 1e-3 of a zero: the constant is read on the grid
+        constant = np.exp(0.3j)
+        f = blaschke_rational([0.9995 * z for z in (1.0, 1j, -1.0, -1j, np.exp(0.7j))], constant=constant)
+        product = to_blaschke_product(f)
+        assert abs(product.unimodular_constant - constant) <= 1e-10
+        pts = 0.8 * circle_grid(17)
+        np.testing.assert_allclose(product(pts), f(pts), atol=1e-10)
+
+    def test_a_nan_coefficient_is_not_inner(self):
+        with pytest.raises(NotInner, match="not unimodular"):
+            to_blaschke_product(RationalFn(Poly([complex(np.nan, 0.0), 1.0]), Poly([1.0])))
 
     def test_not_inner_rejected(self):
         with pytest.raises(NotInner):

@@ -45,7 +45,7 @@ from royalgamma.gamma import (
     verify_royal_solution,
 )
 from royalgamma.pick import BlaschkeData, build_pick_matrix, choose_tau
-from royalgamma.polyrat import Poly, poly_roots
+from royalgamma.polyrat import RESIDUAL_TOL, Poly, poly_roots
 
 
 def pipeline_parts(data):
@@ -662,6 +662,57 @@ class TestBatchedConstructionMatchesSingleMembers:
         result = solve_royal_problem(data, omega_grid=8)
         assume(result.s0p0 is not None and result.s0p0.kind != "none")
         self._check(data, 8)
+
+
+def _construction_inputs():
+    """(data, solve) pairs: the worked examples' families, h_nu for nu = 0 to 3, and random families."""
+    for data in (interior_example_data(), boundary_example_data()):
+        yield data, solve_royal_problem(data, omega_grid=64)
+    for nu in range(4):
+        data = extract_royal_data(generate_h_nu(nu, 0.5))
+        yield data, solve_royal_problem(data, omega_grid=8)
+    for data, _ in random_solvable_instances(seed=20240, count=50):
+        yield data, solve_royal_problem(data, omega_grid=8)
+
+
+def _modulus(z: ExactComplex) -> float:
+    return float(to_decimal(z.abs2(), sqrt=True))
+
+
+class TestConstructionMatchesAnExactOracle:
+    """Each member's identity, num_s, num_p and den are weighted sums of a, b, c
+    and d; the built map's coefficients, times the exact leading coefficient
+    of den, are those sums up to a few roundings of their terms."""
+
+    def test_weighted_sums(self):
+        worst, maps = 0.0, 0
+        for data, result in _construction_inputs():
+            param = result.parametrization
+            width = param.degree + 1
+            inputs = [q.padded(width) for q in (param.a, param.b, param.c, param.d)]
+            scale = max(float(np.max(np.abs(inputs))), 1.0)
+            for sol in result.solutions:
+                if sol.h.den.degree < param.degree:  # the joint reduction cancelled a factor
+                    continue
+                s0, p0 = complex(sol.s0), complex((np.array([sol.p0]) / abs(sol.p0))[0])  # p0 as construction takes it
+                weights = [(s0, -2.0, 2.0 * p0, -s0), (0.0, 0.0, 4.0 * p0, -2.0 * s0),
+                           (-2.0 * p0, s0, 0.0, 0.0), (0.0, 0.0, s0, -2.0)]
+                exact = [[sum((ExactComplex.of(w) * complex(x[j]) for w, x in zip(row, inputs)), ExactComplex())
+                          for j in range(width)] for row in weights]
+                # condition-weighted scale of each sum: sum_k |w_k| |x_k|
+                cond = [[sum(abs(w) * abs(x[j]) for w, x in zip(row, inputs)) for j in range(width)] for row in weights]
+                assert max(map(_modulus, exact[0])) <= RESIDUAL_TOL * 4.0 * scale
+                top = sol.h.den.degree
+                lead = exact[3][top]
+                for k, q in enumerate((sol.h.s.num, sol.h.p.num, sol.h.den), start=1):
+                    for j, built in enumerate(q.padded(width).tolist()):
+                        gap = _modulus(ExactComplex.of(built) * lead - exact[k][j])
+                        # the sum's own terms, and the leading coefficient the map was divided by
+                        bound = cond[k][j] + abs(built) * cond[3][top]
+                        worst = max(worst, gap / max(bound * 2.0 ** -52, 1e-300))  # in ulps of the bound
+                maps += 1
+        assert maps >= 300
+        assert worst <= 2.0, worst  # 0.77 on these maps
 
 
 class TestSolveBlocks:
