@@ -1,6 +1,6 @@
-"""Finite Blaschke products, phasar derivatives, and the normalized
-linear-fractional parametrization of all degree-n solutions of the
-boundary-augmented interpolation problem."""
+"""Finite Blaschke products, phasar derivatives, and the linear-fractional
+parametrization, the identity at a base point, of all degree-n solutions of
+the boundary-augmented interpolation problem."""
 
 from __future__ import annotations
 
@@ -29,7 +29,6 @@ from .polyrat import (
     poly_eval_many,
     poly_roots,
     poly_roots_many,
-    rat_reduce,
 )
 
 __all__ = [
@@ -130,7 +129,7 @@ class BlaschkeProduct:
 
 @dataclass(frozen=True, eq=False)
 class Parametrization:
-    """Polynomials (a, b, c, d) normalized to the identity matrix at tau.
+    """Polynomials (a, b, c, d) that form the identity matrix at tau.
 
     For every unimodular zeta off the exceptional set, (a zeta + b)/(c zeta + d)
     is the unique degree-n solution of the interpolation problem taking the
@@ -210,7 +209,7 @@ def _kernel_numerator_polynomials(data: BlaschkeData, wx: np.ndarray, wy: np.nda
 
 
 def build_parametrization(M: PickMatrix, data: BlaschkeData, tau: complex) -> Parametrization:
-    """Assemble the normalized quadruple (a, b, c, d) for base point tau.
+    """Assemble the quadruple (a, b, c, d) that is the identity at base point tau.
 
     The assembly multiplies the kernel sums through by the common product of
     (1 - conj(sigma_j) lambda), so every coefficient is exact up to rounding.
@@ -270,10 +269,20 @@ def _check_c_dominated_by_d(param: Parametrization) -> None:
 
 
 def solve_blaschke(param: Parametrization, zeta: complex) -> RationalFn:
-    """Reduced solution (a zeta + b)/(c zeta + d) for a unimodular parameter zeta.
+    """The solution (a zeta + b)/(c zeta + d) for a unimodular parameter zeta,
+    divided through by the denominator's leading coefficient.
 
     Raises ExceptionalZeta when zeta sits inside the tolerance band of the
     defining scalar for some boundary node; the formula degenerates there.
+
+    Nothing is cancelled.  A common zero lambda of a zeta + b and c zeta + d
+    would put (zeta, 1) in the kernel of [[a, b], [c, d]](lambda) and lower
+    the solution's degree, and the degree drops only at exceptional
+    parameters (Sarason, "Nevanlinna-Pick interpolation with boundary data",
+    1998).  Near an exceptional parameter a numerator root can pass within
+    ``ROOT_CLUSTER_TOL`` of a denominator root without being shared;
+    cancelling that near pair drops the degree and moves the values at the
+    nodes, so the unreduced quotient is the faithful one.
     """
     zeta = complex(zeta)
     if not abs(abs(zeta) - 1.0) <= 1e-6:  # a NaN fails too
@@ -284,7 +293,7 @@ def solve_blaschke(param: Parametrization, zeta: complex) -> RationalFn:
             raise ExceptionalZeta(f"zeta = {zeta} is within tolerance of the exceptional set")
     num = zeta * param.a + param.b
     den = zeta * param.c + param.d
-    return rat_reduce(RationalFn(num, den))
+    return RationalFn(num / den.leading, den / den.leading)
 
 
 @functools.cache
@@ -300,13 +309,14 @@ def _factored_form_check_points() -> np.ndarray:
 def to_blaschke_product(f: RationalFn) -> BlaschkeProduct:
     """Recover the factored form of a rational inner function.
 
-    The input must be reduced, as :func:`solve_blaschke` returns it, and
-    unimodular on the circle grid; its numerator zeros, the product's zeros,
-    must lie strictly inside the disc.  The unimodular constant is read off
-    at the first circle point away from the zeros (five fixed points, then
-    the grid), a NaN fails every check, and the factored form is
-    checked against the input at 64 deterministic points before returning, so
-    a common factor of numerator and denominator raises :class:`NotInner`.
+    The input must have no common zero of numerator and denominator, as
+    :func:`solve_blaschke`'s quotients have none, and be unimodular on the
+    circle grid; its numerator zeros, the product's zeros, must lie strictly
+    inside the disc.  The unimodular constant is read off at the first
+    circle point away from the zeros (five fixed points, then the grid), a
+    NaN fails every check, and the factored form is checked against the
+    input at 64 deterministic points before returning, so a common factor of
+    numerator and denominator raises :class:`NotInner`.
     """
     grid = circle_grid(256)
     vals = f(grid)

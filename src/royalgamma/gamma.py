@@ -58,7 +58,6 @@ from .polyrat import (
     joint_reduce_many,
     poly_eval_many,
     poly_roots,
-    rat_reduce,
 )
 
 __all__ = [
@@ -272,7 +271,7 @@ def _maps_from_numerators(rows: np.ndarray, sizes: np.ndarray) -> list[GammaInne
         f"denominator root of modulus {den_min[i]:.12g} in the closed disc"))
     standing = monic[out.live]
     circle, royal = _circle_residuals(standing), _royal_ranges(standing)
-    passed = out.check(~np.any(circle > RESIDUAL_TOL, axis=1), lambda i: NumericalFailure(
+    passed = out.check(np.all(circle <= RESIDUAL_TOL, axis=1), lambda i: NumericalFailure(
         "boundary identities violated: | |p|-1 | = {:.3e}, |s - conj(s) p| = {:.3e}, |s| - 2 = {:.3e}".format(*circle[i])))
     for i, modulus, residuals, in_royal_variety in zip(
             out.live, den_min[out.live].tolist(), circle[passed].tolist(), royal[passed].tolist()):
@@ -328,9 +327,12 @@ def royal_polynomial(h: GammaInnerFn) -> tuple[Poly, float]:
 
 
 def compose_phi_omega(omega: complex, h: GammaInnerFn) -> RationalFn:
-    """The rational function (2 omega p - s)/(2 - omega s), reduced."""
+    """The rational function (2 omega p - s)/(2 - omega s), reduced, with a
+    monic denominator.  At omega = -conj(eta), eta the value at a boundary
+    node, both vanish at the node: the joint reduction removes the singularity."""
     omega = complex(omega)
-    return rat_reduce(RationalFn(2.0 * omega * h.p.num - h.s.num, 2.0 * h.den - omega * h.s.num))
+    [((num,), den, _)] = joint_reduce_many([((2.0 * omega * h.p.num - h.s.num,), 2.0 * h.den - omega * h.s.num)])
+    return RationalFn(num / den.leading, den / den.leading)
 
 
 @dataclass(frozen=True)
@@ -487,7 +489,7 @@ def _construct_many(param: Parametrization, base_values) -> list[GammaInnerFn | 
     values = poly_eval_many(polys, [param.tau]).reshape(-1, 3).T
     misses = values[:2] / values[2] - base[out.live].T
     anchor_gap = np.maximum(*np.hypot(misses.real, misses.imag))
-    out.check(~(anchor_gap > 1e-6), lambda i: NumericalFailure(
+    out.check(anchor_gap <= 1e-6, lambda i: NumericalFailure(
         f"constructed map misses its base values by {anchor_gap[i]:.3e}"))
     return out.items
 

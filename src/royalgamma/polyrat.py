@@ -6,7 +6,6 @@ after construction and every operation is pure, so concurrent reads are safe.
 
 from __future__ import annotations
 
-import functools
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -27,7 +26,6 @@ __all__ = [
     "poly_derivative",
     "poly_roots",
     "poly_roots_many",
-    "rat_reduce",
     "joint_reduce_many",
 ]
 
@@ -43,8 +41,9 @@ TRIM_TOL = 1e-12
 # the reported multiplicity.
 ROOT_CLUSTER_TOL = 1e-7
 
-# Threshold on residuals: the identities checked while a map is built, the
-# sampled drift of a reduction, and verification unless ``pass_tol`` is given.
+# Threshold on residuals: the identities checked while a map or a
+# parametrization is built, the checks of a factored Blaschke form, and
+# verification unless ``pass_tol`` is given.
 RESIDUAL_TOL = 1e-8
 
 # Margin for positive-definiteness and matrix-rank decisions.
@@ -427,11 +426,6 @@ class RationalFn:
     def __call__(self, z):
         return poly_eval(self.num, z) / poly_eval(self.den, z)
 
-    def normalized(self) -> "RationalFn":
-        """Scale numerator and denominator so the denominator is monic."""
-        lead = self.den.leading
-        return RationalFn(self.num / lead, self.den / lead)
-
     def __repr__(self):
         return f"RationalFn({self.num!r}, {self.den!r})"
 
@@ -443,12 +437,12 @@ class RationalFn:
         return cls(Poly.from_list(obj["num"]), Poly.from_list(obj["den"]))
 
 
-def _pair_roots(den_clusters, num_clusters, pair_tol: float):
+def _pair_roots(den_clusters, num_clusters):
     """Cancel the denominator roots that every numerator shares, respecting multiplicities.
 
     ``num_clusters`` holds the root clusters of each numerator, or None for
     the zero numerator, which shares every root.  Roots pair when they lie
-    within ``pair_tol``.  Returns the remaining denominator roots, the
+    within ``ROOT_CLUSTER_TOL``.  Returns the remaining denominator roots, the
     remaining roots of each numerator (None stays None) and the number of
     roots cancelled.
     """
@@ -457,7 +451,7 @@ def _pair_roots(den_clusters, num_clusters, pair_tol: float):
                  for clusters in num_clusters]
     cancelled = 0
     for d_entry in den_left:
-        near = [[e for e in left if abs(e[0] - d_entry[0]) <= pair_tol]
+        near = [[e for e in left if abs(e[0] - d_entry[0]) <= ROOT_CLUSTER_TOL]
                 for left in nums_left if left is not None]
         m = min([d_entry[1]] + [sum(e[1] for e in entries) for entries in near])
         d_entry[1] -= m
@@ -480,7 +474,8 @@ def joint_reduce_many(items: Sequence[tuple[tuple[Poly, ...], Poly]]) -> list[tu
     shared by every numerator.
 
     A zero numerator shares every root.  Each stripped polynomial keeps its
-    leading coefficient; unlike :func:`rat_reduce` there is no sampled check.
+    leading coefficient, and no sampled check compares the stripped pair with
+    the input: this is the package's one root cancellation.
     Returns (numerators, denominator, denominator roots) per pair: the inputs
     themselves when nothing cancels, and the roots left after the
     cancellation, each repeated by its multiplicity.
@@ -518,94 +513,10 @@ def joint_reduce_many(items: Sequence[tuple[tuple[Poly, ...], Poly]]) -> list[tu
         den_roots = [rc.value for rc in den_clusters.get(index, []) for _ in range(rc.multiplicity)]
         if index in cancelling:
             num_clusters = [None if q.is_zero else next(found) if q.degree >= 1 else [] for q in nums]
-            den_roots, num_roots, cancelled = _pair_roots(den_clusters[index], num_clusters, ROOT_CLUSTER_TOL)
+            den_roots, num_roots, cancelled = _pair_roots(den_clusters[index], num_clusters)
             if cancelled:
                 nums = tuple(q if roots is None else Poly.from_roots(roots, leading=q.leading)
                              for q, roots in zip(nums, num_roots))
                 den = Poly.from_roots(den_roots, leading=den.leading)
         out.append((nums, den, den_roots))
     return out
-
-
-@functools.cache
-def _drift_candidates() -> np.ndarray:
-    """The fixed sequence of 4000 sample candidates in the annulus 0.1 <= |z| <= 2.5.
-
-    Bit for bit the points that alternating ``uniform(0.1, 2.5)`` radius and
-    ``uniform()`` angle draws from ``default_rng(20311)`` give.  Built on first
-    use, not at import.
-    """
-    u = np.random.default_rng(20311).random(8000)
-    out = (0.1 + 2.4 * u[0::2]) * np.exp(2j * np.pi * u[1::2])
-    out.setflags(write=False)
-    return out
-
-
-def _sampled_drift(reference: RationalFn, candidate: RationalFn, avoid) -> float:
-    """Relative disagreement of ``candidate`` with ``reference`` at 32
-    deterministic points away from all roots: the first candidates of
-    :func:`_drift_candidates` at least 5e-2 from every point of ``avoid``,
-    filtered 64 at a time.  Distances use ``np.hypot`` and the quotients
-    Python complex division, because numpy's complex ``abs`` and division
-    round differently from the scalar operations this check was defined with.
-    """
-    candidates = _drift_candidates()
-    avoid = np.asarray(avoid, dtype=complex)
-    kept: list[complex] = []
-    for start in range(0, candidates.size, 64):
-        block = candidates[start:start + 64]
-        gap = block[:, None] - avoid[None, :]
-        kept += block[~np.any(np.hypot(gap.real, gap.imag) < 5e-2, axis=1)].tolist()
-        if len(kept) >= 32:
-            break
-    values = poly_eval_many([reference.num, reference.den, candidate.num, candidate.den], kept[:32]).tolist()
-    worst = 0.0
-    for rn, rd, cn, cd in zip(*values):
-        ref = rn / rd
-        worst = max(worst, abs(ref - cn / cd) / max(1.0, abs(ref)))
-    return worst
-
-
-# Pairing tolerances of the reduction, loosest first; 1e-300 cancels only exact pairs.
-_PAIR_TOLS = (ROOT_CLUSTER_TOL, ROOT_CLUSTER_TOL * 1e-2, ROOT_CLUSTER_TOL * 1e-4, 1e-300)
-
-
-def rat_reduce(f: RationalFn) -> RationalFn:
-    """Cancel root pairs shared by numerator and denominator; monic denominator.
-
-    Roots of the numerator within ``ROOT_CLUSTER_TOL`` of a root of the
-    denominator are cancelled, respecting multiplicities.  When nothing pairs,
-    the input is returned with its denominator made monic.  A cancelled form
-    is checked against the input at 32 deterministic sample points away from
-    the roots.  A pair that merely passes within the pairing tolerance without
-    being a genuine common factor would move those sampled values, so on
-    disagreement beyond ``RESIDUAL_TOL`` the pairing backs off to tighter
-    tolerances, cancelling nothing in the worst case (faithfulness wins over
-    eagerness); a function that still disagrees raises
-    :class:`NumericalFailure`.
-    """
-    if f.num.is_zero:
-        return RationalFn(Poly([]), Poly([1.0]))
-    # rescale so the denominator is O(1); extreme scales would overflow the
-    # leading-coefficient ratio of the cancelled form
-    den_scale = float(np.max(np.abs(f.den.coeffs)))
-    f = RationalFn(Poly(f.num.coeffs / den_scale), Poly(f.den.coeffs / den_scale))
-    found = iter(poly_roots_many([q for q in (f.num, f.den) if q.degree >= 1]))
-    num, den = (next(found) if q.degree >= 1 else [] for q in (f.num, f.den))
-    avoid = [rc.value for rc in num + den]
-    worst = None
-    for pair_tol in _PAIR_TOLS:
-        den_roots, (num_roots,), cancelled = _pair_roots(den, [num], pair_tol)
-        if not cancelled:
-            reduced = f.normalized()
-            if worst is None:
-                # the loosest pairing cancels nothing, so no tighter one does
-                return reduced
-        else:
-            reduced = RationalFn(Poly.from_roots(num_roots, leading=f.num.leading / f.den.leading),
-                                 Poly.from_roots(den_roots, leading=1.0))
-        drift = _sampled_drift(f, reduced, avoid)
-        if drift <= RESIDUAL_TOL:
-            return reduced
-        worst = drift if worst is None else min(worst, drift)
-    raise NumericalFailure(f"no faithful cancellation found; best sampled drift {worst:.3e}")

@@ -21,7 +21,7 @@ from royalgamma.blaschke import (
 )
 from royalgamma.blaschke import PhasarValue
 from royalgamma.errors import ExceptionalZeta, InvalidData, NotInner, ZeroOrPoleAtPoint
-from royalgamma.polyrat import TRIM_TOL
+from royalgamma.polyrat import RESIDUAL_TOL, TRIM_TOL
 from royalgamma.gamma import extract_royal_data
 from royalgamma.pick import BlaschkeData, build_pick_matrix, choose_tau, tau_candidate
 from royalgamma.polyrat import Poly, RationalFn, poly_eval, poly_eval_many
@@ -200,6 +200,15 @@ class TestSolveBlaschke:
         param = build_for(interior_example_data(), 1.0)
         with pytest.raises(InvalidData, match="unimodular"):
             solve_blaschke(param, zeta)
+
+    @pytest.mark.parametrize("nu, r, index", [(9, 0.2, 39), (7, 0.8, 44)])
+    def test_a_near_exceptional_parameter_keeps_its_degree(self, nu, r, index):
+        # a numerator root passes within ROOT_CLUSTER_TOL of a denominator root here;
+        # cancelling the pair would drop a degree and miss the nodes by 1.9e-4 and 3.2e-4
+        data = extract_royal_data(generate_h_nu(nu, r))
+        phi = solve_blaschke(build_for(data), circle_grid(64)[index])
+        assert phi.degree == data.n
+        assert max(abs(phi(s) - e) for s, e in zip(data.sigma, data.eta)) <= RESIDUAL_TOL
 
     def test_family_properties(self, solvable_instances):
         for data, _ in solvable_instances[:12]:

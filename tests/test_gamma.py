@@ -25,6 +25,7 @@ from royalgamma.errors import (
     InvalidData,
     RoyalGammaError,
     MultiplicityAboveOne,
+    NumericalFailure,
     PreconditionViolated,
     RoyalRange,
     SingularPoint,
@@ -235,6 +236,23 @@ class TestConstructH:
         _, _, param = pipeline_parts(data)
         with pytest.raises(PreconditionViolated, match="nan"):
             construct_h(param, s0, p0)
+
+    def test_a_nan_coefficient_fails_the_boundary_identities(self):
+        # s is NaN on the whole circle, so two of the three circle residuals are NaN
+        with pytest.raises(NumericalFailure, match="boundary identities violated"):
+            GammaInnerFn.from_numerators(Poly([np.nan, 0.5]), Poly([0.0, 1.0]), Poly([1.0]))
+
+    def test_a_nan_anchor_gap_fails(self, monkeypatch):
+        import royalgamma.gamma
+
+        data = interior_example_data()
+        _, _, param = pipeline_parts(data)
+        mem = solve_s0_p0(param, data).member(np.exp(0.51j))
+        # s and p come out NaN at tau, so the gap to the base values is NaN
+        monkeypatch.setattr(royalgamma.gamma, "poly_eval_many",
+                            lambda polys, z: np.resize([np.nan, np.nan, 1.0 + 0j], (len(polys), 1)))
+        with pytest.raises(NumericalFailure, match="misses its base values by nan"):
+            construct_h(param, mem.s0, mem.p0)
 
 
 class TestRoyalNodes:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import ExactComplex, exact_horner, poly_allclose
 
 from royalgamma import generate_h_nu
-from royalgamma.errors import NumericalFailure, ZeroPolynomial
+from royalgamma.errors import ZeroPolynomial
 from royalgamma.polyrat import (
     PD_TOL,
     RESIDUAL_TOL,
@@ -15,9 +15,7 @@ from royalgamma.polyrat import (
     Poly,
     RationalFn,
     RootCluster,
-    _drift_candidates,
     _pair_roots,
-    _sampled_drift,
     _stacked_companion_roots,
     _trim_coeffs,
     joint_reduce_many,
@@ -27,7 +25,6 @@ from royalgamma.polyrat import (
     poly_eval_many,
     poly_roots,
     poly_roots_many,
-    rat_reduce,
 )
 
 
@@ -154,73 +151,100 @@ def test_derivative_matches_finite_difference(coeffs, angle, radius):
     assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
 
 
-class TestRatReduce:
+class TestJointReduction:
     def test_shared_linear_factor(self):
-        f = RationalFn(Poly([-1.0, 0.0, 1.0]), Poly([-1.0, 1.0]))
-        g = rat_reduce(f)
-        assert poly_allclose(g.num, Poly([1.0, 1.0]), atol=1e-9)
-        assert poly_allclose(g.den, Poly([1.0]), atol=1e-12)
-
-    def test_scaling_made_monic(self):
-        g = rat_reduce(RationalFn(Poly([0.0, 2.0]), Poly([2.0])))
-        assert poly_allclose(g.num, Poly([0.0, 1.0]), atol=1e-12)
-        assert poly_allclose(g.den, Poly([1.0]), atol=1e-12)
+        [((num,), den, roots)] = joint_reduce_many([((Poly([-1.0, 0.0, 1.0]),), Poly([-1.0, 1.0]))])
+        assert poly_allclose(num, Poly([1.0, 1.0]), atol=1e-9)
+        assert poly_allclose(den, Poly([1.0]), atol=1e-12)
+        assert roots == []
 
     def test_removable_singularity_drops_degree(self):
         # composing the omega = -conj(eta) functional with the one-boundary-node
         # closed form produces a removable singularity at the node
         from conftest import boundary_example_target
 
+        from royalgamma.gamma import compose_phi_omega
+
         h = boundary_example_target(1j, 1.0, 1.0)
-        omega = 1j  # -conj(i) = i... -conj(eta) for eta = i is i
-        num = 2.0 * omega * h.p.num - h.s.num
-        den = 2.0 * h.den - omega * h.s.num
-        raw = RationalFn(num, den)
-        assert max(raw.num.degree, raw.den.degree) == 1
-        reduced = rat_reduce(raw)
+        omega = 1j  # -conj(eta) for eta = i
+        raw = RationalFn(2.0 * omega * h.p.num - h.s.num, 2.0 * h.den - omega * h.s.num)
+        assert raw.degree == 1
+        reduced = compose_phi_omega(omega, h)
         assert reduced.degree == 0
+        assert reduced.den.coeffs.tolist() == [1.0]
 
     def test_zero_numerator(self):
-        g = rat_reduce(RationalFn(Poly([]), Poly([2.0, 1.0])))
-        assert g.num.is_zero
-        assert poly_allclose(g.den, Poly([1.0]))
-
-    def test_near_common_root_is_not_cancelled(self):
-        # 5e-8 apart pairs at root_cluster_tol = 1e-7, but cancelling the pair
-        # moves the sampled values, so the pairing backs off
-        a = 0.3 + 0.4j
-        g = rat_reduce(RationalFn(Poly.from_roots([a + 5e-8, 0.7j]), Poly.from_roots([a, -0.5])))
-        assert g.den.degree == 2
-        assert g.num.degree == 2
+        [((num,), den, roots)] = joint_reduce_many([((Poly([]),), Poly([2.0, 1.0]))])
+        assert num.is_zero
+        assert den.coeffs.tolist() == [1.0]
+        assert roots == []
 
     def test_true_common_root_is_cancelled(self):
         a = 0.3 + 0.4j
-        g = rat_reduce(RationalFn(Poly.from_roots([a, 0.7j]), Poly.from_roots([a, -0.5])))
-        assert g.den.degree == 1
-        assert g.num.degree == 1
-        assert abs(g.den.coeffs[0] - 0.5) < 1e-12
+        [((num,), den, roots)] = joint_reduce_many([((Poly.from_roots([a, 0.7j]),), Poly.from_roots([a, -0.5]))])
+        assert (num.degree, den.degree) == (1, 1)
+        assert abs(num.coeffs[0] + 0.7j) < 1e-12
+        assert abs(den.coeffs[0] - 0.5) < 1e-12
+        assert len(roots) == 1 and abs(roots[0] + 0.5) < 1e-12
+
+    def test_pair_within_root_cluster_tol_is_cancelled(self):
+        # 5e-8 apart pairs at ROOT_CLUSTER_TOL, and no sampled check backs the pairing off
+        a = 0.3 + 0.4j
+        [((num,), den, roots)] = joint_reduce_many([((Poly.from_roots([a + 5e-8, 0.7j]),), Poly.from_roots([a, -0.5]))])
+        assert (num.degree, den.degree) == (1, 1)
+        assert len(roots) == 1 and abs(roots[0] + 0.5) < 1e-12
+
+    def test_near_common_root_is_not_cancelled(self):
+        # 1e-5 apart is farther than ROOT_CLUSTER_TOL: the inputs come back themselves
+        a = 0.3 + 0.4j
+        nums, den = (Poly.from_roots([a + 1e-5, 0.7j]),), Poly.from_roots([a, -0.5])
+        [(out_nums, out_den, roots)] = joint_reduce_many([(nums, den)])
+        assert out_nums is nums and out_den is den
+        assert sorted(roots, key=lambda z: z.real) == pytest.approx([-0.5, a], abs=1e-12)
+
+    def test_scaling_made_monic(self):
+        from royalgamma.gamma import compose_phi_omega
+
+        # the joint reduction keeps leading coefficients; the composition divides them out
+        h = generate_h_nu(2, 0.35)
+        for omega in (1.0, -1j, 2.5 - 0.5j):
+            [((num,), den, _)] = joint_reduce_many([((2.0 * omega * h.p.num - h.s.num,), 2.0 * h.den - omega * h.s.num)])
+            assert den.leading != 1.0
+            composed = compose_phi_omega(omega, h)
+            assert composed.den.leading == 1.0
+            assert composed.num.leading == num.leading / den.leading
 
 
-def _scalar_drift_candidates():
-    rng = np.random.default_rng(20311)
-    return [rng.uniform(0.1, 2.5) * np.exp(2j * np.pi * rng.uniform()) for _ in range(4000)]
+class TestPairRoots:
+    """_pair_roots, the pairing behind joint_reduce_many, on hand-made clusters."""
 
+    def test_multiplicities_bound_the_cancellation(self):
+        den = [RootCluster(0.5, 2, 0.0), RootCluster(-0.2j, 1, 0.0)]
+        num = [RootCluster(0.5 + 1e-9, 1, 0.0), RootCluster(0.9, 1, 0.0)]
+        den_left, (num_left,), cancelled = _pair_roots(den, [num])
+        assert cancelled == 1
+        assert den_left == [0.5, -0.2j]
+        assert num_left == [0.9]
 
-def _scalar_sampled_drift(reference, candidate, avoid):
-    """The one-point-at-a-time sampled check that the array version must reproduce."""
-    rng = np.random.default_rng(20311)
-    checked = 0
-    worst = 0.0
-    attempts = 0
-    while checked < 32 and attempts < 4000:
-        attempts += 1
-        z = rng.uniform(0.1, 2.5) * np.exp(2j * np.pi * rng.uniform())
-        if any(abs(z - a) < 5e-2 for a in avoid):
-            continue
-        ref = reference(z)
-        worst = max(worst, abs(ref - candidate(z)) / max(1.0, abs(ref)))
-        checked += 1
-    return worst
+    def test_a_zero_numerator_shares_every_root(self):
+        den = [RootCluster(0.5, 2, 0.0), RootCluster(-0.2j, 1, 0.0)]
+        num = [RootCluster(-0.2j, 1, 0.0)]
+        den_left, (zero_left, num_left), cancelled = _pair_roots(den, [None, num])
+        assert cancelled == 1
+        assert den_left == [0.5, 0.5]
+        assert zero_left is None and num_left == []
+
+    def test_a_root_must_be_shared_by_every_numerator(self):
+        den = [RootCluster(0.5, 1, 0.0)]
+        den_left, nums_left, cancelled = _pair_roots(den, [[RootCluster(0.5, 1, 0.0)], [RootCluster(0.7, 1, 0.0)]])
+        assert cancelled == 0
+        assert den_left == [0.5]
+        assert nums_left == [[0.5], [0.7]]
+
+    @pytest.mark.parametrize("gap, cancelled", [(0.9 * ROOT_CLUSTER_TOL, 1), (1.1 * ROOT_CLUSTER_TOL, 0)])
+    def test_roots_pair_within_root_cluster_tol(self, gap, cancelled):
+        _, _, count = _pair_roots([RootCluster(0.25j, 1, 0.0)], [[RootCluster(0.25j + gap, 1, 0.0)]])
+        assert count == cancelled
 
 
 def _scalar_polish_roots(p):
@@ -302,70 +326,6 @@ def _random_coeffs(rng, size):
 
 class TestArrayEvaluationIsBitIdentical:
     """The array evaluations give exactly the values of the scalar loops they replaced."""
-
-    def test_drift_candidates_match_scalar_draws(self):
-        assert np.array_equal(_drift_candidates(), np.array(_scalar_drift_candidates()))
-
-    def _pairs(self):
-        # reference and a perturbed candidate, nonzero drift at every scale
-        rng = np.random.default_rng(41)
-        for eps in (1e-6, 1e-9, 1e-13):
-            for _ in range(4):
-                num = rng.normal(size=6) + 1j * rng.normal(size=6)
-                den = rng.normal(size=5) + 1j * rng.normal(size=5)
-                yield RationalFn(Poly(num), Poly(den)), RationalFn(Poly(num * (1.0 + eps)), Poly(den))
-
-    def test_drift_with_empty_avoid(self):
-        for reference, candidate in self._pairs():
-            drift = _sampled_drift(reference, candidate, [])
-            assert drift > 0.0
-            assert drift == _scalar_sampled_drift(reference, candidate, [])
-
-    def test_drift_when_avoid_rejects_early_candidates(self):
-        for count in range(4):
-            early = [complex(z) + 1e-3 for z in _drift_candidates()[:count]] + [0.5j, -1.0]
-            for reference, candidate in self._pairs():
-                avoid = early + [rc.value for rc in poly_roots(reference.num) + poly_roots(reference.den)]
-                drift = _sampled_drift(reference, candidate, avoid)
-                assert drift > 0.0
-                assert _bits(drift).tolist() == _bits(_scalar_sampled_drift(reference, candidate, avoid)).tolist()
-
-    def test_drift_with_fewer_than_32_clear_candidates(self, monkeypatch):
-        import royalgamma.polyrat
-
-        # 20 candidates, the first few of them avoided: the check uses the ones that remain
-        short = _drift_candidates()[:20]
-        monkeypatch.setattr(royalgamma.polyrat, "_drift_candidates", lambda: short)
-        rng = np.random.default_rng(98)
-        for i in range(6):
-            f = RationalFn(Poly(_random_coeffs(rng, 3)), Poly([0.0, 1.0, 0.5]))
-            g = RationalFn(f.num * (1.0 + 1e-9), f.den)
-            avoid = [0.0, -2.0] + [complex(z) for z in short[:i]]
-            kept = [complex(z) for z in short if all(abs(complex(z) - a) >= 5e-2 for a in avoid)]
-            assert len(kept) <= 20 - i
-            expected = 0.0
-            for z in kept:
-                ref = f(z)
-                expected = max(expected, abs(ref - g(z)) / max(1.0, abs(ref)))
-            drift = _sampled_drift(f, g, avoid)
-            assert drift > 0.0
-            assert _bits(drift).tolist() == _bits(expected).tolist()
-
-    def test_drift_raises_on_a_zero_denominator_and_max_skips_nan(self):
-        # a denominator that underflows to 0 at the sample points, and a quotient that overflows
-        underflow = RationalFn(Poly([1.0, 1.0]), Poly([0.0, 0.0, 5e-324]))
-        with pytest.raises(ZeroDivisionError, match="complex division by zero"):
-            _sampled_drift(underflow, underflow, [])
-        overflow = RationalFn(Poly([1e300, 1e300]), Poly([1e-20, 1e-30]))
-        candidate = RationalFn(overflow.num * 1.5, overflow.den)
-        # Python's max passes over the NaN of inf / inf
-        assert _sampled_drift(overflow, candidate, []) == _scalar_sampled_drift(overflow, candidate, []) == 0.0
-
-    def test_drift_of_a_faithful_reduction(self):
-        f = RationalFn(Poly.from_roots([0.2, 0.7j, -1.1]), Poly.from_roots([0.2, -0.5]))
-        g = rat_reduce(f)
-        avoid = [0.2, 0.7j, -1.1, -0.5]
-        assert _sampled_drift(f, g, avoid) == _scalar_sampled_drift(f, g, avoid)
 
     def test_poly_roots_match_scalar_polish(self):
         rng = np.random.default_rng(2024)
@@ -527,57 +487,12 @@ def _sequential_poly_roots(p):
     return out
 
 
-def _sequential_drift(reference, candidate, avoid):
-    candidates = _drift_candidates()
-    avoid = np.asarray(avoid, dtype=complex)
-    kept = []
-    for start in range(0, candidates.size, 64):
-        block = candidates[start:start + 64]
-        gap = block[:, None] - avoid[None, :]
-        kept += block[~np.any(np.hypot(gap.real, gap.imag) < 5e-2, axis=1)].tolist()
-        if len(kept) >= 32:
-            break
-    z = np.array(kept[:32], dtype=complex)
-    values = [_sequential_horner(q.coeffs, z).tolist() for q in (reference.num, reference.den, candidate.num, candidate.den)]
-    worst = 0.0
-    for rn, rd, cn, cd in zip(*values):
-        ref = rn / rd
-        worst = max(worst, abs(ref - cn / cd) / max(1.0, abs(ref)))
-    return worst
-
-
-def _sequential_rat_reduce(f):
-    """rat_reduce as it was before the batch kernel: one function, one drift check per pairing."""
-    if f.num.is_zero:
-        return RationalFn(Poly([]), Poly([1.0]))
-    den_scale = float(np.max(np.abs(f.den.coeffs)))
-    f = RationalFn(Poly(f.num.coeffs / den_scale), Poly(f.den.coeffs / den_scale))
-    num_clusters = _sequential_poly_roots(f.num) if f.num.degree >= 1 else []
-    den_clusters = _sequential_poly_roots(f.den) if f.den.degree >= 1 else []
-    avoid = [rc.value for rc in num_clusters] + [rc.value for rc in den_clusters]
-    worst = None
-    for pair_tol in (ROOT_CLUSTER_TOL, ROOT_CLUSTER_TOL * 1e-2, ROOT_CLUSTER_TOL * 1e-4, 1e-300):
-        den_roots, (num_roots,), cancelled = _pair_roots(den_clusters, [num_clusters], pair_tol)
-        if cancelled:
-            lead_ratio = f.num.leading / f.den.leading
-            out = RationalFn(Poly.from_roots(num_roots, leading=lead_ratio), Poly.from_roots(den_roots, leading=1.0))
-        else:
-            out = f.normalized()
-        drift = _sequential_drift(f, out, avoid)
-        if drift <= RESIDUAL_TOL:
-            return out
-        worst = drift if worst is None else min(worst, drift)
-    return NumericalFailure(f"no faithful cancellation found; best sampled drift {worst:.3e}")
-
-
 def _cluster_bits(clusters):
     return ([rc.multiplicity for rc in clusters], _bits([rc.value for rc in clusters]).tolist(),
             np.array([rc.residual for rc in clusters]).view(np.uint64).tolist())
 
 
 def _same_function(ours, ref):
-    if isinstance(ref, NumericalFailure):
-        return isinstance(ours, NumericalFailure) and str(ours) == str(ref)
     return all(np.array_equal(_bits(a.coeffs), _bits(b.coeffs)) for a, b in ((ours.num, ref.num), (ours.den, ref.den)))
 
 
@@ -591,7 +506,7 @@ def _joint_reduce_all_roots(items):
         if den.degree >= 1:
             den_clusters = next(found)
             num_clusters = [None if q.is_zero else next(found) if q.degree >= 1 else [] for q in nums]
-            den_roots, num_roots, cancelled = _pair_roots(den_clusters, num_clusters, ROOT_CLUSTER_TOL)
+            den_roots, num_roots, cancelled = _pair_roots(den_clusters, num_clusters)
             if cancelled:
                 nums = tuple(q if roots is None else Poly.from_roots(roots, leading=q.leading)
                              for q, roots in zip(nums, num_roots))
@@ -622,8 +537,71 @@ def test_joint_reduction_finds_numerator_roots_only_where_they_can_pair():
     assert sum(out_den.degree < in_den.degree for (_, in_den), (_, out_den, _) in zip(items, reference)) >= 10
 
 
+def _same_reduction(ours, ref):
+    return all([_bits(q.coeffs).tolist() for q in (*nums, den)] + [_bits(roots).tolist()]
+               == [_bits(q.coeffs).tolist() for q in (*ref_nums, ref_den)] + [_bits(ref_roots).tolist()]
+               for (nums, den, roots), (ref_nums, ref_den, ref_roots) in zip(ours, ref, strict=True))
+
+
+class TestJointReductionMatchesTheAllRootsReduction:
+    """joint_reduce_many gives exactly what pairing every numerator's roots gives."""
+
+    def _cases(self):
+        a = 0.3 + 0.4j
+        near = ((Poly.from_roots([a + 5e-8, 0.7j]),), Poly.from_roots([a, -0.5]))
+        common = ((Poly.from_roots([a, 0.7j], leading=3.0),), Poly.from_roots([a, -0.5], leading=0.5j))
+        zero = ((Poly([]),), Poly([2.0, 1.0]))
+        rng = np.random.default_rng(91)
+        plain = [((Poly(_random_coeffs(rng, n)),), Poly(_random_coeffs(rng, n + d))) for n in (1, 3, 5) for d in (0, 2)]
+        return {"near": near, "common": common, "zero": zero, "plain": plain}
+
+    @pytest.mark.parametrize("case", ["near", "common", "zero"])
+    def test_joint_reduce_many_matches_the_all_roots_reduction(self, case):
+        items = [self._cases()[case]]
+        assert _same_reduction(joint_reduce_many(items), _joint_reduce_all_roots(items))
+
+    @pytest.mark.parametrize("seed", [95, 96, 97])
+    def test_joint_reduce_many_matches_the_all_roots_reduction_on_random_functions(self, seed):
+        rng = np.random.default_rng(seed)
+        items = []
+        for _ in range(32):
+            n = int(rng.integers(1, 6))
+            num, den = Poly(_random_coeffs(rng, n)), Poly(_random_coeffs(rng, n + int(rng.integers(0, 3))))
+            if rng.uniform() < 0.5:
+                common = Poly.from_roots([_random_coeffs(rng, 1)[0]])
+                num, den = num * common, den * common
+            items.append(((num,), den))
+        reference = _joint_reduce_all_roots(items)
+        assert _same_reduction(joint_reduce_many(items), reference)
+        assert any(out_den.degree < den.degree for (_, den), (_, out_den, _) in zip(items, reference))
+
+    def test_each_function_is_reduced_alone(self):
+        # a batch gives each function what a call of its own gives
+        cases = self._cases()
+        items = [cases["near"], *cases["plain"], cases["common"], cases["zero"]]
+        batch = joint_reduce_many(items)
+        assert _same_reduction(batch, [joint_reduce_many([item])[0] for item in items])
+
+    def test_nothing_to_pair_finds_no_numerator_roots(self, monkeypatch):
+        import royalgamma.polyrat
+
+        calls = []
+
+        def recording(polys):
+            calls.append(len(polys))
+            return poly_roots_many(polys)
+
+        items = self._cases()["plain"]
+        monkeypatch.setattr(royalgamma.polyrat, "poly_roots_many", recording)
+        out = joint_reduce_many(items)
+        # one call for the nonconstant denominators, and none of the numerators can pair
+        assert calls == [sum(den.degree >= 1 for _, den in items), 0]
+        for (nums, den), (out_nums, out_den, _) in zip(items, out):
+            assert out_nums is nums and out_den is den
+
+
 class TestBatchKernelsAreBitIdentical:
-    """poly_roots_many and rat_reduce give exactly what the one-at-a-time kernels gave."""
+    """poly_roots_many and poly_eval_many give exactly what the one-at-a-time kernels gave."""
 
     def _mixed_polys(self):
         rng = np.random.default_rng(90)
@@ -654,62 +632,6 @@ class TestBatchKernelsAreBitIdentical:
     def test_poly_roots_many_rejects_a_zero_polynomial(self):
         with pytest.raises(ZeroPolynomial):
             poly_roots_many([Poly([1.0, 2.0]), Poly([])])
-
-    def _cases(self):
-        a = 0.3 + 0.4j
-        back_off = RationalFn(Poly.from_roots([a + 5e-8, 0.7j]), Poly.from_roots([a, -0.5]))
-        common = RationalFn(Poly.from_roots([a, 0.7j], leading=3.0), Poly.from_roots([a, -0.5], leading=0.5j))
-        zero = RationalFn(Poly([]), Poly([2.0, 1.0]))
-        rng = np.random.default_rng(91)
-        plain = [RationalFn(Poly(_random_coeffs(rng, n)), Poly(_random_coeffs(rng, n + d))) for n in (1, 3, 5) for d in (0, 2)]
-        return {"back_off": back_off, "common": common, "zero": zero, "plain": plain}
-
-    @pytest.mark.parametrize("case", ["back_off", "common", "zero"])
-    def test_rat_reduce_matches_the_sequential_reduction(self, case):
-        f = self._cases()[case]
-        assert _same_function(rat_reduce(f), _sequential_rat_reduce(f))
-
-    @pytest.mark.parametrize("seed", [95, 96, 97])
-    def test_rat_reduce_matches_the_sequential_reduction_on_random_functions(self, seed):
-        rng = np.random.default_rng(seed)
-        for _ in range(32):
-            n = int(rng.integers(1, 6))
-            f = RationalFn(Poly(_random_coeffs(rng, n)), Poly(_random_coeffs(rng, n + int(rng.integers(0, 3)))))
-            assert _same_function(rat_reduce(f), _sequential_rat_reduce(f))
-
-    def test_a_failing_function_fails_alone(self, monkeypatch):
-        import royalgamma.polyrat
-
-        original = royalgamma.polyrat._sampled_drift
-
-        def drifting(reference, candidate, avoid):
-            # every pairing of a cubic numerator disagrees with its input
-            return 1.0 if reference.num.degree == 3 else original(reference, candidate, avoid)
-
-        rng = np.random.default_rng(92)
-        # the cubic has a genuine common root, so its reduction cancels and checks the drift
-        common = Poly.from_roots([0.3 - 0.2j])
-        cubic = RationalFn(Poly(_random_coeffs(rng, 3)) * common, Poly(_random_coeffs(rng, 2)) * common)
-        quartic = RationalFn(Poly(_random_coeffs(rng, 5)), Poly(_random_coeffs(rng, 3)))
-        assert rat_reduce(cubic).den.degree == 1
-        monkeypatch.setattr(royalgamma.polyrat, "_sampled_drift", drifting)
-        with pytest.raises(NumericalFailure, match=r"no faithful cancellation found; best sampled drift 1\.000e\+00"):
-            rat_reduce(cubic)
-        assert _same_function(rat_reduce(quartic), _sequential_rat_reduce(quartic))
-
-    def test_nothing_to_pair_skips_the_drift_check(self, monkeypatch):
-        import royalgamma.polyrat
-
-        def forbidden(reference, candidate, avoid):
-            raise AssertionError("drift checked although nothing cancels")
-
-        functions = self._cases()["plain"]
-        monkeypatch.setattr(royalgamma.polyrat, "_sampled_drift", forbidden)
-        for f in functions:
-            reduced = rat_reduce(f)
-            assert (reduced.num.degree, reduced.den.degree) == (f.num.degree, f.den.degree)
-            assert _same_function(reduced, _sequential_rat_reduce(f))
-
 
 def _complex_compensated(polys, z):
     """Compensated Horner on complex arrays, each product with z's real and
@@ -786,17 +708,22 @@ class TestCompensatedEvaluation:
 
 
 def test_compose_phi_omega_is_the_reduced_composition():
-    from conftest import blaschke_rational, superficial_map
+    from conftest import blaschke_rational, boundary_example_target, superficial_map
 
     from royalgamma.gamma import compose_phi_omega
 
-    maps = [generate_h_nu(0, 0.5), generate_h_nu(2, 0.35),
+    # at omega = i the boundary example's node is a removable singularity
+    maps = [generate_h_nu(0, 0.5), generate_h_nu(2, 0.35), boundary_example_target(1j, 1.0, 1.0),
             superficial_map(blaschke_rational([0.3j, -0.2, 0.5 + 0.1j], 1j), 0.4 - 0.3j)]
-    omegas = [*np.exp(1j * (np.pi * (2.0 * np.arange(8) + 1.0) / 8.0 + 0.0137 * 5)), 1.0, -1j, 2.5 - 0.5j]
+    omegas = [*np.exp(1j * (np.pi * (2.0 * np.arange(8) + 1.0) / 8.0 + 0.0137 * 5)), 1.0, 1j, -1j, 2.5 - 0.5j]
+    cancelled = 0
     for h in maps:
         for omega in omegas:
-            composed = RationalFn(2.0 * complex(omega) * h.p.num - h.s.num, 2.0 * h.den - complex(omega) * h.s.num)
-            assert _same_function(compose_phi_omega(omega, h), _sequential_rat_reduce(composed))
+            composed = ((2.0 * complex(omega) * h.p.num - h.s.num,), 2.0 * h.den - complex(omega) * h.s.num)
+            [((num,), den, _)] = _joint_reduce_all_roots([composed])
+            assert _same_function(compose_phi_omega(omega, h), RationalFn(num / den.leading, den / den.leading))
+            cancelled += den.degree < composed[1].degree
+    assert cancelled >= 1
 
 
 @seed(989)
@@ -836,23 +763,17 @@ def test_derivative_keeps_a_top_coefficient_at_the_trim_threshold():
     num=st.lists(st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False), min_size=1, max_size=6),
     den=st.lists(st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False), min_size=1, max_size=6),
 )
-def test_rat_reduce_idempotent(num, den):
+def test_joint_reduce_many_idempotent(num, den):
     from hypothesis import assume
-
-    from royalgamma.errors import NumericalFailure
 
     den_poly = Poly(den)
     assume(not den_poly.is_zero)
-    f = RationalFn(Poly(num), den_poly)
-    try:
-        once = rat_reduce(f)
-    except NumericalFailure:
-        assume(False)
-    twice = rat_reduce(once)
+    [((once_num,), once_den, _)] = joint_reduce_many([((Poly(num),), den_poly)])
+    [((twice_num,), twice_den, _)] = joint_reduce_many([((once_num,), once_den)])
     # agreement is relative to the coefficient scale, as in the trim rule
-    scale = max(1.0, *(np.max(np.abs(p.coeffs)) for p in (once.num, once.den) if not p.is_zero))
-    assert poly_allclose(once.num, twice.num, atol=1e-9 * scale)
-    assert poly_allclose(once.den, twice.den, atol=1e-9 * scale)
+    scale = max(1.0, *(np.max(np.abs(p.coeffs)) for p in (once_num, once_den) if not p.is_zero))
+    assert poly_allclose(once_num, twice_num, atol=1e-9 * scale)
+    assert poly_allclose(once_den, twice_den, atol=1e-9 * scale)
 
 
 class TestSerialization:
