@@ -5,7 +5,6 @@ the boundary-augmented interpolation problem."""
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,14 +20,15 @@ from .errors import (
 from .pick import BlaschkeData, ExceptionalSet, PickMatrix, kernel_solves
 from .polyrat import (
     RESIDUAL_TOL,
-    ROOT_CLUSTER_TOL,
     TRIM_TOL,
     Poly,
     RationalFn,
+    _added,
+    _trim_coeffs,
+    joint_reduce_many,
     poly_eval,
     poly_eval_many,
     poly_roots,
-    poly_roots_many,
 )
 
 __all__ = [
@@ -113,9 +113,11 @@ class BlaschkeProduct:
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
+        zeros = np.array(self.zeros, dtype=complex).reshape((-1,) + (1,) * z.ndim)
         out = np.full_like(z, self.unimodular_constant)
-        for a in self.zeros:
-            out = out * (z - a) / (1.0 - np.conj(a) * z)
+        # the factors z - a and 1 - conj(a) z of every zero a, as rows, multiplied in one at a time
+        for above, below in zip(z - zeros, 1.0 - np.conj(zeros) * z):
+            out = out * above / below
         if z.ndim == 0:
             return complex(out)
         return out
@@ -246,22 +248,15 @@ def build_parametrization(M: PickMatrix, data: BlaschkeData, tau: complex) -> Pa
 
 
 def _check_no_common_zero(param: Parametrization) -> None:
-    """Narrow the zeros of a to those that b, c and d share in turn, with the
-    roots of all four from one ``poly_roots_many`` call; the zero polynomial
-    shares every zero, a nonzero constant none."""
-    others = [q for q in (param.b, param.c, param.d) if not q.is_zero]
-    if param.a.degree < 1 or any(q.degree < 1 for q in others):
-        return
-    found = poly_roots_many([param.a, *others])
-    shared = [rc.value for rc in found[0]]
-    for clusters in found[1:]:
-        shared = [z for z in shared if any(abs(z - rc.value) <= ROOT_CLUSTER_TOL for rc in clusters)]
-    if shared:
-        raise NumericalFailure(f"a, b, c, d share the zero {shared[0]}")
+    """Ask the one root cancellation whether b, c and d share a zero of a; the
+    zero polynomial shares every zero, a nonzero constant none."""
+    [(_, den, roots)] = joint_reduce_many([((param.b, param.c, param.d), param.a)])
+    if den is not param.a:
+        raise NumericalFailure(f"a, b, c, d share {param.a.degree - len(roots)} of the {param.a.degree} zeros of a")
 
 
 def _check_c_dominated_by_d(param: Parametrization) -> None:
-    grid = disc_grid(256)
+    grid = _read_only_grid(disc_grid, 256)
     excess = np.abs(poly_eval(param.c, grid)) - np.abs(poly_eval(param.d, grid))
     worst = float(np.max(excess))
     if worst > RESIDUAL_TOL:
@@ -291,17 +286,28 @@ def solve_blaschke(param: Parametrization, zeta: complex) -> RationalFn:
     for alpha, beta in param.exceptional.pairs:
         if abs(alpha - zeta * beta) <= EXCEPTIONAL_SCALAR_TOL * max(1.0, abs(alpha), abs(beta)):
             raise ExceptionalZeta(f"zeta = {zeta} is within tolerance of the exceptional set")
-    num = zeta * param.a + param.b
-    den = zeta * param.c + param.d
-    return RationalFn(num / den.leading, den / den.leading)
+    # Poly's steps on the bare coefficients: each product, sum and quotient is trimmed as Poly trims it
+    num, den = (_trim_coeffs(_added(_trim_coeffs(p.coeffs * zeta), q.coeffs))
+                for p, q in ((param.a, param.b), (param.c, param.d)))
+    lead = complex(den[-1]) if den.size else 0j
+    return RationalFn(*(Poly._untrimmed(_trim_coeffs(coeffs / lead)) for coeffs in (num, den)))
 
 
 @functools.cache
-def _factored_form_check_points() -> np.ndarray:
-    """The 64 points of the unit disc at which a factored form is checked,
-    drawn from ``default_rng(41205)`` on first use, not at import."""
+def _read_only_grid(grid, m: int) -> np.ndarray:
+    """``grid(m)`` as a read-only array, built on first use, not at import."""
+    out = grid(m)
+    out.setflags(write=False)
+    return out
+
+
+@functools.cache
+def _factored_form_points() -> np.ndarray:
+    """Five fixed anchors, the 256-point circle grid, then 64 points of the unit disc
+    drawn from ``default_rng(41205)``: where a factored form is read off and checked."""
     rng = np.random.default_rng(41205)
-    out = rng.uniform(0.0, 1.0, 64) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 64))
+    checks = rng.uniform(0.0, 1.0, 64) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 64))
+    out = np.concatenate(([1.0 + 0j, 1j, -1.0 + 0j, -1j, np.exp(0.7j)], _read_only_grid(circle_grid, 256), checks))
     out.setflags(write=False)
     return out
 
@@ -316,11 +322,13 @@ def to_blaschke_product(f: RationalFn) -> BlaschkeProduct:
     circle point away from the zeros (five fixed points, then the grid), a
     NaN fails every check, and the factored form is checked against the
     input at 64 deterministic points before returning, so a common factor of
-    numerator and denominator raises :class:`NotInner`.
+    numerator and denominator raises :class:`NotInner`.  The input is
+    evaluated once, at all of these points together.
     """
-    grid = circle_grid(256)
-    vals = f(grid)
-    worst = float(np.max(np.abs(np.abs(vals) - 1.0)))
+    points = _factored_form_points()
+    num, den = f.values(points)
+    vals = num / den
+    worst = float(np.max(np.abs(np.abs(vals[5:261]) - 1.0)))
     if not worst <= RESIDUAL_TOL:
         raise NotInner(f"not unimodular on the circle: off by {worst:.3e}")
 
@@ -331,17 +339,16 @@ def to_blaschke_product(f: RationalFn) -> BlaschkeProduct:
                 raise NotInner(f"numerator zero {rc.value} is not inside the open disc")
             zeros.extend([rc.value] * rc.multiplicity)
 
-    # five fixed points, then the grid; with no point away from the zeros the constant is NaN and fails
-    candidates = itertools.chain([1.0 + 0j, 1j, -1.0 + 0j, -1j, np.exp(0.7j)], grid)
-    anchor = next((complex(z) for z in candidates if all(abs(z - a) > 1e-3 for a in zeros)), complex("nan"))
-    base = BlaschkeProduct(unimodular_constant=1.0 + 0j, zeros=tuple(zeros))
-    constant = complex(f(anchor) / base(anchor))
+    # the first circle point away from the zeros; with none the constant is NaN and fails
+    candidates = enumerate(map(complex, points[:261]))
+    i, z = next(((i, z) for i, z in candidates if all(abs(z - a) > 1e-3 for a in zeros)), (None, None))
+    base = BlaschkeProduct(1.0 + 0j, tuple(zeros))
+    constant = complex("nan") if i is None else complex(num[i]) / complex(den[i]) / base(z)
     if not abs(abs(constant) - 1.0) <= RESIDUAL_TOL:
         raise NotInner(f"recovered constant has modulus {abs(constant):.12g}")
     result = BlaschkeProduct(unimodular_constant=constant / abs(constant), zeros=tuple(zeros))
 
-    pts = _factored_form_check_points()
-    drift = float(np.max(np.abs(f(pts) - result(pts))))
+    drift = float(np.max(np.abs(vals[261:] - result(points[261:]))))
     if not drift <= RESIDUAL_TOL * 10:
         raise NotInner(f"factored form disagrees with the input by {drift:.3e}")
     return result

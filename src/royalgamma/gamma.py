@@ -22,6 +22,7 @@ from ._crosscheck import _crosscheck, _phi_check_omegas
 from .basevalues import FamilyMember, S0P0Solution, solve_s0_p0
 from .blaschke import (
     Parametrization,
+    _read_only_grid,
     build_parametrization,
     circle_grid,
     phasar_derivative,
@@ -281,23 +282,16 @@ def _maps_from_numerators(rows: np.ndarray, sizes: np.ndarray) -> list[GammaInne
     return out.items
 
 
-@functools.cache
-def _circle_points() -> np.ndarray:
-    """The 256-point circle grid the boundary identities are checked on."""
-    grid = circle_grid(256)
-    grid.setflags(write=False)
-    return grid
-
-
 def _circle_residuals(coeffs: np.ndarray) -> np.ndarray:
     """| |p| - 1 |, |s - conj(s) p| and |s| - 2 of each map, the rows (num_s,
     num_p, den) of ``coeffs`` (maps x 3 x coefficients), each at its maximum
     over a 256-point circle grid: (maps x 3).  Eight maps at a time keep the
     (maps x points) arrays small."""
     out = np.empty((len(coeffs), 3))
+    grid = _read_only_grid(circle_grid, 256)
     for start in range(0, len(coeffs), 8):
         chunk = coeffs[start:start + 8]
-        values = _horner(chunk.reshape(-1, chunk.shape[2]), _circle_points()).reshape(len(chunk), 3, 256)
+        values = _horner(chunk.reshape(-1, chunk.shape[2]), grid).reshape(len(chunk), 3, 256)
         quotients = values[:, :2] / values[:, 2:]
         sv, pv = quotients[:, 0], quotients[:, 1]
         out[start:start + 8, 0] = np.max(np.abs(np.abs(pv) - 1.0), axis=1)

@@ -66,6 +66,15 @@ def _trim_coeffs(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[:keep].copy()
 
 
+def _added(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The untrimmed sum of two coefficient arrays; beyond the shorter, the longer's signed zeros stay."""
+    if a.size < b.size:
+        a, b = b, a
+    out = a.copy()
+    out[: b.size] += b
+    return out
+
+
 def _trimmed_sizes(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """How many coefficients ``Poly`` keeps of each row's first ``sizes``
     entries, decided as :func:`_trim_coeffs` decides it; the entries beyond
@@ -131,12 +140,7 @@ class Poly:
         return out
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if a.size < b.size:
-            a, b = b, a
-        out = a.copy()
-        out[: b.size] += b
-        return Poly(out)
+        return Poly(_added(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "Poly") -> "Poly":
         # in IEEE arithmetic a - b is a + (-b) bit for bit
@@ -325,19 +329,22 @@ def _clusters(p: Poly, raw: list, values: list, slopes: list) -> tuple[list[comp
         polished.append(complex(r))
     polished.sort(key=lambda w: (w.real, w.imag))
 
+    # each cluster's centroid is kept, and recomputed only when the cluster grows
     clusters: list[list[complex]] = []
+    means: list[complex] = []
     for r in polished:
-        for members in clusters:
-            centroid = sum(members) / len(members)
+        for k, centroid in enumerate(means):
             if abs(r - centroid) <= ROOT_CLUSTER_TOL:
-                members.append(r)
                 break
         else:
-            clusters.append([r])
+            k = len(means)
+            clusters.append([])
+            means.append(r)
+        clusters[k].append(r)
+        means[k] = sum(clusters[k]) / len(clusters[k])
 
     centroids = []
-    for members in clusters:
-        centroid = complex(sum(members) / len(members))
+    for members, centroid in zip(clusters, means):
         m = len(members)
         if m >= 2:
             # an m-fold root of p is a simple root of the (m-1)-th derivative;
@@ -406,9 +413,10 @@ def poly_roots(p: Poly) -> list[RootCluster]:
 
 
 class RationalFn:
-    """Quotient of two :class:`Poly`; the denominator is never the zero polynomial."""
+    """Quotient of two :class:`Poly`; the denominator is never the zero polynomial.  The first call
+    stacks num and den as the columns of one array and keeps it; a family calls few of those it builds."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_columns")
 
     def __init__(self, num: Poly, den: Poly):
         if den.is_zero:
@@ -423,8 +431,26 @@ class RationalFn:
     def degree(self) -> int:
         return max(self.num.degree, self.den.degree)
 
+    def values(self, z) -> np.ndarray:
+        """num and den at every point of ``z`` in one two-row Horner pass, bit
+        for bit the values :func:`poly_eval` gives: shape (2,) + z.shape."""
+        try:
+            columns = self._columns
+        except AttributeError:
+            columns = np.ascontiguousarray(_stacked((self.num, self.den)).T[::-1, :, None])
+            object.__setattr__(self, "_columns", columns)
+        z = np.asarray(z, dtype=complex)
+        points = z.reshape(-1)
+        out = np.zeros((2, points.size), complex)
+        for c in columns:
+            out = out * points + c
+        return out.reshape((2,) + z.shape)
+
     def __call__(self, z):
-        return poly_eval(self.num, z) / poly_eval(self.den, z)
+        num, den = self.values(z)
+        if num.ndim == 0:
+            return complex(num) / complex(den)  # Python's complex division: numpy's rounds some quotients differently
+        return num / den
 
     def __repr__(self):
         return f"RationalFn({self.num!r}, {self.den!r})"

@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 from conftest import (
@@ -7,6 +10,7 @@ from conftest import (
     fd_phasar,
     interior_example_data,
     poly_allclose,
+    random_solvable_instances,
 )
 
 from royalgamma import generate_h_nu
@@ -19,12 +23,12 @@ from royalgamma.blaschke import (
     solve_blaschke,
     to_blaschke_product,
 )
-from royalgamma.blaschke import PhasarValue
-from royalgamma.errors import ExceptionalZeta, InvalidData, NotInner, ZeroOrPoleAtPoint
+from royalgamma.blaschke import BlaschkeProduct, PhasarValue, _check_no_common_zero, _read_only_grid
+from royalgamma.errors import ExceptionalZeta, InvalidData, NotInner, NumericalFailure, ZeroOrPoleAtPoint
 from royalgamma.polyrat import RESIDUAL_TOL, TRIM_TOL
 from royalgamma.gamma import extract_royal_data
 from royalgamma.pick import BlaschkeData, build_pick_matrix, choose_tau, tau_candidate
-from royalgamma.polyrat import Poly, RationalFn, poly_eval, poly_eval_many
+from royalgamma.polyrat import Poly, RationalFn, poly_eval, poly_eval_many, poly_roots
 
 
 def build_for(data, tau=None):
@@ -306,3 +310,189 @@ class TestToBlaschkeProduct:
         factor = Poly.from_roots([0.5j])
         with pytest.raises(NotInner, match="factored form disagrees"):
             to_blaschke_product(RationalFn(f.num * factor, f.den * factor))
+
+
+def _bits(values):
+    """The exact bit patterns of complex values: equal iff identical, signed zeros included."""
+    return np.atleast_1d(np.asarray(values, dtype=complex)).view(np.uint64)
+
+
+def _sequential_product(constant, zeros, z):
+    """BlaschkeProduct.__call__ as it was: each factor formed and multiplied in on its own."""
+    z = np.asarray(z, dtype=complex)
+    out = np.full_like(z, constant)
+    for a in zeros:
+        out = out * (z - a) / (1.0 - np.conj(a) * z)
+    if z.ndim == 0:
+        return complex(out)
+    return out
+
+
+def _three_pass_factored_form(f):
+    """to_blaschke_product as it was: the input evaluated on the grid, at the anchor and at
+    the check points in three passes, each as poly_eval(num, z) / poly_eval(den, z).
+    Returns (constant, zeros)."""
+    def at(z):
+        return poly_eval(f.num, z) / poly_eval(f.den, z)
+
+    grid = circle_grid(256)
+    worst = float(np.max(np.abs(np.abs(at(grid)) - 1.0)))
+    if not worst <= RESIDUAL_TOL:
+        raise NotInner(f"not unimodular on the circle: off by {worst:.3e}")
+    zeros = []
+    if f.num.degree >= 1:
+        for rc in poly_roots(f.num):
+            if abs(rc.value) >= 1.0:
+                raise NotInner(f"numerator zero {rc.value} is not inside the open disc")
+            zeros.extend([rc.value] * rc.multiplicity)
+    candidates = itertools.chain([1.0 + 0j, 1j, -1.0 + 0j, -1j, np.exp(0.7j)], grid)
+    anchor = next((complex(z) for z in candidates if all(abs(z - a) > 1e-3 for a in zeros)), complex("nan"))
+    constant = complex(at(anchor) / _sequential_product(1.0 + 0j, zeros, anchor))
+    if not abs(abs(constant) - 1.0) <= RESIDUAL_TOL:
+        raise NotInner(f"recovered constant has modulus {abs(constant):.12g}")
+    constant = constant / abs(constant)
+    rng = np.random.default_rng(41205)
+    pts = rng.uniform(0.0, 1.0, 64) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 64))
+    drift = float(np.max(np.abs(at(pts) - _sequential_product(constant, zeros, pts))))
+    if not drift <= RESIDUAL_TOL * 10:
+        raise NotInner(f"factored form disagrees with the input by {drift:.3e}")
+    return constant, zeros
+
+
+def _factored_outcome(recover, f):
+    """The bits of the constant and zeros ``recover`` finds for ``f``, or its NotInner message."""
+    try:
+        result = recover(f)
+    except NotInner as exc:
+        return str(exc)
+    constant, zeros = (result.unimodular_constant, result.zeros) if isinstance(result, BlaschkeProduct) else result
+    return _bits(constant).tolist(), _bits(list(zeros)).tolist()
+
+
+def _interpolants(data, count=16):
+    param = build_for(data)
+    out = []
+    for zeta in circle_grid(count):
+        try:
+            out.append(solve_blaschke(param, zeta))
+        except ExceptionalZeta:
+            pass
+    return out
+
+
+class TestFactoredFormIsBitIdentical:
+    """The factored form, evaluated once over all its points, and the product's factors, formed
+    once as arrays over the zeros, give exactly what the three passes and the per-factor loop gave."""
+
+    def test_product_matches_the_sequential_loop(self):
+        rng = np.random.default_rng(99)
+        points = [0.3 - 0.7j, 1.0, np.complex128(np.exp(0.7j)), np.asarray(-1j), 0.8 * circle_grid(17),
+                  rng.uniform(0.0, 1.0, (4, 6)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, (4, 6)))]
+        for degree in (0, 1, 2, 5, 8, 12):
+            zeros = tuple(complex(z) for z in rng.uniform(0.0, 0.95, degree) * np.exp(2j * np.pi * rng.uniform(0, 1, degree)))
+            product = BlaschkeProduct(complex(np.exp(2j * np.pi * rng.uniform())), zeros)
+            for z in points:
+                got, reference = product(z), _sequential_product(product.unimodular_constant, zeros, z)
+                assert type(got) is type(reference)
+                assert np.shape(got) == np.shape(reference)
+                assert np.array_equal(_bits(got), _bits(reference))
+
+    def test_matches_the_three_pass_form_on_interpolants(self):
+        functions = [phi for nu, r in ((0, 0.5), (1, 0.3), (4, 0.7))
+                     for phi in _interpolants(extract_royal_data(generate_h_nu(nu, r)))]
+        boundary = [data for data, _ in random_solvable_instances(seed=31, count=12, max_degree=6) if data.k]
+        assert len(boundary) >= 3
+        functions += [phi for data in boundary for phi in _interpolants(data, 8)]
+        for f in functions:
+            assert _factored_outcome(to_blaschke_product, f) == _factored_outcome(_three_pass_factored_form, f)
+
+    def test_matches_the_three_pass_form_on_every_failure(self):
+        near_anchors = blaschke_rational([0.9995 * z for z in (1.0, 1j, -1.0, -1j)])
+        # unimodular at the 256 grid points, where z**256 = 1, but not at the fifth anchor exp(0.7i)
+        off_grid = Poly(np.concatenate(([1.0 - 1e-6], np.zeros(255), [1e-6])))
+        f = blaschke_rational([0.3 + 0.2j, -0.4j], constant=np.exp(0.9j))
+        factor = Poly.from_roots([0.5j])
+        cases = {
+            "not unimodular": RationalFn(Poly([0.0, 2.0]), Poly([1.0])),
+            "not unimodular on the circle: off by nan": RationalFn(Poly([complex(np.nan, 0.0), 1.0]), Poly([1.0])),
+            "numerator zero": RationalFn(Poly([1.0, -0.5]), Poly([-0.5, 1.0])),
+            "recovered constant": RationalFn(near_anchors.num, near_anchors.den * off_grid),
+            "factored form disagrees": RationalFn(f.num * factor, f.den * factor),
+        }
+        for message, g in cases.items():
+            outcome = _factored_outcome(to_blaschke_product, g)
+            assert isinstance(outcome, str) and outcome.startswith(message)
+            assert outcome == _factored_outcome(_three_pass_factored_form, g)
+        g = blaschke_rational([0.9995 * z for z in (1.0, 1j, -1.0, -1j, np.exp(0.7j))], constant=np.exp(0.3j))
+        assert not isinstance(_factored_outcome(to_blaschke_product, g), str)
+        assert _factored_outcome(to_blaschke_product, g) == _factored_outcome(_three_pass_factored_form, g)
+
+
+def _poly_expression(param, zeta):
+    """solve_blaschke's quotient in Poly arithmetic, as it was built before."""
+    zeta = complex(zeta)
+    zeta = zeta / abs(zeta)
+    num = zeta * param.a + param.b
+    den = zeta * param.c + param.d
+    return RationalFn(num / den.leading, den / den.leading)
+
+
+def test_solve_blaschke_matches_the_poly_expression():
+    params = [build_for(data) for data, _ in random_solvable_instances(seed=32, count=6, max_degree=5)]
+    base = build_for(interior_example_data(), 1.0)
+    # signed zeros inside the coefficients and beyond the shorter polynomial of a sum
+    params += [dataclasses.replace(base, a=Poly([1.0, -0.0, complex(-0.0, 0.0), 2.0]),
+                                   b=Poly([0.5, complex(0.0, -0.0), -0.0, complex(-0.0, -0.0), complex(-0.0, -0.0), 1.0]),
+                                   c=Poly([-0.0, 0.25]), d=Poly([2.0, -0.0, complex(-0.0, -0.0), 1.0]))]
+    # a top coefficient one ulp above the trim threshold, which a zeta * a trims away
+    band = circle_grid(64)[40]
+    params += [dataclasses.replace(base, a=Poly([1.0, 0.5, TRIM_TOL * (1 + 2**-52)]), b=Poly([0.2, 0.1j, 0.7, 0.3]),
+                                   c=Poly([0.1, 0.2j, TRIM_TOL * (1 + 2**-52)]), d=Poly([2.0, 0.3]))]
+    assert (params[-1].a * band).degree == 1
+    for param in params:
+        for zeta in [1.0, -1.0, 1j, -1j, np.exp(0.3j), band, *circle_grid(8)[1::2]]:
+            try:
+                got = solve_blaschke(param, zeta)
+            except ExceptionalZeta:
+                continue
+            reference = _poly_expression(param, zeta)
+            for ours, ref in ((got.num, reference.num), (got.den, reference.den)):
+                assert ours.coeffs.size == ref.coeffs.size
+                assert np.array_equal(_bits(ours.coeffs), _bits(ref.coeffs))
+
+
+class TestNoCommonZeroCheck:
+    """The parametrization check asks the joint reduction whether b, c and d share a zero of a."""
+
+    def _param(self):
+        data, _ = random_solvable_instances(seed=33, count=1, max_degree=4)[0]
+        return build_for(data)
+
+    def test_a_shared_factor_raises(self):
+        param = self._param()
+        factor = Poly([-0.3, 1.0])
+        shared = {name: getattr(param, name) * factor for name in "abcd"}
+        with pytest.raises(NumericalFailure, match="a, b, c, d share 1 of the"):
+            _check_no_common_zero(dataclasses.replace(param, **shared))
+
+    def test_a_zero_polynomial_shares_every_zero(self):
+        param = self._param()
+        factor = Poly([-0.3, 1.0])
+        shared = {name: getattr(param, name) * factor for name in "acd"}
+        with pytest.raises(NumericalFailure, match="share"):
+            _check_no_common_zero(dataclasses.replace(param, b=Poly([]), **shared))
+
+    def test_a_nonzero_constant_shares_none(self):
+        param = self._param()
+        factor = Poly([-0.3, 1.0])
+        shared = {name: getattr(param, name) * factor for name in "abd"}
+        _check_no_common_zero(dataclasses.replace(param, c=Poly([0.25]), **shared))
+        _check_no_common_zero(param)
+
+
+def test_fixed_grids_are_cached_read_only():
+    for grid in (circle_grid, disc_grid):
+        cached = _read_only_grid(grid, 256)
+        assert _read_only_grid(grid, 256) is cached
+        assert not cached.flags.writeable
+        assert np.array_equal(_bits(cached), _bits(grid(256)))

@@ -633,6 +633,64 @@ class TestBatchKernelsAreBitIdentical:
         with pytest.raises(ZeroPolynomial):
             poly_roots_many([Poly([1.0, 2.0]), Poly([])])
 
+class TestRationalEvaluationIsBitIdentical:
+    """A rational function's one two-row Horner pass gives exactly poly_eval(num, z) / poly_eval(den, z):
+    divided in Python at a scalar, by numpy on arrays."""
+
+    def _functions(self):
+        rng = np.random.default_rng(97)
+        nan_num = _random_coeffs(rng, 4)
+        nan_num[1] = complex(np.nan, 0.5)
+        pairs = [(Poly(_random_coeffs(rng, n)), Poly(_random_coeffs(rng, d)))
+                 for n, d in ((1, 1), (2, 6), (6, 2), (5, 5), (9, 13), (13, 9))]
+        pairs += [(Poly([]), Poly(_random_coeffs(rng, 4))), (Poly(nan_num), Poly(_random_coeffs(rng, 3))),
+                  (Poly([-0.0, complex(0.0, -0.0), 2.0]), Poly([1.0, -0.0]))]
+        return [RationalFn(num, den) for num, den in pairs]
+
+    def _points(self):
+        rng = np.random.default_rng(98)
+        return [0.3 - 0.7j, 0j, -1.0 + 0j, np.complex128(1j), np.asarray(np.exp(0.7j)),
+                _random_coeffs(rng, 7), np.exp(1j * rng.uniform(0, 2 * np.pi, (3, 5))), np.zeros(0, complex)]
+
+    def test_values_match_poly_eval(self):
+        for f in self._functions():
+            for z in self._points():
+                got = f(z)
+                reference = poly_eval(f.num, z) / poly_eval(f.den, z)
+                assert type(got) is type(reference)
+                assert np.shape(got) == np.shape(reference)
+                assert np.array_equal(_bits(got), _bits(reference))
+                assert np.array_equal(_bits(f.values(z)), _bits([poly_eval(f.num, z), poly_eval(f.den, z)]))
+
+    def test_a_scalar_quotient_is_divided_in_python(self):
+        f = RationalFn(Poly([0.3 + 0.1j, -1.2, 0.7j]), Poly([1.1, 0.2 - 0.4j]))
+        for z in (0.3 - 0.7j, np.exp(2.1j), 1.0):
+            value = f(z)
+            assert type(value) is complex
+            assert value == poly_eval(f.num, z) / poly_eval(f.den, z)
+
+    def test_columns_are_stacked_on_the_first_call(self):
+        f = RationalFn(Poly([1.0, 2.0]), Poly([3.0]))
+        assert not hasattr(f, "_columns")
+        f(0.5)
+        columns = f._columns
+        f(np.arange(3.0))
+        assert f._columns is columns
+        assert np.array_equal(columns[:, :, 0], [[2.0, 0.0], [1.0, 3.0]])
+
+
+def test_clusters_that_grow_keep_the_sequential_centroids():
+    # each cluster's centroid is recomputed as it gains a member: a triple root at zero, a double root
+    # split by the eigensolver, and a near-triple root that splits into three clusters
+    polys = [Poly.from_roots([0.0, 0.0, 0.0, 0.3 + 0.2j, 0.3 + 0.2j, -0.6], leading=2.0 - 1j),
+             Poly.from_roots([0.5, 0.5 + 3e-8, 0.5 + 6e-8j, -0.2 + 0.4j, 0.1j], leading=1.5 + 0.5j)]
+    found = poly_roots_many(polys)
+    assert sorted(rc.multiplicity for rc in found[0]) == [1, 2, 3]
+    for p, clusters in zip(polys, found):
+        assert _cluster_bits(clusters) == _cluster_bits(_sequential_poly_roots(p))
+        assert _cluster_bits(clusters) == _cluster_bits(_scalar_polish_roots(p))
+
+
 def _complex_compensated(polys, z):
     """Compensated Horner on complex arrays, each product with z's real and
     imaginary part split anew at every step: the formula poly_eval_compensated
