@@ -24,9 +24,9 @@ from .polyrat import (
     Poly,
     RationalFn,
     _added,
+    _horner,
     _trim_coeffs,
     joint_reduce_many,
-    poly_eval,
     poly_eval_many,
     poly_roots,
 )
@@ -155,13 +155,9 @@ class Parametrization:
         return max(p.degree for p in (self.a, self.b, self.c, self.d))
 
     def normalization_residual(self) -> float:
-        at = self.tau
-        return max(
-            abs(poly_eval(self.a, at) - 1.0),
-            abs(poly_eval(self.b, at)),
-            abs(poly_eval(self.c, at)),
-            abs(poly_eval(self.d, at) - 1.0),
-        )
+        """The largest distance of (a, b, c, d)(tau) from (1, 0, 0, 1), in one four-row Horner pass."""
+        values = poly_eval_many((self.a, self.b, self.c, self.d), [self.tau])[:, 0]
+        return float(np.max(np.abs(values - [1.0, 0.0, 0.0, 1.0])))
 
     def to_json_dict(self) -> dict:
         return {
@@ -173,48 +169,45 @@ class Parametrization:
         }
 
 
-def _kernel_numerator_polynomials(data: BlaschkeData, wx: np.ndarray, wy: np.ndarray):
-    """Numerator polynomials of the four kernel sums over the common product
-    prod_j (1 - conj(sigma_j) lambda), from the kernel solves wx = M^-1 x_tau
-    and wy = M^-1 y_tau.
+def _partial_products(points: np.ndarray) -> np.ndarray:
+    """Coefficients of the partial products prod_{l != i} (1 - points_l lambda) of n distinct points, as
+    rows i < n, and of the product of all n factors, as row n.
 
-    Returns (n_xx, n_xy, n_yx, n_yy, product), each of degree at most n-1
-    except the product itself.  The kernels are expanded symbolically; the
-    simple poles never get sampled numerically.
+    Each factor is multiplied into every row but its own, the factors in Leja order (Calvetti and Reichel,
+    Numer. Algorithms 33, 2003): the point of largest modulus first, then each time the point whose product
+    of distances to those taken is largest, ties to the lower index.  In node order the coefficients of
+    h_nu's product grow large before they cancel, and lose about four digits at degree 22.
     """
-    sigma = np.array(data.sigma)
-    eta_bar = np.conj(np.array(data.eta))
-    n = data.n
+    rows = np.zeros((points.size + 1, points.size + 1), complex)
+    rows[:, 0] = 1.0
+    l, distances = int(np.argmax(np.abs(points))), np.ones(points.size)
+    for _ in range(points.size):
+        step = -points[l] * rows[:, :-1]
+        step[l] = 0.0
+        rows[:, 1:] += step
+        distances *= np.abs(points - points[l])
+        distances[l] = -np.inf  # taken: a distinct point's distances keep it at -inf
+        l = int(np.argmax(distances))
+    return rows
 
-    partials = []
-    for i in range(n):
-        f = Poly([1.0])
-        for l in range(n):
-            if l != i:
-                f = f * Poly([1.0, -np.conj(sigma[l])])
-        partials.append(f)
-    product = Poly([1.0])
-    for l in range(n):
-        product = product * Poly([1.0, -np.conj(sigma[l])])
 
-    def assemble(weights):
-        acc = Poly([])
-        for i in range(n):
-            acc = acc + complex(weights[i]) * partials[i]
-        return acc
-
-    n_xx = assemble(np.conj(wx))
-    n_xy = assemble(np.conj(wy))
-    n_yx = assemble(eta_bar * np.conj(wx))
-    n_yy = assemble(eta_bar * np.conj(wy))
-    return n_xx, n_xy, n_yx, n_yy, product
+def _kernel_numerator_polynomials(data: BlaschkeData, wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
+    """Coefficients, n + 1 wide, of the four kernel sums n_xx, n_xy, n_yx, n_yy over the common product
+    prod_l (1 - conj(sigma_l) lambda), then of the product, from the kernel solves wx and wy at tau: each
+    sum is sum_i w_i P_i over the partial products P_i, so the simple poles never get sampled."""
+    rows = _partial_products(np.conj(np.array(data.sigma)))
+    weights = np.conj([wx, wy, wx, wy])
+    weights[2:] *= np.conj(np.array(data.eta))
+    return np.concatenate((weights @ rows[:-1], rows[-1:]))
 
 
 def build_parametrization(M: PickMatrix, data: BlaschkeData, tau: complex) -> Parametrization:
     """Assemble the quadruple (a, b, c, d) that is the identity at base point tau.
 
     The assembly multiplies the kernel sums through by the common product of
-    (1 - conj(sigma_j) lambda), so every coefficient is exact up to rounding.
+    (1 - conj(sigma_j) lambda), so every coefficient is exact up to rounding:
+    (a, b, c, d) = (P - t n_xx, t n_xy, -t n_yx, P + t n_yy)/P(tau) with
+    t = 1 - conj(tau) lambda, in one shifted combination of the rows.
     The documented invariants (normalization at tau, max degree n, no common
     zero, |c| <= |d| on the closed disc) are validated before returning.
     """
@@ -223,18 +216,15 @@ def build_parametrization(M: PickMatrix, data: BlaschkeData, tau: complex) -> Pa
     if exc.whole_circle:
         raise UnsuitableTau("every unimodular parameter is exceptional for this base point")
 
-    n_xx, n_xy, n_yx, n_yy, product = _kernel_numerator_polynomials(data, wx, wy)
-    one_minus_tau = Poly([1.0, -np.conj(tau)])
-    scale = poly_eval(product, tau)
-
-    a = (product - one_minus_tau * n_xx) / scale
-    b = (one_minus_tau * n_xy) / scale
-    c = -1.0 * (one_minus_tau * n_yx) / scale
-    d = (product + one_minus_tau * n_yy) / scale
+    rows = _kernel_numerator_polynomials(data, wx, wy)
+    quad = rows[:4] * np.array([-1.0, 1.0, -1.0, 1.0])[:, None]
+    quad[:, 1:] -= np.conj(tau) * quad[:, :-1]
+    quad[[0, 3]] += rows[4]
+    quad /= complex(_horner(rows[4], tau))
 
     param = Parametrization(
-        a=a, b=b, c=c, d=d, tau=tau, data_hash=data.canonical_digest(), exceptional=exc,
-        kernel_numerators=(n_xx, n_xy, n_yx, n_yy),
+        *map(Poly, quad), tau=tau, data_hash=data.canonical_digest(), exceptional=exc,
+        kernel_numerators=tuple(map(Poly, rows[:4])),
     )
 
     res = param.normalization_residual()
@@ -256,9 +246,8 @@ def _check_no_common_zero(param: Parametrization) -> None:
 
 
 def _check_c_dominated_by_d(param: Parametrization) -> None:
-    grid = _read_only_grid(disc_grid, 256)
-    excess = np.abs(poly_eval(param.c, grid)) - np.abs(poly_eval(param.d, grid))
-    worst = float(np.max(excess))
+    c, d = np.abs(poly_eval_many((param.c, param.d), _read_only_grid(disc_grid, 256)))
+    worst = float(np.max(c - d))
     if worst > RESIDUAL_TOL:
         raise NumericalFailure(f"|c| exceeds |d| on the closed disc by {worst:.3e}")
 

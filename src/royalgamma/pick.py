@@ -164,6 +164,11 @@ class BlaschkeData:
         return cls(tuple(sigma), tuple(eta), tuple(rho), k=len(boundary))
 
     def canonical_digest(self) -> str:
+        """A short hash of the serialized data, computed once per data object."""
+        return self._digest
+
+    @functools.cached_property
+    def _digest(self) -> str:
         payload = json.dumps(self.to_json_dict(), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -255,7 +260,8 @@ def kernel_solves(
     M: PickMatrix, data: BlaschkeData, tau: complex
 ) -> tuple[np.ndarray, np.ndarray, ExceptionalSet]:
     """The kernel solves wx = M^-1 x_tau and wy = M^-1 y_tau, and the
-    exceptional set they define; solved once per (data, tau) and kept on ``M``.
+    exceptional set they define; solved once per (data, tau), as the two
+    columns of one solve, and kept on ``M``.
 
     The Szego-kernel columns are x_tau = 1/(1 - conj(sigma) tau) and
     y_tau = conj(eta) x_tau, entrywise.
@@ -272,16 +278,14 @@ def kernel_solves(
     if np.min(np.abs(dens)) < TRIM_TOL:
         raise PoleAtNode(f"tau = {tau} coincides with a kernel pole 1/conj(sigma_j)")
     x = 1.0 / dens
-    wx, wy = solve_pd(M, x), solve_pd(M, np.conj(np.array(data.eta)) * x)
-    wx.setflags(write=False)
-    wy.setflags(write=False)
-    scale = max(1.0, float(np.max(np.abs(wx))), float(np.max(np.abs(wy))))
+    solved = solve_pd(M, np.column_stack((x, np.conj(np.array(data.eta)) * x)))
+    solved.setflags(write=False)
+    wx, wy = solved.T
+    scale = max(1.0, float(np.max(np.abs(solved))))
     points: list[complex] = []
-    pairs = []
+    pairs = [(complex(alpha), complex(beta)) for alpha, beta in solved[: data.k]]
     whole = False
-    for j in range(data.k):
-        alpha, beta = complex(wx[j]), complex(wy[j])
-        pairs.append((alpha, beta))
+    for alpha, beta in pairs:
         if abs(alpha) <= TRIM_TOL * scale and abs(beta) <= TRIM_TOL * scale:
             whole = True
             continue

@@ -507,12 +507,16 @@ def joint_reduce_many(items: Sequence[tuple[tuple[Poly, ...], Poly]]) -> list[tu
     cancellation, each repeated by its multiplicity.
 
     Every denominator's roots come from one :func:`poly_roots_many` call.  A
-    pair can cancel only where all its numerators nearly vanish at a root z
-    of the denominator, within 1e-3 of sum_j |c_j| (|z| + 1)^j: a numerator
-    with a found root within ``ROOT_CLUSTER_TOL`` of z is at most that
-    distance times this sum there, plus its small residual at the root.
-    Only for such pairs are the numerators' roots found, in one more call,
-    and paired.
+    pair can cancel only where each numerator q = sum_j c_j lambda^j has a
+    found root w within delta = ``ROOT_CLUSTER_TOL`` of a denominator root z.
+    With r = |z| + delta, |q'| <= D = sum_j j |c_j| r^(j-1) between w and z,
+    so |q(z)| <= |q(w)| + delta D.  The residual of a Newton-polished root
+    and Horner's rounding in q(z) are each about 2 sqrt(2) n u S, with
+    S = sum_j |c_j| r^j and u the unit roundoff: at most TRIM_TOL S / 2 up
+    to degree 1500.  So the screen |q(z)| <= 1e3 (delta D + TRIM_TOL S)
+    passes such a pair with a margin of 1e3, and only for pairs it passes at
+    some root are the numerators' roots found, in one more call, and paired.
+    A bound through (|z| + 1)^j would grow like 2^n near the circle.
     """
     pairs = [index for index, (_, den) in enumerate(items) if den.degree >= 1]
     den_clusters = dict(zip(pairs, poly_roots_many([items[index][1] for index in pairs])))
@@ -525,7 +529,10 @@ def joint_reduce_many(items: Sequence[tuple[tuple[Poly, ...], Poly]]) -> list[tu
             row = next(rows)
             row[: len(den_clusters[index])] = [rc.value for rc in den_clusters[index]]
     coeffs = _stacked(numerators)
-    vanishing = np.abs(_horner(coeffs, points)) <= 1e-3 * _horner(np.abs(coeffs), np.abs(points) + 1.0).real
+    sizes, radii = np.abs(coeffs), np.abs(points) + ROOT_CLUSTER_TOL
+    slope = _horner(sizes[:, 1:] * np.arange(1, sizes.shape[1]), radii).real  # D of each numerator at each root
+    size = _horner(sizes, radii).real  # S
+    vanishing = np.abs(_horner(coeffs, points)) <= 1e3 * (ROOT_CLUSTER_TOL * slope + TRIM_TOL * size)
     vanishing = iter(vanishing.tolist())
     cancelling = set()
     for index in pairs:

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 from conftest import (
+    ExactComplex,
     blaschke_rational,
     boundary_example_data,
     boundary_example_target,
@@ -11,6 +12,7 @@ from conftest import (
     interior_example_data,
     poly_allclose,
     random_solvable_instances,
+    to_decimal,
 )
 
 from royalgamma import generate_h_nu
@@ -23,11 +25,11 @@ from royalgamma.blaschke import (
     solve_blaschke,
     to_blaschke_product,
 )
-from royalgamma.blaschke import BlaschkeProduct, PhasarValue, _check_no_common_zero, _read_only_grid
+from royalgamma.blaschke import BlaschkeProduct, PhasarValue, _check_no_common_zero, _partial_products, _read_only_grid
 from royalgamma.errors import ExceptionalZeta, InvalidData, NotInner, NumericalFailure, ZeroOrPoleAtPoint
 from royalgamma.polyrat import RESIDUAL_TOL, TRIM_TOL
 from royalgamma.gamma import extract_royal_data
-from royalgamma.pick import BlaschkeData, build_pick_matrix, choose_tau, tau_candidate
+from royalgamma.pick import BlaschkeData, build_pick_matrix, choose_tau, kernel_solves, tau_candidate
 from royalgamma.polyrat import Poly, RationalFn, poly_eval, poly_eval_many, poly_roots
 
 
@@ -488,6 +490,106 @@ class TestNoCommonZeroCheck:
         shared = {name: getattr(param, name) * factor for name in "abd"}
         _check_no_common_zero(dataclasses.replace(param, c=Poly([0.25]), **shared))
         _check_no_common_zero(param)
+
+    @pytest.mark.parametrize("nu", [5, 6, 7])
+    def test_only_the_roots_of_a_are_found(self, nu, monkeypatch):
+        import royalgamma.polyrat
+
+        # degree 12 to 16, the zeros of a near the circle, where b, c and d vanish at none of them
+        param = build_for(extract_royal_data(generate_h_nu(nu, 0.5)))
+        assert max(abs(rc.value) for rc in poly_roots(param.a)) > 0.95
+        calls, original = [], royalgamma.polyrat.poly_roots_many
+
+        def recording(polys):
+            calls.append(list(polys))
+            return original(polys)
+
+        monkeypatch.setattr(royalgamma.polyrat, "poly_roots_many", recording)
+        _check_no_common_zero(param)
+        assert calls == [[param.a], []]
+
+
+def _modulus(z: ExactComplex) -> float:
+    return float(to_decimal(z.abs2(), sqrt=True))
+
+
+def _exact_partial_products(points):
+    """Exact coefficients of prod_{l != i} (1 - points_l lambda) for each i, then of the whole product."""
+    def product(skip):
+        coeffs = [ExactComplex.of(1.0)]
+        for l, point in enumerate(points):
+            if l != skip:
+                minus = ExactComplex.of(-complex(point))
+                coeffs = [c + minus * below for c, below in zip(coeffs + [ExactComplex()], [ExactComplex()] + coeffs)]
+        return coeffs
+
+    return [product(i) for i in range(len(points))] + [product(None)]
+
+
+def _exact_parametrization(data, wx, wy, tau):
+    """The numerators of (a, b, c, d), n + 1 wide, and the value of the product at tau that divides them,
+    computed exactly from the float kernel solves, nodes, values and base point."""
+    rows = _exact_partial_products(np.conj(np.array(data.sigma)))
+    n, eta_bar = data.n, [ExactComplex.of(np.conj(e)) for e in data.eta]
+    wx_bar, wy_bar = ([ExactComplex.of(np.conj(w)) for w in solve] for solve in (wx, wy))
+    weights = [wx_bar, wy_bar, [e * w for e, w in zip(eta_bar, wx_bar)], [e * w for e, w in zip(eta_bar, wy_bar)]]
+    tau_bar = ExactComplex.of(np.conj(tau))
+    shifted = []  # (1 - conj(tau) lambda) times each kernel sum
+    for w in weights:
+        sums = [sum((w[i] * rows[i][j] for i in range(n)), ExactComplex()) for j in range(n)] + [ExactComplex()]
+        shifted.append([sums[0]] + [sums[j] - tau_bar * sums[j - 1] for j in range(1, n + 1)])
+    product = rows[n]
+    numerators = [[p - q for p, q in zip(product, shifted[0])], shifted[1],
+                  [ExactComplex() - q for q in shifted[2]], [p + q for p, q in zip(product, shifted[3])]]
+    at_tau = ExactComplex()
+    for c in product[::-1]:
+        at_tau = at_tau * ExactComplex.of(tau) + c
+    return numerators, at_tau
+
+
+class TestParametrizationMatchesAnExactOracle:
+    """The partial products, their product and (a, b, c, d), against the same
+    quantities computed exactly from the same float inputs."""
+
+    @staticmethod
+    def _relative_error(rows, exact):
+        worst = 0.0
+        for row, exact_row in zip(rows, exact):
+            gap = max(_modulus(ExactComplex.of(value) - e) for value, e in zip(row.tolist(), exact_row))
+            worst = max(worst, gap / max(map(_modulus, exact_row)))
+        return worst
+
+    @pytest.mark.parametrize("nu", [4, 10, 14])
+    def test_partial_products_of_h_nu(self, nu):
+        # Leja order keeps below 3e-15; node order loses 1.5e-12 at nu = 10 and 2.7e-10 at nu = 14
+        points = np.conj(np.array(extract_royal_data(generate_h_nu(nu, 0.5)).sigma))
+        assert self._relative_error(_partial_products(points), _exact_partial_products(points)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 5, 12, 20, 30])
+    def test_partial_products_of_random_nodes(self, n):
+        rng = np.random.default_rng(n)
+        radii = np.where(rng.uniform(size=n) < 0.5, 1.0, rng.uniform(0.0, 1.0, n))
+        points = radii * np.exp(2j * np.pi * rng.uniform(size=n))
+        assert self._relative_error(_partial_products(points), _exact_partial_products(points)) <= 1e-14
+
+    def test_each_coefficient_of_a_b_c_d(self):
+        # within 4 n ulps of each polynomial's largest coefficient, n the degree
+        cases = [extract_royal_data(generate_h_nu(nu, r)) for nu in range(6) for r in (0.2, 0.5, 0.8)]
+        cases += [data for data, _ in random_solvable_instances(seed=77, count=40, max_degree=12)]
+        assert max(data.n for data in cases) == 12 and sum(data.k == 0 for data in cases) >= 5
+        worst = 0.0
+        for data in cases:
+            m = build_pick_matrix(data)
+            param = build_parametrization(m, data, choose_tau(m, data))
+            wx, wy, _ = kernel_solves(m, data, param.tau)
+            numerators, at_tau = _exact_parametrization(data, wx, wy, param.tau)
+            size = _modulus(at_tau)
+            for q, numerator in zip((param.a, param.b, param.c, param.d), numerators):
+                scale = max(map(_modulus, numerator)) / size
+                for value, exact in zip(q.padded(data.n + 1).tolist(), numerator):
+                    gap = _modulus(ExactComplex.of(value) * at_tau - exact) / size
+                    worst = max(worst, gap / (data.n * np.finfo(float).eps * scale))
+        assert worst <= 4.0, worst  # 1.7 here; 5.1 with the factors in node order
 
 
 def test_fixed_grids_are_cached_read_only():

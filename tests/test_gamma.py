@@ -1110,7 +1110,7 @@ class TestPipelineComputesOnce:
         # one pass each over the family's built maps; verification reads both facts off the maps
         assert maps_per_call == {"_circle_residuals": [built], "_royal_ranges": [built], "royal_polynomial": []}
 
-    def test_two_kernel_solves_per_solve(self, monkeypatch):
+    def test_one_kernel_solve_per_solve(self, monkeypatch):
         import royalgamma.pick
 
         calls = []
@@ -1124,7 +1124,24 @@ class TestPipelineComputesOnce:
         data = extract_royal_data(generate_h_nu(0, 0.5))
         assert data.k > 0
         assert solve_royal_problem(data).status == "solved"
-        assert len(calls) == 2
+        # x_tau and y_tau are the two columns of one solve
+        assert len(calls) == 1 and calls[0][1].shape == (data.n, 2)
+
+    def test_the_data_is_serialized_once_per_solve(self, monkeypatch):
+        serialized = []
+        original = BlaschkeData.to_json_dict
+
+        def counting(self):
+            serialized.append(self)
+            return original(self)
+
+        monkeypatch.setattr(BlaschkeData, "to_json_dict", counting)
+        data = extract_royal_data(generate_h_nu(1, 0.5))
+        assert solve_royal_problem(data).status == "solved"
+        # the parametrization and the base-value solve both read the digest
+        assert serialized == [data]
+        assert solve_royal_problem(data).status == "solved"
+        assert serialized == [data]
 
     def test_one_base_point_per_solve(self):
         seen = []

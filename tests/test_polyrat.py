@@ -194,6 +194,21 @@ class TestJointReduction:
         assert (num.degree, den.degree) == (1, 1)
         assert len(roots) == 1 and abs(roots[0] + 0.5) < 1e-12
 
+    @pytest.mark.parametrize("degree", [12, 16, 20])
+    def test_a_shared_root_near_the_circle_cancels_at_high_degree(self, degree):
+        # each numerator's root lies ROOT_CLUSTER_TOL / 2 from a denominator root of modulus 0.97
+        rng = np.random.default_rng(degree)
+        angles = 2.0 * np.pi * (np.arange(degree) + rng.uniform(0.0, 0.5, degree)) / degree
+        den_roots = rng.uniform(0.9, 0.98, degree) * np.exp(1j * angles)
+        den_roots[0] = 0.97 * np.exp(1j * angles[0])
+        nums = tuple(Poly.from_roots([den_roots[0] + 0.5 * ROOT_CLUSTER_TOL * np.exp(1j * rng.uniform(0.0, 6.3))]
+                                     + list(rng.uniform(0.5, 0.98, degree - 1) * np.exp(1j * angles[1:] + 0.3j)),
+                                     leading=_random_coeffs(rng, 1)[0]) for _ in range(3))
+        items = [(nums, Poly.from_roots(den_roots, leading=0.5j))]
+        [(_, den, roots)] = joint_reduce_many(items)
+        assert den.degree == degree - 1 and min(abs(r - den_roots[0]) for r in roots) > 1e-3
+        assert _same_reduction(joint_reduce_many(items), _joint_reduce_all_roots(items))
+
     def test_near_common_root_is_not_cancelled(self):
         # 1e-5 apart is farther than ROOT_CLUSTER_TOL: the inputs come back themselves
         a = 0.3 + 0.4j
