@@ -25,6 +25,8 @@ from .polyrat import (
     RationalFn,
     _added,
     _horner,
+    _horner_at,
+    _is_point,
     _trim_coeffs,
     joint_reduce_many,
     poly_eval_many,
@@ -78,8 +80,10 @@ class PhasarValue(float):
 
 
 def phasar_derivative(f: RationalFn, z: complex) -> PhasarValue:
-    """Rate of change of arg f(e^(i theta)) at z on the circle: Re(z f'(z)/f(z))."""
-    values = poly_eval_many([f.num, f.den, f.num.derivative(), f.den.derivative()], [complex(z)]).tolist()
+    """Rate of change of arg f(e^(i theta)) at z on the circle: Re(z f'(z)/f(z)).  The values of
+    f.num, f.den and their derivatives at the one point z are taken in Python complex arithmetic."""
+    z = complex(z)
+    values = [[_horner_at(q.coeffs.tolist(), z)] for q in (f.num, f.den, f.num.derivative(), f.den.derivative())]
     return phasar_from_values(f, [z], values)[0]
 
 
@@ -112,14 +116,19 @@ class BlaschkeProduct:
         return len(self.zeros)
 
     def __call__(self, z):
+        """The product at one point, in Python complex arithmetic with the zeros taken one at a time, or
+        at every point of an array, with the factors formed once as arrays over the zeros."""
+        if _is_point(z):
+            z, out = complex(z), complex(self.unimodular_constant)
+            for a in map(complex, self.zeros):
+                out = out * (z - a) / (1.0 - a.conjugate() * z)
+            return out
         z = np.asarray(z, dtype=complex)
         zeros = np.array(self.zeros, dtype=complex).reshape((-1,) + (1,) * z.ndim)
         out = np.full_like(z, self.unimodular_constant)
         # the factors z - a and 1 - conj(a) z of every zero a, as rows, multiplied in one at a time
         for above, below in zip(z - zeros, 1.0 - np.conj(zeros) * z):
             out = out * above / below
-        if z.ndim == 0:
-            return complex(out)
         return out
 
     def to_json_dict(self) -> dict:

@@ -185,7 +185,8 @@ def _horner(coeffs: np.ndarray, z) -> np.ndarray:
     """One polynomial at every point of ``z``; for 2-D ``coeffs``, the
     polynomial of each row at the points ``z`` or, for 2-D ``z``, at the
     points in the same row of ``z``."""
-    # numpy arithmetic even at a scalar z: Python complex rounds x*y + w differently
+    # numpy arithmetic at every z, a 0-d one too: root polishing needs poly_eval
+    # to agree bit for bit with its batched form
     z = np.asarray(z, dtype=complex)
     if coeffs.ndim == 2:
         out = np.zeros((coeffs.shape[0], z.shape[-1]), complex)
@@ -193,6 +194,23 @@ def _horner(coeffs: np.ndarray, z) -> np.ndarray:
     else:
         out = np.zeros(z.shape, complex)
     for c in coeffs[::-1]:
+        out = out * z + c
+    return out
+
+
+def _is_point(z) -> bool:
+    """Whether ``z`` is one point: a Python or numpy number, or a 0-d array."""
+    return isinstance(z, (complex, float, int)) or np.ndim(z) == 0
+
+
+def _horner_at(coeffs: list, z: complex) -> complex:
+    """The polynomial with the Python complex ``coeffs`` (ascending) at the one
+    point ``z``, by Horner's rule in Python complex arithmetic.  Its error is at
+    most 4 n u sum_j |c_j| |z|^j at degree n (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 2nd ed., section 5.1), as the exact-oracle tests
+    of the point path check."""
+    out = 0j
+    for c in reversed(coeffs):
         out = out * z + c
     return out
 
@@ -413,8 +431,9 @@ def poly_roots(p: Poly) -> list[RootCluster]:
 
 
 class RationalFn:
-    """Quotient of two :class:`Poly`; the denominator is never the zero polynomial.  The first call
-    stacks num and den as the columns of one array and keeps it; a family calls few of those it builds."""
+    """Quotient of two :class:`Poly`; the denominator is never the zero polynomial.  At one point num and
+    den are evaluated in Python complex arithmetic and divided in Python.  The first call at an array of
+    points stacks num and den as the columns of one array and keeps it; a family calls few of those it builds."""
 
     __slots__ = ("num", "den", "_columns")
 
@@ -447,9 +466,10 @@ class RationalFn:
         return out.reshape((2,) + z.shape)
 
     def __call__(self, z):
+        if _is_point(z):
+            z = complex(z)
+            return _horner_at(self.num.coeffs.tolist(), z) / _horner_at(self.den.coeffs.tolist(), z)
         num, den = self.values(z)
-        if num.ndim == 0:
-            return complex(num) / complex(den)  # Python's complex division: numpy's rounds some quotients differently
         return num / den
 
     def __repr__(self):
@@ -540,7 +560,8 @@ def joint_reduce_many(items: Sequence[tuple[tuple[Poly, ...], Poly]]) -> list[tu
         together = [all(column) for column in zip(*(next(vanishing) for _ in nums))]
         if not nums or any(together[: len(den_clusters[index])]):
             cancelling.add(index)
-    found = iter(poly_roots_many([q for index in sorted(cancelling) for q in items[index][0] if q.degree >= 1]))
+    paired = [q for index in sorted(cancelling) for q in items[index][0] if q.degree >= 1]
+    found = iter(poly_roots_many(paired) if paired else [])
     out = []
     for index, (nums, den) in enumerate(items):
         den_roots = [rc.value for rc in den_clusters.get(index, []) for _ in range(rc.multiplicity)]

@@ -81,6 +81,9 @@ class ExactComplex:
     def real(self) -> Fraction:
         return self.re * Fraction(2) ** self.exp
 
+    def imag(self) -> Fraction:
+        return self.im * Fraction(2) ** self.exp
+
     def abs2(self) -> Fraction:
         return (self.re * self.re + self.im * self.im) * Fraction(2) ** (2 * self.exp)
 
@@ -93,6 +96,64 @@ def exact_horner(coeffs, z: ExactComplex) -> tuple[ExactComplex, ExactComplex]:
         slope = slope * z + value
         value = value * z + complex(c)
     return value, slope
+
+
+# The unit roundoff u of IEEE double, and bounds on the relative error of one
+# complex operation on floats, each against the exact result of its rounded
+# operands.  A sum or difference rounds each part once: u.  A product
+# (x + iy)(v + iw) = (xv - yw) + i(xw + yv): sqrt(2) gamma_2 with
+# gamma_k = k u / (1 - k u) (Higham, *Accuracy and Stability of Numerical
+# Algorithms*, 2nd ed., lemma 3.5).  A quotient as CPython divides, by Smith's
+# algorithm: with |c| >= |d| it takes t = d / c, e = c + d t and
+# ((p + q t) + i(q - p t)) / e, where c and d t share their sign, so e is within
+# gamma_3 and each part of the numerator within u of itself plus gamma_2 of
+# |q| or |p|; as |e| >= |c + id|, that is 5 u of the quotient's part plus
+# 2 u |p + iq| / |c + id| for each part, so 7 u of the quotient to first order,
+# and 8 u bounds the terms of order u^2 too.
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+SUM_ERROR = UNIT_ROUNDOFF
+PRODUCT_ERROR = np.sqrt(2) * 2 * UNIT_ROUNDOFF / (1 - 2 * UNIT_ROUNDOFF)
+QUOTIENT_ERROR = 8 * UNIT_ROUNDOFF
+
+
+def horner_bound(coeffs, z) -> float:
+    """A bound on the error of Horner's rule in complex arithmetic for the
+    polynomial with the float ``coeffs`` (ascending) at z: 4 n u S, where n is
+    the degree and S = sum_j |c_j| |z|^j.
+
+    A step rounds one product, within PRODUCT_ERROR = 2 sqrt(2) u + O(u^2) of
+    the exact product of its operands, and one sum, within u.  The coefficient
+    c_j passes through at most n steps, so the computed value is
+    sum_j c_j z^j (1 + theta_j) with |theta_j| <= ((1 + PRODUCT_ERROR)(1 + u))^n - 1,
+    which is (2 sqrt(2) + 1) n u = 3.83 n u to first order (Higham, 2nd ed.,
+    section 5.1, with complex operations).  4 n u covers the terms of order
+    u^2 and the rounding of S, summed here in floats, up to degree 10^6."""
+    n = len(coeffs) - 1
+    size = sum(abs(complex(c)) * abs(z) ** j for j, c in enumerate(coeffs))
+    return 4 * max(n, 0) * UNIT_ROUNDOFF * size
+
+
+def derivative_bound(coeffs, z) -> float:
+    """A bound on the error of the derivative of the polynomial with ``coeffs``
+    at z, as ``Poly.derivative`` and Horner's rule compute it: 4 n u S' with
+    S' = sum_j j |c_j| |z|^(j-1).  Forming j c_j rounds once, within u S', and
+    Horner's rule over the n - 1 steps of the derivative adds at most
+    4 (n - 1) u (1 + u) S' (:func:`horner_bound`)."""
+    n = len(coeffs) - 1
+    size = sum(j * abs(complex(c)) * abs(z) ** (j - 1) for j, c in enumerate(coeffs) if j)
+    return 4 * max(n, 0) * UNIT_ROUNDOFF * size
+
+
+def gate_points(rng) -> list:
+    """Points for the exact-oracle gates of the point path: 0, 1 and -i, then three
+    random points inside the unit disc, three on the circle and three just outside it."""
+    angles = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 9))
+    return [0j, 1.0, -1j] + np.concatenate((0.6 * angles[:3], angles[3:6], 1.02 * angles[6:])).tolist()
+
+
+def modulus(z: ExactComplex) -> float:
+    """|z| of an exact complex number, to 50 significant digits and then rounded to a float."""
+    return float(to_decimal(z.abs2(), sqrt=True))
 
 
 def to_decimal(q: Fraction, sqrt: bool = False) -> Decimal:

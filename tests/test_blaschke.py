@@ -1,15 +1,27 @@
+import cmath
 import dataclasses
 import itertools
+import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from conftest import (
+    PRODUCT_ERROR,
+    QUOTIENT_ERROR,
+    SUM_ERROR,
     ExactComplex,
     blaschke_rational,
     boundary_example_data,
     boundary_example_target,
+    derivative_bound,
+    exact_horner,
     fd_phasar,
+    gate_points,
+    horner_bound,
     interior_example_data,
+    modulus,
     poly_allclose,
     random_solvable_instances,
     to_decimal,
@@ -25,7 +37,14 @@ from royalgamma.blaschke import (
     solve_blaschke,
     to_blaschke_product,
 )
-from royalgamma.blaschke import BlaschkeProduct, PhasarValue, _check_no_common_zero, _partial_products, _read_only_grid
+from royalgamma.blaschke import (
+    BlaschkeProduct,
+    PhasarValue,
+    _check_no_common_zero,
+    _factored_form_points,
+    _partial_products,
+    _read_only_grid,
+)
 from royalgamma.errors import ExceptionalZeta, InvalidData, NotInner, NumericalFailure, ZeroOrPoleAtPoint
 from royalgamma.polyrat import RESIDUAL_TOL, TRIM_TOL
 from royalgamma.gamma import extract_royal_data
@@ -55,6 +74,39 @@ def _one_at_a_time_phasar(f, z):
     return PhasarValue(w.real, abs(w.imag))
 
 
+def _phasar_error(f, z, value):
+    """How far ``value``, phasar_derivative(f, z), and its imaginary-part residual lie from the exact
+    Re w and |Im w|, w = z (N'/N - D'/D) with N, N', D and D' the exact values at z of f's float numerator,
+    denominator and their derivatives; and the bound on both.
+
+    At one point the four values come from Horner's rule in Python complex arithmetic, within
+    b = 4 n u sum_j |c_j| |z|^j of N or D (``horner_bound``) and b' = 4 n u sum_j j |c_j| |z|^(j-1) of N'
+    or D' (``derivative_bound``).  The quotient of the values of N' and N is within
+    e = (b' + r b) / (|N| - b) of r = N'/N, and the division rounds within QUOTIENT_ERROR, so the computed
+    r is within E = e + QUOTIENT_ERROR (|r| + e); likewise for D'/D.  With g = N'/N - D'/D, the difference
+    rounds within u: F = E_N + E_D + u (|g| + E_N + E_D); and the product with z within PRODUCT_ERROR:
+    |w^ - w| <= |z| (F + PRODUCT_ERROR (|g| + F)), which bounds the error of Re w and of |Im w| too."""
+    z = complex(z)
+    point = ExactComplex.of(z)
+    spread, values = 0.0, []
+    for coeffs in (f.num.coeffs.tolist(), f.den.coeffs.tolist()):
+        at, slope = exact_horner(coeffs, point)
+        size, b = modulus(at), horner_bound(coeffs, z)
+        assert size > b
+        ratio = modulus(slope) / size
+        gap = (derivative_bound(coeffs, z) + ratio * b) / (size - b)
+        spread += gap + QUOTIENT_ERROR * (ratio + gap)
+        values.append((at, slope))
+    (n0, n1), (d0, d1) = values
+    below = n0 * d0
+    difference = modulus(n1 * d0 - d1 * n0) / modulus(below)
+    spread += SUM_ERROR * (difference + spread)
+    top, bottom = point * (n1 * d0 - d1 * n0) * below.conj(), below.abs2()
+    error = max(abs(Fraction(float(value)) - top.real() / bottom),
+                abs(Fraction(value.imag_residual) - abs(top.imag() / bottom)))
+    return float(error), abs(z) * (spread + PRODUCT_ERROR * (difference + spread))
+
+
 class TestPhasarDerivativesAreBitIdentical:
     def _fns(self):
         rng = np.random.default_rng(95)
@@ -74,8 +126,8 @@ class TestPhasarDerivativesAreBitIdentical:
                 ref = _one_at_a_time_phasar(f, z)
                 assert np.array([float(value), value.imag_residual]).view(np.uint64).tolist() == np.array(
                     [float(ref), ref.imag_residual]).view(np.uint64).tolist()
-                single = phasar_derivative(f, z)
-                assert (float(single), single.imag_residual) == (float(ref), ref.imag_residual)
+                error, bound = _phasar_error(f, z, phasar_derivative(f, z))
+                assert error <= bound
 
     def test_first_failure_in_point_order(self):
         zero_at_half = blaschke_rational([0.5])
@@ -361,6 +413,58 @@ def _three_pass_factored_form(f):
     return constant, zeros
 
 
+def _exact_product(constant, zeros, z):
+    """The exact c prod (z - a) and prod (1 - conj(a) z) of the float ``constant`` and ``zeros`` at z, and a
+    bound on the relative error of BlaschkeProduct's value at the one point z.
+
+    At one point the product is c times, zero by zero, (z - a) / (1 - conj(a) z) in Python complex
+    arithmetic: z - a rounds within u, conj(a) z within PRODUCT_ERROR, so 1 - conj(a) z is within
+    b = (1 + k PRODUCT_ERROR)(1 + u) - 1 of itself, relatively, with k = |a z| / |1 - conj(a) z|; the running
+    product rounds within PRODUCT_ERROR and the quotient within QUOTIENT_ERROR.  Each zero so moves the
+    value by a factor within (1 + u)(1 + PRODUCT_ERROR)(1 + QUOTIENT_ERROR) / (1 - b) of the exact one,
+    and the product of those factors, less one, bounds the relative error."""
+    z = complex(z)
+    point = ExactComplex.of(z)
+    above, below, growth = ExactComplex.of(constant), ExactComplex.of(1.0), 0.0
+    for a in map(complex, zeros):
+        above = above * (point - a)
+        below = below * (1.0 - ExactComplex.of(a).conj() * point)
+        k = abs(a * z) / abs(1.0 - a.conjugate() * z)
+        b = k * PRODUCT_ERROR + SUM_ERROR + k * PRODUCT_ERROR * SUM_ERROR
+        growth += math.log1p(SUM_ERROR) + math.log1p(PRODUCT_ERROR) + math.log1p(QUOTIENT_ERROR) - math.log1p(-b)
+    return above, below, math.expm1(growth)
+
+
+def _product_error(product, z):
+    """|product(z) - B(z)| and its bound, B the exact product of the float constant and zeros."""
+    above, below, relative = _exact_product(product.unimodular_constant, product.zeros, z)
+    size = modulus(below)
+    return modulus(ExactComplex.of(product(z)) * below - above) / size, modulus(above) / size * relative
+
+
+def _constant_error(f, product):
+    """|c - c*| and its bound, c the unimodular constant to_blaschke_product found for ``f`` with the
+    zeros of ``product``, and c* the exact direction of v / B, B the product of those zeros with constant 1
+    at the anchor z and v the input's value there, as the one array pass gives it.
+
+    The value of the product at z is within t_B of B, relatively (``_exact_product``), and dividing v by it
+    rounds within QUOTIENT_ERROR: the quotient is within t = (1 + QUOTIENT_ERROR) / (1 - t_B) - 1 of v / B,
+    relatively, and its direction within t / (1 - t) of c*.  Its modulus, a hypot, is within one ulp, 2 u,
+    and dividing by it rounds each part once, which adds (1 + u) / (1 - 2 u) - 1."""
+    points = _factored_form_points()
+    num, den = f.values(points)
+    i, z = next((i, z) for i, z in enumerate(map(complex, points[:261]))
+                if all(abs(z - a) > 1e-3 for a in product.zeros))
+    above, below, relative = _exact_product(1.0, product.zeros, z)
+    direction = ExactComplex.of(complex(num[i]) / complex(den[i])) * below * above.conj()
+    norm = to_decimal(direction.abs2(), sqrt=True)
+    c = product.unimodular_constant
+    error = ((Decimal(c.real) - to_decimal(direction.real()) / norm) ** 2
+             + (Decimal(c.imag) - to_decimal(direction.imag()) / norm) ** 2).sqrt()
+    t = math.expm1(math.log1p(QUOTIENT_ERROR) - math.log1p(-relative))
+    return float(error), t / (1 - t) + math.expm1(math.log1p(SUM_ERROR) - math.log1p(-2 * SUM_ERROR))
+
+
 def _factored_outcome(recover, f):
     """The bits of the constant and zeros ``recover`` finds for ``f``, or its NotInner message."""
     try:
@@ -382,9 +486,29 @@ def _interpolants(data, count=16):
     return out
 
 
+def _assert_same_factored_form(f):
+    """to_blaschke_product against the three passes: the same verdict, the same message up to its last
+    word, the whole message for the failures found before the constant is read off, and the zeros bit for
+    bit; the constant, read off through the product's value at one point, within ``_constant_error``'s
+    bound.  Returns the outcome."""
+    ours, reference = _factored_outcome(to_blaschke_product, f), _factored_outcome(_three_pass_factored_form, f)
+    assert isinstance(ours, str) == isinstance(reference, str)
+    if isinstance(reference, str):
+        assert ours.rsplit(" ", 1)[0] == reference.rsplit(" ", 1)[0]
+        if not reference.startswith(("recovered constant", "factored form disagrees")):
+            assert ours == reference
+        return ours
+    assert ours[1] == reference[1]
+    error, bound = _constant_error(f, to_blaschke_product(f))
+    assert error <= bound
+    return ours
+
+
 class TestFactoredFormIsBitIdentical:
     """The factored form, evaluated once over all its points, and the product's factors, formed
-    once as arrays over the zeros, give exactly what the three passes and the per-factor loop gave."""
+    once as arrays over the zeros, give exactly what the three passes and the per-factor loop gave
+    on arrays.  At one point the product is taken in Python complex arithmetic, and it and the
+    constant read off through it go through the exact-oracle gate instead."""
 
     def test_product_matches_the_sequential_loop(self):
         rng = np.random.default_rng(99)
@@ -394,7 +518,13 @@ class TestFactoredFormIsBitIdentical:
             zeros = tuple(complex(z) for z in rng.uniform(0.0, 0.95, degree) * np.exp(2j * np.pi * rng.uniform(0, 1, degree)))
             product = BlaschkeProduct(complex(np.exp(2j * np.pi * rng.uniform())), zeros)
             for z in points:
-                got, reference = product(z), _sequential_product(product.unimodular_constant, zeros, z)
+                got = product(z)
+                if np.ndim(z) == 0:
+                    assert type(got) is complex
+                    error, bound = _product_error(product, z)
+                    assert error <= bound
+                    continue
+                reference = _sequential_product(product.unimodular_constant, zeros, z)
                 assert type(got) is type(reference)
                 assert np.shape(got) == np.shape(reference)
                 assert np.array_equal(_bits(got), _bits(reference))
@@ -406,7 +536,7 @@ class TestFactoredFormIsBitIdentical:
         assert len(boundary) >= 3
         functions += [phi for data in boundary for phi in _interpolants(data, 8)]
         for f in functions:
-            assert _factored_outcome(to_blaschke_product, f) == _factored_outcome(_three_pass_factored_form, f)
+            _assert_same_factored_form(f)
 
     def test_matches_the_three_pass_form_on_every_failure(self):
         near_anchors = blaschke_rational([0.9995 * z for z in (1.0, 1j, -1.0, -1j)])
@@ -422,12 +552,54 @@ class TestFactoredFormIsBitIdentical:
             "factored form disagrees": RationalFn(f.num * factor, f.den * factor),
         }
         for message, g in cases.items():
-            outcome = _factored_outcome(to_blaschke_product, g)
+            outcome = _assert_same_factored_form(g)
             assert isinstance(outcome, str) and outcome.startswith(message)
-            assert outcome == _factored_outcome(_three_pass_factored_form, g)
         g = blaschke_rational([0.9995 * z for z in (1.0, 1j, -1.0, -1j, np.exp(0.7j))], constant=np.exp(0.3j))
-        assert not isinstance(_factored_outcome(to_blaschke_product, g), str)
-        assert _factored_outcome(to_blaschke_product, g) == _factored_outcome(_three_pass_factored_form, g)
+        assert not isinstance(_assert_same_factored_form(g), str)
+
+
+class TestPointEvaluationMatchesAnExactOracle:
+    """A Blaschke product and a phasar derivative at one point, in Python complex arithmetic,
+    against the exact values for the same float inputs, within the bounds ``_exact_product`` and
+    ``_phasar_error`` derive from the complex Horner error bound 4 n u sum_j |c_j| |z|^j."""
+
+    def test_products_up_to_degree_30(self):
+        rng = np.random.default_rng(2102)
+        points = gate_points(rng)  # every zero is within 0.95 of 0, so no pole is within 1.05
+        for degree in range(31):
+            zeros = rng.uniform(0.0, 0.95, degree) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, degree))
+            product = BlaschkeProduct(complex(np.exp(2j * np.pi * rng.uniform())), tuple(zeros.tolist()))
+            for z in points:
+                error, bound = _product_error(product, z)
+                assert error <= bound, (degree, z, error / bound)
+
+    @pytest.mark.parametrize("nu", [0, 3, 7, 14])
+    def test_phasar_derivatives_at_boundary_nodes(self, nu):
+        # as extract_royal_data takes them of h_nu's p, and as the scalar residuals take them of each interpolant
+        h = generate_h_nu(nu, 0.5)
+        data = extract_royal_data(h)
+        for f in [h.p] + _interpolants(data, 8):
+            for z in data.sigma[: data.k]:
+                error, bound = _phasar_error(f, z, phasar_derivative(f, z))
+                assert error <= bound, (z, error / bound)
+
+    def test_phasar_derivatives_of_boundary_interpolants(self):
+        boundary = [data for data, _ in random_solvable_instances(seed=31, count=12, max_degree=6) if data.k]
+        for data in boundary:
+            for f in _interpolants(data, 8):
+                for z in data.sigma[: data.k]:
+                    error, bound = _phasar_error(f, z, phasar_derivative(f, z))
+                    assert error <= bound, (z, error / bound)
+
+    def test_a_point_value_is_a_python_complex(self):
+        product = BlaschkeProduct(np.exp(0.4j), (0.3 + 0.2j, np.complex128(-0.5j)))
+        for z in (0.3 - 0.7j, 0.5, 2, np.complex128(1j), np.float64(0.25), np.asarray(np.exp(0.7j)), np.asarray(-1)):
+            assert type(product(z)) is complex
+
+    def test_a_nan_zero_or_constant_propagates(self):
+        for product in (BlaschkeProduct(1.0 + 0j, (0.3, complex(np.nan, 0.1))), BlaschkeProduct(complex(np.nan, 1.0), (0.3,))):
+            for z in (0j, 0.5, np.exp(0.7j), np.asarray(1.02j)):
+                assert cmath.isnan(product(z))
 
 
 def _poly_expression(param, zeta):
@@ -506,11 +678,7 @@ class TestNoCommonZeroCheck:
 
         monkeypatch.setattr(royalgamma.polyrat, "poly_roots_many", recording)
         _check_no_common_zero(param)
-        assert calls == [[param.a], []]
-
-
-def _modulus(z: ExactComplex) -> float:
-    return float(to_decimal(z.abs2(), sqrt=True))
+        assert calls == [[param.a]]
 
 
 def _exact_partial_products(points):
@@ -555,8 +723,8 @@ class TestParametrizationMatchesAnExactOracle:
     def _relative_error(rows, exact):
         worst = 0.0
         for row, exact_row in zip(rows, exact):
-            gap = max(_modulus(ExactComplex.of(value) - e) for value, e in zip(row.tolist(), exact_row))
-            worst = max(worst, gap / max(map(_modulus, exact_row)))
+            gap = max(modulus(ExactComplex.of(value) - e) for value, e in zip(row.tolist(), exact_row))
+            worst = max(worst, gap / max(map(modulus, exact_row)))
         return worst
 
     @pytest.mark.parametrize("nu", [4, 10, 14])
@@ -583,11 +751,11 @@ class TestParametrizationMatchesAnExactOracle:
             param = build_parametrization(m, data, choose_tau(m, data))
             wx, wy, _ = kernel_solves(m, data, param.tau)
             numerators, at_tau = _exact_parametrization(data, wx, wy, param.tau)
-            size = _modulus(at_tau)
+            size = modulus(at_tau)
             for q, numerator in zip((param.a, param.b, param.c, param.d), numerators):
-                scale = max(map(_modulus, numerator)) / size
+                scale = max(map(modulus, numerator)) / size
                 for value, exact in zip(q.padded(data.n + 1).tolist(), numerator):
-                    gap = _modulus(ExactComplex.of(value) * at_tau - exact) / size
+                    gap = modulus(ExactComplex.of(value) * at_tau - exact) / size
                     worst = max(worst, gap / (data.n * np.finfo(float).eps * scale))
         assert worst <= 4.0, worst  # 1.7 here; 5.1 with the factors in node order
 

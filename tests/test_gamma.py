@@ -12,6 +12,7 @@ from conftest import (
     exact_horner,
     interior_example_data,
     interior_example_target,
+    modulus,
     poly_allclose,
     random_solvable_instances,
     superficial_map,
@@ -693,10 +694,6 @@ def _construction_inputs():
         yield data, solve_royal_problem(data, omega_grid=8)
 
 
-def _modulus(z: ExactComplex) -> float:
-    return float(to_decimal(z.abs2(), sqrt=True))
-
-
 class TestConstructionMatchesAnExactOracle:
     """Each member's identity, num_s, num_p and den are weighted sums of a, b, c
     and d; the built map's coefficients, times the exact leading coefficient
@@ -719,12 +716,12 @@ class TestConstructionMatchesAnExactOracle:
                           for j in range(width)] for row in weights]
                 # condition-weighted scale of each sum: sum_k |w_k| |x_k|
                 cond = [[sum(abs(w) * abs(x[j]) for w, x in zip(row, inputs)) for j in range(width)] for row in weights]
-                assert max(map(_modulus, exact[0])) <= RESIDUAL_TOL * 4.0 * scale
+                assert max(map(modulus, exact[0])) <= RESIDUAL_TOL * 4.0 * scale
                 top = sol.h.den.degree
                 lead = exact[3][top]
                 for k, q in enumerate((sol.h.s.num, sol.h.p.num, sol.h.den), start=1):
                     for j, built in enumerate(q.padded(width).tolist()):
-                        gap = _modulus(ExactComplex.of(built) * lead - exact[k][j])
+                        gap = modulus(ExactComplex.of(built) * lead - exact[k][j])
                         # the sum's own terms, and the leading coefficient the map was divided by
                         bound = cond[k][j] + abs(built) * cond[3][top]
                         worst = max(worst, gap / max(bound * 2.0 ** -52, 1e-300))  # in ulps of the bound

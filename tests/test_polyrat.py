@@ -1,12 +1,17 @@
+import cmath
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import ExactComplex, exact_horner, poly_allclose
+from conftest import QUOTIENT_ERROR, ExactComplex, exact_horner, gate_points, horner_bound, modulus, poly_allclose
 
 from royalgamma import generate_h_nu
-from royalgamma.errors import ZeroPolynomial
+from royalgamma.blaschke import build_parametrization, circle_grid, solve_blaschke
+from royalgamma.errors import ExceptionalZeta, ZeroPolynomial
+from royalgamma.gamma import extract_royal_data
+from royalgamma.pick import build_pick_matrix, choose_tau
 from royalgamma.polyrat import (
     PD_TOL,
     RESIDUAL_TOL,
@@ -15,6 +20,7 @@ from royalgamma.polyrat import (
     Poly,
     RationalFn,
     RootCluster,
+    _horner_at,
     _pair_roots,
     _stacked_companion_roots,
     _trim_coeffs,
@@ -609,8 +615,8 @@ class TestJointReductionMatchesTheAllRootsReduction:
         items = self._cases()["plain"]
         monkeypatch.setattr(royalgamma.polyrat, "poly_roots_many", recording)
         out = joint_reduce_many(items)
-        # one call for the nonconstant denominators, and none of the numerators can pair
-        assert calls == [sum(den.degree >= 1 for _, den in items), 0]
+        # one call for the nonconstant denominators; none of the numerators can pair, so no second call
+        assert calls == [sum(den.degree >= 1 for _, den in items)]
         for (nums, den), (out_nums, out_den, _) in zip(items, out):
             assert out_nums is nums and out_den is den
 
@@ -648,9 +654,28 @@ class TestBatchKernelsAreBitIdentical:
         with pytest.raises(ZeroPolynomial):
             poly_roots_many([Poly([1.0, 2.0]), Poly([])])
 
+def _rational_error(f, z):
+    """|f(z) - N/D| and its bound, N and D the exact values at z of f's float numerator and denominator.
+
+    At one point f evaluates num and den by Horner's rule in Python complex arithmetic, within
+    b_N and b_D = 4 n u sum_j |c_j| |z|^j of N and D (``horner_bound``), and divides them in Python.
+    The quotient of the two values is within e = (b_N + |N/D| b_D) / (|D| - b_D) of N/D, and the
+    division rounds within QUOTIENT_ERROR of it: |f(z) - N/D| <= e + QUOTIENT_ERROR (|N/D| + e)."""
+    z = complex(z)
+    num, den = (q.coeffs.tolist() for q in (f.num, f.den))
+    exact_num, exact_den = (exact_horner(coeffs, ExactComplex.of(z))[0] for coeffs in (num, den))
+    size = modulus(exact_den)
+    b_num, b_den = horner_bound(num, z), horner_bound(den, z)
+    assert size > b_den
+    value = modulus(exact_num) / size
+    gap = (b_num + value * b_den) / (size - b_den)
+    return modulus(ExactComplex.of(f(z)) * exact_den - exact_num) / size, gap + QUOTIENT_ERROR * (value + gap)
+
+
 class TestRationalEvaluationIsBitIdentical:
-    """A rational function's one two-row Horner pass gives exactly poly_eval(num, z) / poly_eval(den, z):
-    divided in Python at a scalar, by numpy on arrays."""
+    """On arrays a rational function's one two-row Horner pass gives exactly
+    poly_eval(num, z) / poly_eval(den, z), divided by numpy; at one point its value
+    goes through the exact-oracle gate of the point path instead."""
 
     def _functions(self):
         rng = np.random.default_rng(97)
@@ -670,28 +695,80 @@ class TestRationalEvaluationIsBitIdentical:
     def test_values_match_poly_eval(self):
         for f in self._functions():
             for z in self._points():
+                assert np.array_equal(_bits(f.values(z)), _bits([poly_eval(f.num, z), poly_eval(f.den, z)]))
                 got = f(z)
+                if np.ndim(z) == 0:
+                    assert type(got) is complex
+                    if np.isnan(f.num.coeffs).any():
+                        assert cmath.isnan(got)
+                    else:
+                        error, bound = _rational_error(f, z)
+                        assert error <= bound
+                    continue
                 reference = poly_eval(f.num, z) / poly_eval(f.den, z)
                 assert type(got) is type(reference)
                 assert np.shape(got) == np.shape(reference)
                 assert np.array_equal(_bits(got), _bits(reference))
-                assert np.array_equal(_bits(f.values(z)), _bits([poly_eval(f.num, z), poly_eval(f.den, z)]))
 
     def test_a_scalar_quotient_is_divided_in_python(self):
         f = RationalFn(Poly([0.3 + 0.1j, -1.2, 0.7j]), Poly([1.1, 0.2 - 0.4j]))
         for z in (0.3 - 0.7j, np.exp(2.1j), 1.0):
             value = f(z)
             assert type(value) is complex
-            assert value == poly_eval(f.num, z) / poly_eval(f.den, z)
+            assert value == _horner_at(f.num.coeffs.tolist(), complex(z)) / _horner_at(f.den.coeffs.tolist(), complex(z))
 
-    def test_columns_are_stacked_on_the_first_call(self):
+    def test_columns_are_stacked_on_the_first_array_call(self):
         f = RationalFn(Poly([1.0, 2.0]), Poly([3.0]))
         assert not hasattr(f, "_columns")
         f(0.5)
-        columns = f._columns
+        assert not hasattr(f, "_columns")
         f(np.arange(3.0))
+        columns = f._columns
+        f(np.arange(2.0))
         assert f._columns is columns
         assert np.array_equal(columns[:, :, 0], [[2.0, 0.0], [1.0, 3.0]])
+
+
+class TestPointEvaluationMatchesAnExactOracle:
+    """A rational function's value at one point, in Python complex arithmetic, against the exact
+    quotient of its float numerator and denominator, within the bound ``_rational_error`` derives
+    from the complex Horner error bound 4 n u sum_j |c_j| |z|^j."""
+
+    def test_degrees_1_to_30(self):
+        rng = np.random.default_rng(2101)
+        points = gate_points(rng)
+        for n in range(1, 31):
+            f = RationalFn(Poly(_random_coeffs(rng, n + 1)), Poly(_random_coeffs(rng, int(rng.integers(1, 31)) + 1)))
+            for z in points:
+                error, bound = _rational_error(f, z)
+                assert error <= bound, (n, z, error / bound)
+
+    @pytest.mark.parametrize("nu", [0, 3, 7, 10, 14])
+    def test_interpolants_of_h_nu(self, nu):
+        data = extract_royal_data(generate_h_nu(nu, 0.5))
+        pick = build_pick_matrix(data)
+        param = build_parametrization(pick, data, choose_tau(pick, data))
+        points = list(data.sigma) + gate_points(np.random.default_rng(nu))
+        for zeta in circle_grid(8):
+            try:
+                phi = solve_blaschke(param, zeta)
+            except ExceptionalZeta:
+                continue
+            assert phi.degree == 2 * nu + 2
+            for z in points:
+                error, bound = _rational_error(phi, z)
+                assert error <= bound, (zeta, z, error / bound)
+
+    def test_a_point_value_is_a_python_complex(self):
+        f = RationalFn(Poly([0.3 + 0.1j, -1.2, 0.7j]), Poly([1.1, 0.2 - 0.4j]))
+        for z in (0.3 - 0.7j, 0.5, 2, np.complex128(1j), np.float64(0.25), np.asarray(np.exp(0.7j)), np.asarray(-1)):
+            assert type(f(z)) is complex
+
+    def test_a_nan_coefficient_propagates(self):
+        for num, den in (([complex(np.nan, 0.5), 1.0], [1.0, 0.5]), ([1.0, 2.0, 3.0], [1.0, complex(0.5, np.nan)])):
+            f = RationalFn(Poly(num), Poly(den))
+            for z in (0j, 0.5, np.exp(0.7j), np.asarray(1.05j)):
+                assert cmath.isnan(f(z))
 
 
 def test_clusters_that_grow_keep_the_sequential_centroids():
