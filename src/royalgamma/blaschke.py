@@ -81,18 +81,19 @@ class PhasarValue(float):
 
 def phasar_derivative(f: RationalFn, z: complex) -> PhasarValue:
     """Rate of change of arg f(e^(i theta)) at z on the circle: Re(z f'(z)/f(z)).  The values of
-    f.num, f.den and their derivatives at the one point z are taken in Python complex arithmetic."""
+    f.num, f.den and their derivatives at the one point z are taken in Python complex arithmetic,
+    each derivative's coefficients j c_j formed from the Python list of the c_j."""
     z = complex(z)
-    values = [[_horner_at(q.coeffs.tolist(), z)] for q in (f.num, f.den, f.num.derivative(), f.den.derivative())]
-    return phasar_from_values(f, [z], values)[0]
+    num, den = f.num.coeffs.tolist(), f.den.coeffs.tolist()
+    slopes = ([j * c for j, c in enumerate(coeffs) if j] for coeffs in (num, den))
+    return phasar_from_values(f, [z], [[_horner_at(q, z)] for q in (num, den, *slopes)])[0]
 
 
 def phasar_from_values(f: RationalFn, zs, values) -> list[PhasarValue]:
     """:func:`phasar_derivative` of ``f`` at each point of ``zs``, given the
     values of f.num, f.den and their derivatives there as four lists of Python
     complex numbers.  Raises at the first point where ``f`` vanishes or has a pole."""
-    scale_n = max(1.0, float(np.max(np.abs(f.num.coeffs))) if not f.num.is_zero else 1.0)
-    scale_d = max(1.0, float(np.max(np.abs(f.den.coeffs))))
+    scale_n, scale_d = (max([1.0, *map(abs, q.coeffs.tolist())]) for q in (f.num, f.den))
     out = []
     for z, nz, dz, dnz, ddz in zip([complex(z) for z in zs], *values):
         if abs(nz) <= TRIM_TOL * scale_n * 1e3:
@@ -117,7 +118,8 @@ class BlaschkeProduct:
 
     def __call__(self, z):
         """The product at one point, in Python complex arithmetic with the zeros taken one at a time, or
-        at every point of an array, with the factors formed once as arrays over the zeros."""
+        at every point of an array, as one running product, from c, of the ratios (z - a)/(1 - conj(a) z)
+        of every zero a, formed as one (zeros x points) array."""
         if _is_point(z):
             z, out = complex(z), complex(self.unimodular_constant)
             for a in map(complex, self.zeros):
@@ -125,11 +127,8 @@ class BlaschkeProduct:
             return out
         z = np.asarray(z, dtype=complex)
         zeros = np.array(self.zeros, dtype=complex).reshape((-1,) + (1,) * z.ndim)
-        out = np.full_like(z, self.unimodular_constant)
-        # the factors z - a and 1 - conj(a) z of every zero a, as rows, multiplied in one at a time
-        for above, below in zip(z - zeros, 1.0 - np.conj(zeros) * z):
-            out = out * above / below
-        return out
+        ratios = (z - zeros) / (1.0 - np.conj(zeros) * z)
+        return np.multiply.reduce(ratios, axis=0, initial=complex(self.unimodular_constant))
 
     def to_json_dict(self) -> dict:
         return {
@@ -321,7 +320,9 @@ def to_blaschke_product(f: RationalFn) -> BlaschkeProduct:
     NaN fails every check, and the factored form is checked against the
     input at 64 deterministic points before returning, so a common factor of
     numerator and denominator raises :class:`NotInner`.  The input is
-    evaluated once, at all of these points together.
+    evaluated once, at all of these points together; the zeros are the
+    values of ``poly_roots(f.num)``, each repeated by its multiplicity, and
+    the product is evaluated at the 64 points in one array product.
     """
     points = _factored_form_points()
     num, den = f.values(points)

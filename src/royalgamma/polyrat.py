@@ -316,9 +316,10 @@ def poly_derivative(p: Poly) -> Poly:
 
 
 class RootCluster(NamedTuple):
+    """A root of a polynomial, the centroid of the raw roots merged into it, and how many were merged."""
+
     value: complex
     multiplicity: int
-    residual: float
 
 
 def _stacked_companion_roots(coeffs: np.ndarray, zeros: int) -> np.ndarray:
@@ -388,10 +389,10 @@ def poly_roots_many(polys: Sequence[Poly]) -> list[list[RootCluster]]:
 
     Roots come from the eigenvalues of the balanced companion matrix, each
     polished with one Newton step.  Roots closer than ``ROOT_CLUSTER_TOL``
-    are merged into a single cluster whose size is the reported multiplicity;
-    the cluster centroid is the reported value and ``|p(value)|`` its residual.
-    Polynomials of one coefficient count and one number of zero low
-    coefficients share a stacked eigvals call and row-wise Horner passes.
+    are merged into a single cluster whose size is the reported multiplicity
+    and whose centroid is the reported value.  Polynomials of one coefficient
+    count and one number of zero low coefficients share a stacked eigvals call
+    and one row-wise Horner pass, of them and their derivatives at the raw roots.
 
     Raises
     ------
@@ -416,11 +417,8 @@ def poly_roots_many(polys: Sequence[Poly]) -> list[list[RootCluster]]:
         coeffs[m:, :-1] = coeffs[:m, 1:] * np.arange(1, size)
         raw = _stacked_companion_roots(coeffs[:m], zeros)
         at_raw = _horner(coeffs, np.concatenate((raw, raw))).tolist()
-        found = [_clusters(polys[i], *row) for i, row in zip(members, zip(raw.tolist(), at_raw[:m], at_raw[m:]))]
-        width = max(len(centroids) for centroids, _ in found)
-        points = np.array([centroids + [0j] * (width - len(centroids)) for centroids, _ in found])
-        for i, (centroids, sizes), residuals in zip(members, found, _horner(coeffs[:m], points).tolist()):
-            clusters = [RootCluster(c, size, abs(fc)) for c, size, fc in zip(centroids, sizes, residuals)]
+        for i, row in zip(members, zip(raw.tolist(), at_raw[:m], at_raw[m:])):
+            clusters = map(RootCluster, *_clusters(polys[i], *row))
             out[i] = sorted(clusters, key=lambda rc: (rc.value.real, rc.value.imag))
     return out
 

@@ -114,6 +114,12 @@ UNIT_ROUNDOFF = np.finfo(float).eps / 2
 SUM_ERROR = UNIT_ROUNDOFF
 PRODUCT_ERROR = np.sqrt(2) * 2 * UNIT_ROUNDOFF / (1 - 2 * UNIT_ROUNDOFF)
 QUOTIENT_ERROR = 8 * UNIT_ROUNDOFF
+# numpy divides complex arrays by the same Smith's algorithm, but multiplies
+# each part of the numerator by the rounded reciprocal 1 / e instead of dividing
+# it by e: one more rounding of each part, so 6 u of the quotient's part plus
+# 2 u |p + iq| / |c + id|, 8 u to first order, and 9 u bounds the terms of
+# order u^2 too.
+ARRAY_QUOTIENT_ERROR = QUOTIENT_ERROR + UNIT_ROUNDOFF
 
 
 def horner_bound(coeffs, z) -> float:

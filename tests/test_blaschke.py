@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import (
+    ARRAY_QUOTIENT_ERROR,
     PRODUCT_ERROR,
     QUOTIENT_ERROR,
     SUM_ERROR,
@@ -413,16 +414,21 @@ def _three_pass_factored_form(f):
     return constant, zeros
 
 
-def _exact_product(constant, zeros, z):
+def _exact_product(constant, zeros, z, quotient_error=QUOTIENT_ERROR):
     """The exact c prod (z - a) and prod (1 - conj(a) z) of the float ``constant`` and ``zeros`` at z, and a
-    bound on the relative error of BlaschkeProduct's value at the one point z.
+    bound on the relative error of BlaschkeProduct's value at z, its quotients rounded within ``quotient_error``.
 
     At one point the product is c times, zero by zero, (z - a) / (1 - conj(a) z) in Python complex
     arithmetic: z - a rounds within u, conj(a) z within PRODUCT_ERROR, so 1 - conj(a) z is within
     b = (1 + k PRODUCT_ERROR)(1 + u) - 1 of itself, relatively, with k = |a z| / |1 - conj(a) z|; the running
     product rounds within PRODUCT_ERROR and the quotient within QUOTIENT_ERROR.  Each zero so moves the
     value by a factor within (1 + u)(1 + PRODUCT_ERROR)(1 + QUOTIENT_ERROR) / (1 - b) of the exact one,
-    and the product of those factors, less one, bounds the relative error."""
+    and the product of those factors, less one, bounds the relative error.
+
+    On an array each ratio (z - a) / (1 - conj(a) z) is rounded first, by numpy: z - a within u, 1 - conj(a) z
+    within b, and their quotient within ARRAY_QUOTIENT_ERROR; the running product from c then rounds within
+    PRODUCT_ERROR per zero.  Each zero meets the same roundings as at one point, with numpy's quotient for
+    CPython's, so the bound is the same product of factors with ARRAY_QUOTIENT_ERROR for QUOTIENT_ERROR."""
     z = complex(z)
     point = ExactComplex.of(z)
     above, below, growth = ExactComplex.of(constant), ExactComplex.of(1.0), 0.0
@@ -431,15 +437,18 @@ def _exact_product(constant, zeros, z):
         below = below * (1.0 - ExactComplex.of(a).conj() * point)
         k = abs(a * z) / abs(1.0 - a.conjugate() * z)
         b = k * PRODUCT_ERROR + SUM_ERROR + k * PRODUCT_ERROR * SUM_ERROR
-        growth += math.log1p(SUM_ERROR) + math.log1p(PRODUCT_ERROR) + math.log1p(QUOTIENT_ERROR) - math.log1p(-b)
+        growth += math.log1p(SUM_ERROR) + math.log1p(PRODUCT_ERROR) + math.log1p(quotient_error) - math.log1p(-b)
     return above, below, math.expm1(growth)
 
 
-def _product_error(product, z):
-    """|product(z) - B(z)| and its bound, B the exact product of the float constant and zeros."""
-    above, below, relative = _exact_product(product.unimodular_constant, product.zeros, z)
+def _product_error(product, z, value=None):
+    """|product(z) - B(z)| and its bound, B the exact product of the float constant and zeros; given the
+    ``value`` the product took at z within an array, with the bound of the array order."""
+    quotient_error = QUOTIENT_ERROR if value is None else ARRAY_QUOTIENT_ERROR
+    above, below, relative = _exact_product(product.unimodular_constant, product.zeros, z, quotient_error)
+    value = product(z) if value is None else value
     size = modulus(below)
-    return modulus(ExactComplex.of(product(z)) * below - above) / size, modulus(above) / size * relative
+    return modulus(ExactComplex.of(value) * below - above) / size, modulus(above) / size * relative
 
 
 def _constant_error(f, product):
@@ -505,10 +514,10 @@ def _assert_same_factored_form(f):
 
 
 class TestFactoredFormIsBitIdentical:
-    """The factored form, evaluated once over all its points, and the product's factors, formed
-    once as arrays over the zeros, give exactly what the three passes and the per-factor loop gave
-    on arrays.  At one point the product is taken in Python complex arithmetic, and it and the
-    constant read off through it go through the exact-oracle gate instead."""
+    """The factored form, evaluated once over all its points, gives exactly the zeros the three passes
+    gave.  The product at one point, in Python complex arithmetic, and on an array, as one running
+    product of its ratios, goes through the exact-oracle gate instead, as does the constant read off
+    through it."""
 
     def test_product_matches_the_sequential_loop(self):
         rng = np.random.default_rng(99)
@@ -527,7 +536,18 @@ class TestFactoredFormIsBitIdentical:
                 reference = _sequential_product(product.unimodular_constant, zeros, z)
                 assert type(got) is type(reference)
                 assert np.shape(got) == np.shape(reference)
-                assert np.array_equal(_bits(got), _bits(reference))
+                for w, value in zip(np.ravel(z).tolist(), np.ravel(got).tolist()):
+                    error, bound = _product_error(product, w, value)
+                    assert error <= bound, (degree, w, error / bound)
+
+    def test_zeros_are_the_root_values_by_multiplicity(self):
+        functions = [phi for nu, r in ((0, 0.5), (4, 0.7), (10, 0.5))
+                     for phi in _interpolants(extract_royal_data(generate_h_nu(nu, r)), 8)]
+        functions += [blaschke_rational([0.3 + 0.2j, 0.3 + 0.2j, -0.4j, 0.0], constant=np.exp(0.9j))]
+        for f in functions:
+            product = to_blaschke_product(f)
+            zeros = [rc.value for rc in poly_roots(f.num) for _ in range(rc.multiplicity)]
+            assert _bits(list(product.zeros)).tolist() == _bits(zeros).tolist()
 
     def test_matches_the_three_pass_form_on_interpolants(self):
         functions = [phi for nu, r in ((0, 0.5), (1, 0.3), (4, 0.7))
