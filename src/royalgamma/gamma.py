@@ -57,6 +57,7 @@ from .polyrat import (
     _stacked,
     _trimmed_sizes,
     joint_reduce_many,
+    pole_margins,
     poly_eval_many,
     poly_roots,
 )
@@ -136,10 +137,11 @@ _BLOCK = 256
 class GammaInnerFn:
     """Pair of rational functions (s, p) over one shared denominator.
 
-    Invariants (validated by :meth:`from_numerators`, the one builder): the
-    denominator has no zeros in the closed unit disc (its smallest root
-    modulus, from the joint reduction, is ``denominator_min_root_modulus``,
-    inf if it is constant), and on the circle |p| = 1, s = conj(s) p and
+    Invariants (validated by :meth:`from_numerators` and construction, the
+    two callers of one validator): the denominator has no zero in the closed
+    disc of radius 1 + ``ROOT_CLUSTER_TOL`` (``pole_margin``, from the
+    Schur–Cohn recursion of :func:`polyrat.pole_margins`, is positive; 1 if
+    it is constant), and on the circle |p| = 1, s = conj(s) p and
     |s| <= 2 hold within the residual tolerance.  The builder computes each
     fact below once: ``circle_residuals`` are | |p| - 1 |, |s - conj(s) p|
     and |s| - 2, each at its maximum over a 256-point circle grid, and
@@ -149,7 +151,7 @@ class GammaInnerFn:
 
     s: RationalFn
     p: RationalFn
-    denominator_min_root_modulus: float
+    pole_margin: float
     circle_residuals: tuple[float, float, float]
     royal_range: bool
 
@@ -168,14 +170,14 @@ class GammaInnerFn:
     def from_numerators(cls, num_s: Poly, num_p: Poly, den: Poly) -> "GammaInnerFn":
         """Build from the shared-denominator representation.
 
-        The three polynomials are divided by the denominator's leading
-        coefficient; joint reduction then cancels a denominator root only when
-        both numerators share it, and the map is validated.  This is the
-        batch of one of the builder a family's members go through.
+        The input may share factors: the joint reduction cancels a denominator
+        root both numerators share, and the reduced triple, after its
+        royal-range test, is validated as a family's members are.
         """
-        triple = (num_s, num_p, den)
-        rows = _stacked(triple)[None]
-        return _raised(_maps_from_numerators(rows, np.array([[q.coeffs.size for q in triple]]))[0])
+        [((num_s, num_p), den, _)] = joint_reduce_many([((num_s, num_p), den)])
+        rows = _stacked((num_s, num_p, den))[None]
+        sizes = np.array([[q.coeffs.size for q in (num_s, num_p, den)]])
+        return _raised(_maps_from_numerators(rows, sizes, _royal_ranges(rows))[0])
 
     def to_json_dict(self) -> dict:
         return {
@@ -242,43 +244,33 @@ class _Outcomes:
         self.live = self.live[[not isinstance(result, RoyalGammaError) for result in results]]
 
 
-def _maps_from_numerators(rows: np.ndarray, sizes: np.ndarray) -> list[GammaInnerFn | RoyalGammaError]:
-    """:meth:`GammaInnerFn.from_numerators` of each member's (num_s, num_p,
-    den), the rows of ``rows`` (members x 3 x coefficients, zero beyond the
-    lengths ``sizes``), or its error.
+def _maps_from_numerators(rows: np.ndarray, sizes: np.ndarray, royal: np.ndarray) -> list[GammaInnerFn | RoyalGammaError]:
+    """The validated map of each member's reduced (num_s, num_p, den), the
+    rows of ``rows`` (members x 3 x coefficients, zero beyond the lengths
+    ``sizes``), or its error; ``royal`` is each map's royal-range test.
 
-    The monic division and the trim are array passes; one ``poly_roots_many``
-    call, inside the joint reduction, finds every denominator root; and the
-    circle residuals and the royal-range test are (members x points) and
-    (members x coefficients) passes over the members standing."""
+    The monic division and the trim are array passes, the pole test is one
+    :func:`pole_margins` pass over the denominators, and the circle
+    residuals a (members x points) pass over the members standing; only the
+    maps that pass get their ``Poly`` triples."""
     if not sizes[:, 2].all():
         raise ZeroDivisionError("shared denominator is the zero polynomial")
     count, width = rows.shape[0], rows.shape[2]
     monic = rows / rows[np.arange(count), 2, sizes[:, 2] - 1][:, None, None]
     sizes = _trimmed_sizes(monic.reshape(-1, width), sizes.reshape(-1)).reshape(count, 3)
     monic[np.arange(width) >= sizes[:, :, None]] = 0.0
-    pairs = [((Poly._untrimmed(num_s[:size_s].copy()), Poly._untrimmed(num_p[:size_p].copy())),
-              Poly._untrimmed(den[:size_den].copy()))
-             for (num_s, num_p, den), (size_s, size_p, size_den) in zip(monic, sizes.tolist())]
-    reduced = joint_reduce_many(pairs)
-    polys = [(num_s, num_p, den) for (num_s, num_p), den, _ in reduced]
-    for member, (_, den), triple in zip(monic, pairs, polys):
-        if triple[2] is not den:  # the joint reduction cancelled a factor
-            member[:] = _stacked(triple, width)
-    den_min = np.array([min((abs(z) for z in roots), default=float("inf")) for _, _, roots in reduced])
-
+    margins = pole_margins(monic[:, 2], sizes[:, 2])
     out = _Outcomes(count)
-    out.check(~(den_min <= 1.0 + ROOT_CLUSTER_TOL), lambda i: DenominatorZeroInDisc(
-        f"denominator root of modulus {den_min[i]:.12g} in the closed disc"))
-    standing = monic[out.live]
-    circle, royal = _circle_residuals(standing), _royal_ranges(standing)
+    out.check(margins > 0.0, lambda i: DenominatorZeroInDisc(
+        f"pole margin {margins[i]:.3e}: a denominator zero within radius 1 + ROOT_CLUSTER_TOL"))
+    circle = _circle_residuals(monic[out.live])
     passed = out.check(np.all(circle <= RESIDUAL_TOL, axis=1), lambda i: NumericalFailure(
         "boundary identities violated: | |p|-1 | = {:.3e}, |s - conj(s) p| = {:.3e}, |s| - 2 = {:.3e}".format(*circle[i])))
-    for i, modulus, residuals, in_royal_variety in zip(
-            out.live, den_min[out.live].tolist(), circle[passed].tolist(), royal[passed].tolist()):
-        num_s, num_p, den = polys[i]
-        out.items[i] = GammaInnerFn(RationalFn(num_s, den), RationalFn(num_p, den), modulus, tuple(residuals),
-                                    in_royal_variety)
+    kept = sizes.tolist()
+    for i, margin, residuals in zip(out.live.tolist(), margins[out.live].tolist(), circle[passed].tolist()):
+        num_s, num_p, den = (Poly._untrimmed(part[:size].copy()) for part, size in zip(monic[i], kept[i]))
+        out.items[i] = GammaInnerFn(RationalFn(num_s, den), RationalFn(num_p, den), margin, tuple(residuals),
+                                    bool(royal[i]))
     return out.items
 
 
@@ -444,8 +436,18 @@ def _construct_many(param: Parametrization, base_values) -> list[GammaInnerFn | 
     combinations of a, b, c and d, so each member's four come from one
     elementwise weighted sum, trimmed as ``Poly`` trims; the arithmetic is
     row by row, so a member's bits do not depend on its batch.  The maps are
-    built and validated together, and the royal-range test and the values at
-    tau close the batch."""
+    built and validated together after the royal-range test, and the values
+    at tau close the batch.
+
+    Nothing is cancelled.  If den = s0 c - 2 d and num_s / 2 = 2 p0 c - s0 d
+    vanish at lambda, then, as [[s0, -2], [2 p0, -s0]] has determinant
+    4 p0 - s0^2, s0^2 = 4 p0 or c(lambda) = d(lambda) = 0.  At a node
+    (a, b) = eta_j (c, d), so c = d = 0 there would make all four vanish,
+    which the parametrization's no-common-zero check excludes; that c and d
+    share no zero off the nodes is the claim ``TestConstructionCancelsNothing``
+    tests.  At s0^2 = 4 p0, num_s^2 - 4 num_p den = den^2 (s^2 - 4 p)
+    vanishes identically, shared factor or not: the royal-range test runs
+    first, on the unreduced rows."""
     base = np.array(base_values, dtype=complex).reshape(-1, 2)
     s0, p0 = base.T
     s0_modulus, p0_modulus = np.hypot(s0.real, s0.imag), np.hypot(p0.real, p0.imag)
@@ -476,9 +478,8 @@ def _construct_many(param: Parametrization, base_values) -> list[GammaInnerFn | 
     rows, width = rows[passed, 1:], rows.shape[2]
     sizes = _trimmed_sizes(rows.reshape(-1, width), width).reshape(-1, 3)
     rows[np.arange(width) >= sizes[:, :, None]] = 0.0
-    out.take(_maps_from_numerators(rows, sizes))
-    out.check(~np.array([out.items[i].royal_range for i in out.live], bool),
-              lambda i: RoyalRange("constructed map degenerates into the royal variety"))
+    off = out.check(~_royal_ranges(rows), lambda i: RoyalRange("constructed map degenerates into the royal variety"))
+    out.take(_maps_from_numerators(rows[off], sizes[off], np.zeros(off.sum(), bool)))
     polys = [q for i in out.live for q in (out.items[i].s.num, out.items[i].p.num, out.items[i].den)]
     values = poly_eval_many(polys, [param.tau]).reshape(-1, 3).T
     misses = values[:2] / values[2] - base[out.live].T
@@ -513,12 +514,13 @@ def generate_h_nu(nu: int, r: float) -> GammaInnerFn:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Named residuals for every checkable property of a candidate solution."""
+    """Named residuals for every checkable property of a candidate solution, and
+    the map's ``pole_margin`` (JSON key ``pole_margin``), read off the map."""
 
     residuals: dict
     degree_expected: int
     degree_actual: int
-    denominator_min_root_modulus: float
+    pole_margin: float
     royal_range: bool
     passed: bool
     failures: tuple[str, ...]
@@ -529,7 +531,7 @@ class VerificationReport:
             "pass": self.passed,
             "residuals": {k: float(v) for k, v in self.residuals.items()},
             "degree": {"expected": self.degree_expected, "actual": self.degree_actual},
-            "denominator_min_root_modulus": float(self.denominator_min_root_modulus),
+            "pole_margin": float(self.pole_margin),
             "royal_range": self.royal_range,
             "failures": list(self.failures),
             "pass_tol": self.pass_tol,
@@ -544,7 +546,8 @@ def verify_royal_solution(
     Checks, in order: interpolation of nodes and values, phasar derivative of
     p at boundary nodes, the three boundary identities on a 256-point circle
     grid, reduced degree, the linear-fractional cross-check at eight probe
-    parameters, and the pole locations.  ``passed`` is true iff every
+    parameters, and the pole test: the map's ``pole_margin``, found when it
+    was built, must be positive.  ``passed`` is true iff every
     residual is at most ``pass_tol`` (by default ``RESIDUAL_TOL``) and the
     structural checks hold.  This is the batch of one of the verification a
     family's members go through.
@@ -597,15 +600,14 @@ def _verify_many(maps: Sequence[GammaInnerFn], data: BlaschkeData, pass_tol: flo
                 failures.append(f"composed cross-check failed: {outcome}")
             else:
                 residuals.update(outcome)
-        den_min = h.denominator_min_root_modulus
-        if den_min <= 1.0:
-            failures.append(f"denominator root of modulus {den_min:.12g} inside the closed disc")
+        if not h.pole_margin > 0.0:  # a NaN fails too
+            failures.append(f"pole margin {h.pole_margin:.3e}: a denominator zero within radius 1 + ROOT_CLUSTER_TOL")
         for name, value in residuals.items():
             if not value <= pass_tol:  # a NaN fails too
                 failures.append(f"{name} = {value:.3e} exceeds {pass_tol:.1e}")
         reports.append(VerificationReport(
             residuals=residuals, degree_expected=data.n, degree_actual=h.degree,
-            denominator_min_root_modulus=den_min, royal_range=h.royal_range,
+            pole_margin=h.pole_margin, royal_range=h.royal_range,
             passed=not failures, failures=tuple(failures), pass_tol=pass_tol,
         ))
     return reports

@@ -26,6 +26,7 @@ __all__ = [
     "poly_derivative",
     "poly_roots",
     "poly_roots_many",
+    "pole_margins",
     "joint_reduce_many",
 ]
 
@@ -426,6 +427,43 @@ def poly_roots_many(polys: Sequence[Poly]) -> list[list[RootCluster]]:
 def poly_roots(p: Poly) -> list[RootCluster]:
     """The root clusters of ``p``: :func:`poly_roots_many` of one polynomial."""
     return poly_roots_many([p])[0]
+
+
+def _schur_parameters(coeffs: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The Schur–Cohn recursion on q(lambda) = D(R lambda), R = 1 + ``ROOT_CLUSTER_TOL``, for the
+    polynomial D of each row of ``coeffs`` (its first ``sizes`` entries, the rest zero): the gamma_k
+    of its steps, 0 beyond a row's degree (rows x largest degree).
+
+    A step at degree m takes gamma = q_m / conj(q_0) and q <- q - gamma q~, where
+    q~(lambda) = lambda^m conj(q(1 / conj(lambda))) has |q~| = |q| on the circle; q_m cancels.
+    If |gamma| < 1, then |gamma q~| < |q| on the circle wherever q != 0, so there
+    q - gamma q~ vanishes exactly where q does and, by Rouché when that is nowhere, has as many
+    zeros as q in the open disc.  If |gamma| >= 1, the product of the m roots of q has modulus
+    |q_0 / q_m| <= 1, so one lies in the closed disc.  So D has no zero in |lambda| <= R iff every
+    |gamma_k| < 1 (Henrici, *Applied and Computational Complex Analysis*, vol. 1, section 6.8).
+    q~ is carried along: gamma = conj(q~_0 / q_0), (q~ - conj(gamma) q) / lambda is the new q~, and
+    both are scaled by the power of two that brings |q_0| into [1/2, 1), exactly.  The arithmetic is
+    row by row, and a row's columns beyond its degree never reach the rest: its bits are its own."""
+    degree = np.maximum(np.asarray(sizes) - 1, 0)
+    steps = int(degree.max(initial=0))
+    q = coeffs[:, :steps + 1] * np.cumprod(np.concatenate(([1.0], np.full(steps, 1.0 + ROOT_CLUSTER_TOL))))  # R^j
+    index = degree[:, None] - np.arange(steps + 1)
+    reflected = np.where(index >= 0, np.conj(q[np.arange(len(q))[:, None], np.maximum(index, 0)]), 0.0)
+    out = np.zeros((len(coeffs), steps), complex)
+    with np.errstate(all="ignore"):  # a zero q_0 or a NaN fails the test, and must not warn
+        for k in range(steps):
+            gamma = np.where(degree > k, np.conj(reflected[:, 0] / q[:, 0]), 0.0)
+            q, reflected = (q - gamma[:, None] * reflected)[:, :-1], (reflected - np.conj(gamma)[:, None] * q)[:, 1:]
+            scale = np.ldexp(1.0, -np.frexp(np.abs(q[:, 0]))[1])[:, None]
+            q, reflected, out[:, k] = q * scale, reflected * scale, gamma
+    return out
+
+
+def pole_margins(coeffs: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """1 - max_k |gamma_k| of :func:`_schur_parameters` for each row: positive iff its polynomial
+    has no zero in the closed disc of radius 1 + ``ROOT_CLUSTER_TOL``; 1 for a constant, 1 - R / |root|
+    at degree 1, and NaN, which fails the test, for a NaN coefficient."""
+    return 1.0 - np.abs(_schur_parameters(coeffs, sizes)).max(axis=1, initial=0.0)
 
 
 class RationalFn:

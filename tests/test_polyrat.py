@@ -1,11 +1,24 @@
 import cmath
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import QUOTIENT_ERROR, ExactComplex, exact_horner, gate_points, horner_bound, modulus, poly_allclose
+from conftest import (
+    ARRAY_QUOTIENT_ERROR,
+    PRODUCT_ERROR,
+    QUOTIENT_ERROR,
+    UNIT_ROUNDOFF,
+    ExactComplex,
+    exact_horner,
+    gate_points,
+    horner_bound,
+    modulus,
+    poly_allclose,
+    to_decimal,
+)
 
 from royalgamma import generate_h_nu
 from royalgamma.blaschke import build_parametrization, circle_grid, solve_blaschke
@@ -22,9 +35,11 @@ from royalgamma.polyrat import (
     RootCluster,
     _horner_at,
     _pair_roots,
+    _schur_parameters,
     _stacked_companion_roots,
     _trim_coeffs,
     joint_reduce_many,
+    pole_margins,
     poly_derivative,
     poly_eval,
     poly_eval_compensated,
@@ -759,6 +774,182 @@ class TestPointEvaluationMatchesAnExactOracle:
             f = RationalFn(Poly(num), Poly(den))
             for z in (0j, 0.5, np.exp(0.7j), np.asarray(1.05j)):
                 assert cmath.isnan(f(z))
+
+
+def _replayed_steps(coeffs, size):
+    """The steps of ``_schur_parameters`` on one polynomial, in its own numpy operations on a one-row
+    array: for each step, q and q~ before it, gamma, the new q and q~ before their power-of-two
+    scaling, and that scale."""
+    q = coeffs[None, :size] * np.cumprod(np.concatenate(([1.0], np.full(size - 1, 1.0 + ROOT_CLUSTER_TOL))))
+    reflected = np.conj(q[:, ::-1])
+    steps = []
+    with np.errstate(all="ignore"):
+        for _ in range(size - 1):
+            gamma = np.conj(reflected[:, 0] / q[:, 0])
+            new_q = (q - gamma[:, None] * reflected)[:, :-1]
+            new_reflected = (reflected - np.conj(gamma)[:, None] * q)[:, 1:]
+            scale = np.ldexp(1.0, -np.frexp(np.abs(new_q[:, 0]))[1])[:, None]
+            steps.append((q[0], reflected[0], complex(gamma[0]), new_q[0], new_reflected[0], float(scale[0, 0])))
+            q, reflected = new_q * scale, new_reflected * scale
+    return steps
+
+
+def _running_bounds(steps) -> list[float]:
+    """For each step, a bound g on |gamma(float) - gamma(exact)|, the exact recursion taken on the
+    same scaled input (a running error analysis, Higham, 2nd ed., section 3.3).
+
+    Let e_j and f_j bound the errors of q_j and q~_j against the exact ones, 0 at the start,
+    A = |q_0| - e_0 > 0 and X = |gamma| / (1 - Q), Q = ARRAY_QUOTIENT_ERROR.  The quotient
+    x = q~_0 / q_0 of the floats is within (f_0 + |x| e_0) / A of the exact conj(gamma), and numpy's
+    division rounds within Q |x|, so g = (f_0 + X e_0) / A + Q X.  The new q_j = q_j - gamma q~_j
+    gains g |q~_j| + (|gamma| + g) f_j from the product's operands, PRODUCT_ERROR |gamma| |q~_j| from
+    its rounding and u |new q_j| / (1 - u) from the subtraction's, and the new
+    q~_j = q~_(j + 1) - conj(gamma) q_(j + 1) likewise with q and q~ swapped; the dropped columns are
+    0 in the exact recursion, and the power-of-two scale is exact, so it scales e and f too.  The
+    bound is summed in floats: its own rounding, a few u relative, lies far below the margins the
+    tests measure.  Once A <= 0 the bound is infinite."""
+    errors = reflected_errors = np.zeros(steps[0][0].size) if steps else None
+    bounds = []
+    for q, reflected, gamma, new_q, new_reflected, scale in steps:
+        a = abs(q[0]) - errors[0]
+        if not a > 0.0:
+            return bounds + [np.inf] * (len(steps) - len(bounds))
+        x = abs(gamma) / (1.0 - ARRAY_QUOTIENT_ERROR)
+        g = (reflected_errors[0] + x * errors[0]) / a + ARRAY_QUOTIENT_ERROR * x
+
+        def grown(own, other, other_errors, result):
+            return (own + (g + PRODUCT_ERROR * abs(gamma)) * np.abs(other) + (abs(gamma) + g) * other_errors
+                    + UNIT_ROUNDOFF * np.abs(result) / (1.0 - UNIT_ROUNDOFF))
+
+        errors, reflected_errors = (scale * grown(errors[:-1], reflected[:-1], reflected_errors[:-1], new_q),
+                                    scale * grown(reflected_errors[1:], q[1:], errors[1:], new_reflected))
+        bounds.append(g)
+    return bounds
+
+
+def _certain_decision(steps):
+    """The exact recursion's verdict where the running bounds decide it: False if some step has
+    |gamma| - g > 1, True if every step has |gamma| + g < 1, else None.  Each g is widened by
+    4 u max(1, |gamma|) for the rounding of the modulus; the exact polynomial has no zero in the
+    closed disc of radius R iff every exact |gamma_k| < 1."""
+    slack = [(abs(gamma), bound + 4 * UNIT_ROUNDOFF * max(1.0, abs(gamma)))
+             for (_, _, gamma, _, _, _), bound in zip(steps, _running_bounds(steps))]
+    if any(size - gap > 1.0 for size, gap in slack):
+        return False
+    return True if all(size + gap < 1.0 for size, gap in slack) else None
+
+
+def _fraction_pair(z):
+    z = complex(z)
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _exact_schur_parameters(q) -> list:
+    """The Schur–Cohn recursion in exact rational arithmetic on the float coefficients ``q``
+    (ascending, the top one nonzero): each step's gamma as a (real, imaginary) pair of Fractions."""
+    q = [_fraction_pair(c) for c in q]
+    out = []
+    for m in range(len(q) - 1, 0, -1):
+        (a, b), (c, d) = q[m], q[0]
+        norm = c * c + d * d
+        gamma = ((a * c - b * d) / norm, (a * d + b * c) / norm)  # q_m / conj(q_0)
+        out.append(gamma)
+        q = [(x - (gamma[0] * y + gamma[1] * z), w - (gamma[1] * y - gamma[0] * z))
+             for (x, w), (y, z) in ((q[j], q[m - j]) for j in range(m))]
+    return out
+
+
+def _gap_to_exact(gamma, exact) -> float:
+    re, im = Fraction(gamma.real) - exact[0], Fraction(gamma.imag) - exact[1]
+    return float(to_decimal(re * re + im * im, sqrt=True))
+
+
+def _near_circle_case(rng, degree, delta):
+    """A polynomial whose smallest root has modulus R (1 + delta), R = 1 + ROOT_CLUSTER_TOL, the
+    others 1.2 to 2.5 times as far out, with a random leading coefficient."""
+    radius = 1.0 + ROOT_CLUSTER_TOL
+    moduli = np.concatenate(([radius * (1.0 + delta)], rng.uniform(1.2, 2.5, degree - 1)))
+    roots = moduli * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, degree))
+    return Poly.from_roots(roots.tolist(), leading=complex(*rng.normal(size=2)))
+
+
+def _margin_and_steps(p):
+    """The kernel's margin of ``p`` and its replayed steps, whose gammas are the kernel's, bit for bit."""
+    margin, gammas = pole_margins(p.coeffs[None], [p.coeffs.size])[0], _schur_parameters(p.coeffs[None], [p.coeffs.size])[0]
+    steps = _replayed_steps(p.coeffs, p.coeffs.size)
+    assert np.array_equal(_bits([gamma for _, _, gamma, _, _, _ in steps]), _bits(gammas))
+    return margin, steps
+
+
+class TestPoleMarginMatchesAnExactOracle:
+    """The Schur–Cohn kernel behind the pole test: each step's gamma against the exact recursion
+    on the same float input, within the running bound ``_running_bounds`` derives from the
+    per-operation bounds of ``conftest``; its decision against the roots; and its edge cases."""
+
+    def test_gammas_within_the_running_bound(self):
+        rng = np.random.default_rng(2301)
+        polys = [Poly(_random_coeffs(rng, n + 1)) for n in range(1, 31)]
+        polys += [_near_circle_case(rng, n, sign * delta) for n in (1, 2, 5, 12, 20)
+                  for delta in (1e-2, 1e-4, 1e-6) for sign in (1.0, -1.0)]
+        worst, gated = 0.0, 0
+        for p in polys:
+            _, steps = _margin_and_steps(p)
+            scaled = steps[0][0]
+            exact = _exact_schur_parameters(scaled)
+            for (_, _, gamma, _, _, _), bound, reference in zip(steps, _running_bounds(steps), exact):
+                error = _gap_to_exact(gamma, reference)
+                assert error <= bound, (p.degree, error, bound)
+                if np.isfinite(bound):
+                    worst, gated = max(worst, error / bound), gated + 1
+        assert gated >= 300
+        assert worst <= 1.0, worst  # 0.24 here
+
+    def test_decisions_agree_with_the_roots(self):
+        # wherever the running bounds decide the exact verdict, the kernel's decision and the roots'
+        # must both be that verdict; the bounds decide every case up to degree 16, and from 17 on,
+        # where they grow past the margins, not all of them
+        rng = np.random.default_rng(2302)
+        radius = 1.0 + ROOT_CLUSTER_TOL
+        undecided = []
+        for degree in range(1, 31):
+            for delta in (1e-2, 1e-4, 1e-6):
+                for sign in (1.0, -1.0):
+                    p = _near_circle_case(rng, degree, sign * delta)
+                    margin, steps = _margin_and_steps(p)
+                    outside = min(abs(rc.value) for rc in poly_roots(p)) > radius
+                    verdict = _certain_decision(steps)
+                    if verdict is None:
+                        undecided.append(degree)
+                    else:
+                        assert (margin > 0) == outside == verdict, (degree, sign * delta, margin)
+        assert min(undecided) >= 17 and len(undecided) <= 31, undecided  # 31 of the 180, from degree 17
+
+    def test_edge_cases(self):
+        radius = 1.0 + ROOT_CLUSTER_TOL
+        cases = [
+            ([-radius, 1.0, 0.0], 2),  # a root exactly on the circle of radius R: gamma = -1
+            ([-2.0 * radius, 2.0, 0.0], 2),
+            ([-1.0, 1.0, 0.0], 2),  # a root on the unit circle, inside the band
+            ([3.0 + 1.0j, 0.0, 0.0], 1),  # a constant
+            ([2.0, 1.0, 0.0], 3),  # a zero leading term within the size
+            ([2.0, 1.0, 0.0], 2),  # the same polynomial trimmed
+            ([0.0, 1.0, 0.5], 3),  # a root at 0: q_0 = 0
+            ([complex(np.nan, 0.0), 1.0, 0.0], 2),  # a NaN coefficient
+            ([1.0, 0.25j, 0.0], 2),  # 1 - R / |root| at degree 1
+        ]
+        coeffs = np.array([c for c, _ in cases], complex)
+        sizes = np.array([size for _, size in cases])
+        margins = pole_margins(coeffs, sizes)
+        assert margins[0] == 0.0 and margins[1] == 0.0 and not margins[0] > 0.0
+        assert margins[2] == 1.0 - radius
+        assert margins[3] == 1.0
+        assert margins[4] == margins[5] == 1.0 - radius / 2.0
+        assert not margins[6] > 0.0 and np.isnan(margins[7]) and not margins[7] > 0.0
+        assert margins[8] == 1.0 - radius * 0.25
+        # each row's margin is its own, bit for bit, alone and at its own width
+        for row, size, margin in zip(coeffs, sizes, margins):
+            assert np.array_equal(_bits(pole_margins(row[None], [size])), _bits(margin))
+            assert np.array_equal(_bits(pole_margins(row[None, :size], [size])), _bits(margin))
 
 
 def test_clusters_that_grow_keep_the_sequential_centroids():
