@@ -27,6 +27,7 @@ from .polyrat import (
     _horner,
     _horner_at,
     _is_point,
+    _stacked,
     _trim_coeffs,
     joint_reduce_many,
     poly_eval_many,
@@ -82,9 +83,9 @@ class PhasarValue(float):
 def phasar_derivative(f: RationalFn, z: complex) -> PhasarValue:
     """Rate of change of arg f(e^(i theta)) at z on the circle: Re(z f'(z)/f(z)).  The values of
     f.num, f.den and their derivatives at the one point z are taken in Python complex arithmetic,
-    each derivative's coefficients j c_j formed from the Python list of the c_j."""
+    each derivative's coefficients j c_j formed from f's kept lists of the c_j."""
     z = complex(z)
-    num, den = f.num.coeffs.tolist(), f.den.coeffs.tolist()
+    num, den = f._coefficient_lists()
     slopes = ([j * c for j, c in enumerate(coeffs) if j] for coeffs in (num, den))
     return phasar_from_values(f, [z], [[_horner_at(q, z)] for q in (num, den, *slopes)])[0]
 
@@ -93,7 +94,7 @@ def phasar_from_values(f: RationalFn, zs, values) -> list[PhasarValue]:
     """:func:`phasar_derivative` of ``f`` at each point of ``zs``, given the
     values of f.num, f.den and their derivatives there as four lists of Python
     complex numbers.  Raises at the first point where ``f`` vanishes or has a pole."""
-    scale_n, scale_d = (max([1.0, *map(abs, q.coeffs.tolist())]) for q in (f.num, f.den))
+    scale_n, scale_d = (max([1.0, *map(abs, coeffs)]) for coeffs in f._coefficient_lists())
     out = []
     for z, nz, dz, dnz, ddz in zip([complex(z) for z in zs], *values):
         if abs(nz) <= TRIM_TOL * scale_n * 1e3:
@@ -248,13 +249,13 @@ def build_parametrization(M: PickMatrix, data: BlaschkeData, tau: complex) -> Pa
 def _check_no_common_zero(param: Parametrization) -> None:
     """Ask the one root cancellation whether b, c and d share a zero of a; the
     zero polynomial shares every zero, a nonzero constant none."""
-    [(_, den, roots)] = joint_reduce_many([((param.b, param.c, param.d), param.a)])
+    [(_, den)] = joint_reduce_many([((param.b, param.c, param.d), param.a)])
     if den is not param.a:
-        raise NumericalFailure(f"a, b, c, d share {param.a.degree - len(roots)} of the {param.a.degree} zeros of a")
+        raise NumericalFailure(f"a, b, c, d share {param.a.degree - den.degree} of the {param.a.degree} zeros of a")
 
 
 def _check_c_dominated_by_d(param: Parametrization) -> None:
-    c, d = np.abs(poly_eval_many((param.c, param.d), _read_only_grid(disc_grid, 256)))
+    c, d = np.abs(_table_values((param.c, param.d), _disc_points))
     worst = float(np.max(c - d))
     if worst > RESIDUAL_TOL:
         raise NumericalFailure(f"|c| exceeds |d| on the closed disc by {worst:.3e}")
@@ -309,6 +310,28 @@ def _factored_form_points() -> np.ndarray:
     return out
 
 
+_disc_points = functools.partial(_read_only_grid, disc_grid, 256)
+
+
+@functools.cache
+def _power_table(points, size: int) -> np.ndarray:
+    """The powers z**j, j < size, of the fixed points ``points()`` as rows, read-only: each row is the
+    row before times the points, so z**j is j - 1 rounded products."""
+    z = points()
+    out = np.ones((size, z.size), complex)
+    for j in range(1, size):
+        out[j] = out[j - 1] * z
+    out.setflags(write=False)
+    return out
+
+
+def _table_values(polys, points) -> np.ndarray:
+    """Two polynomials at the fixed points ``points()``: one (2 x size) @ (size x points) product with the
+    cached power table, always of two rows, as a BLAS product's bits can depend on the rows beside a row."""
+    rows = _stacked(polys)
+    return rows @ _power_table(points, rows.shape[1])
+
+
 def to_blaschke_product(f: RationalFn) -> BlaschkeProduct:
     """Recover the factored form of a rational inner function.
 
@@ -320,12 +343,13 @@ def to_blaschke_product(f: RationalFn) -> BlaschkeProduct:
     NaN fails every check, and the factored form is checked against the
     input at 64 deterministic points before returning, so a common factor of
     numerator and denominator raises :class:`NotInner`.  The input is
-    evaluated once, at all of these points together; the zeros are the
-    values of ``poly_roots(f.num)``, each repeated by its multiplicity, and
-    the product is evaluated at the 64 points in one array product.
+    evaluated once, at all of these points together, in one matrix product
+    with their cached power table; the zeros are the values of
+    ``poly_roots(f.num)``, each repeated by its multiplicity, and the
+    product is evaluated at the 64 points in one array product.
     """
     points = _factored_form_points()
-    num, den = f.values(points)
+    num, den = _table_values((f.num, f.den), _factored_form_points)
     vals = num / den
     worst = float(np.max(np.abs(np.abs(vals[5:261]) - 1.0)))
     if not worst <= RESIDUAL_TOL:

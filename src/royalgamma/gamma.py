@@ -174,7 +174,7 @@ class GammaInnerFn:
         root both numerators share, and the reduced triple, after its
         royal-range test, is validated as a family's members are.
         """
-        [((num_s, num_p), den, _)] = joint_reduce_many([((num_s, num_p), den)])
+        [((num_s, num_p), den)] = joint_reduce_many([((num_s, num_p), den)])
         rows = _stacked((num_s, num_p, den))[None]
         sizes = np.array([[q.coeffs.size for q in (num_s, num_p, den)]])
         return _raised(_maps_from_numerators(rows, sizes, _royal_ranges(rows))[0])
@@ -317,7 +317,7 @@ def compose_phi_omega(omega: complex, h: GammaInnerFn) -> RationalFn:
     monic denominator.  At omega = -conj(eta), eta the value at a boundary
     node, both vanish at the node: the joint reduction removes the singularity."""
     omega = complex(omega)
-    [((num,), den, _)] = joint_reduce_many([((2.0 * omega * h.p.num - h.s.num,), 2.0 * h.den - omega * h.s.num)])
+    [((num,), den)] = joint_reduce_many([((2.0 * omega * h.p.num - h.s.num,), 2.0 * h.den - omega * h.s.num)])
     return RationalFn(num / den.leading, den / den.leading)
 
 

@@ -468,10 +468,10 @@ def pole_margins(coeffs: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 class RationalFn:
     """Quotient of two :class:`Poly`; the denominator is never the zero polynomial.  At one point num and
-    den are evaluated in Python complex arithmetic and divided in Python.  The first call at an array of
-    points stacks num and den as the columns of one array and keeps it; a family calls few of those it builds."""
+    den are evaluated in Python complex arithmetic, on their coefficient lists, kept from the first point
+    call, and divided in Python; on an array of points in one two-row Horner pass, with nothing kept."""
 
-    __slots__ = ("num", "den", "_columns")
+    __slots__ = ("num", "den", "_lists")
 
     def __init__(self, num: Poly, den: Poly):
         if den.is_zero:
@@ -486,25 +486,23 @@ class RationalFn:
     def degree(self) -> int:
         return max(self.num.degree, self.den.degree)
 
+    def _coefficient_lists(self) -> tuple[list, list]:
+        """num's and den's coefficients as Python lists of complex, made on the first call and kept."""
+        if not hasattr(self, "_lists"):
+            object.__setattr__(self, "_lists", (self.num.coeffs.tolist(), self.den.coeffs.tolist()))
+        return self._lists
+
     def values(self, z) -> np.ndarray:
         """num and den at every point of ``z`` in one two-row Horner pass, bit
         for bit the values :func:`poly_eval` gives: shape (2,) + z.shape."""
-        try:
-            columns = self._columns
-        except AttributeError:
-            columns = np.ascontiguousarray(_stacked((self.num, self.den)).T[::-1, :, None])
-            object.__setattr__(self, "_columns", columns)
         z = np.asarray(z, dtype=complex)
-        points = z.reshape(-1)
-        out = np.zeros((2, points.size), complex)
-        for c in columns:
-            out = out * points + c
-        return out.reshape((2,) + z.shape)
+        return _horner(_stacked((self.num, self.den)), z.reshape(-1)).reshape((2,) + z.shape)
 
     def __call__(self, z):
         if _is_point(z):
             z = complex(z)
-            return _horner_at(self.num.coeffs.tolist(), z) / _horner_at(self.den.coeffs.tolist(), z)
+            num, den = self._coefficient_lists()
+            return _horner_at(num, z) / _horner_at(den, z)
         num, den = self.values(z)
         return num / den
 
@@ -551,16 +549,15 @@ def _pair_roots(den_clusters, num_clusters):
     return expand(den_left), [None if left is None else expand(left) for left in nums_left], cancelled
 
 
-def joint_reduce_many(items: Sequence[tuple[tuple[Poly, ...], Poly]]) -> list[tuple[tuple[Poly, ...], Poly, list]]:
+def joint_reduce_many(items: Sequence[tuple[tuple[Poly, ...], Poly]]) -> list[tuple[tuple[Poly, ...], Poly]]:
     """Cancel, for each (numerators, denominator) pair, the denominator roots
     shared by every numerator.
 
     A zero numerator shares every root.  Each stripped polynomial keeps its
     leading coefficient, and no sampled check compares the stripped pair with
     the input: this is the package's one root cancellation.
-    Returns (numerators, denominator, denominator roots) per pair: the inputs
-    themselves when nothing cancels, and the roots left after the
-    cancellation, each repeated by its multiplicity.
+    Returns (numerators, denominator) per pair: the inputs themselves when
+    nothing cancels.
 
     Every denominator's roots come from one :func:`poly_roots_many` call.  A
     pair can cancel only where each numerator q = sum_j c_j lambda^j has a
@@ -600,7 +597,6 @@ def joint_reduce_many(items: Sequence[tuple[tuple[Poly, ...], Poly]]) -> list[tu
     found = iter(poly_roots_many(paired) if paired else [])
     out = []
     for index, (nums, den) in enumerate(items):
-        den_roots = [rc.value for rc in den_clusters.get(index, []) for _ in range(rc.multiplicity)]
         if index in cancelling:
             num_clusters = [None if q.is_zero else next(found) if q.degree >= 1 else [] for q in nums]
             den_roots, num_roots, cancelled = _pair_roots(den_clusters[index], num_clusters)
@@ -608,5 +604,5 @@ def joint_reduce_many(items: Sequence[tuple[tuple[Poly, ...], Poly]]) -> list[tu
                 nums = tuple(q if roots is None else Poly.from_roots(roots, leading=q.leading)
                              for q, roots in zip(nums, num_roots))
                 den = Poly.from_roots(den_roots, leading=den.leading)
-        out.append((nums, den, den_roots))
+        out.append((nums, den))
     return out

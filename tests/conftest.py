@@ -98,6 +98,35 @@ def exact_horner(coeffs, z: ExactComplex) -> tuple[ExactComplex, ExactComplex]:
     return value, slope
 
 
+def _over_a_power_of_two(values):
+    """Integer parts (re, im) and one power of two d with each complex value equal to (re + i im) / d."""
+    ratios = [(v.real.as_integer_ratio(), v.imag.as_integer_ratio()) for v in map(complex, values)]
+    d = max([1] + [den for pair in ratios for _, den in pair])
+    return [(a * (d // b), c * (d // e)) for (a, b), (c, e) in ratios], d
+
+
+def exact_errors(coeffs, zs, values) -> list:
+    """|v - P(z)| for each float point z of ``zs`` and float value v of ``values``, P the polynomial with
+    the float ``coeffs`` (ascending), in integer arithmetic and rounded once: :func:`exact_horner`'s
+    values, without the derivative, over the common power-of-two denominators of the coefficients and of
+    each point's parts."""
+    ints, q = _over_a_power_of_two(coeffs)
+    out = []
+    for z, value in zip(zs, values):
+        [(x, y)], s = _over_a_power_of_two([z])
+        [(vr, vi)], d = _over_a_power_of_two([value])
+        re = im = 0
+        power = 1  # s^(n - j) at the step of c_j: the value is sum_j c_j (x + i y)^j s^(n - j) / (q s^n)
+        for a, b in reversed(ints):
+            re, im = re * x - im * y + a * power, re * y + im * x + b * power
+            power *= s
+        scale = q * power // s
+        common = max(scale, d)  # both powers of two; int / int rounds once
+        re, im = vr * (common // d) - re * (common // scale), vi * (common // d) - im * (common // scale)
+        out.append(abs(complex(re / common, im / common)))
+    return out
+
+
 # The unit roundoff u of IEEE double, and bounds on the relative error of one
 # complex operation on floats, each against the exact result of its rounded
 # operands.  A sum or difference rounds each part once: u.  A product

@@ -766,7 +766,7 @@ class TestConstructionCancelsNothing:
                 triples.append(((param.c * (4.0 * p0) - param.d * (2.0 * s0), param.a * (-2.0 * p0) + param.b * s0),
                                 param.c * s0 - param.d * 2.0))
             built = _construct_many(param, pairs)
-            for (s0, p0), (_, den), (_, reduced, _), h in zip(pairs, triples, joint_reduce_many(triples), built):
+            for (s0, p0), (_, den), (_, reduced), h in zip(pairs, triples, joint_reduce_many(triples), built):
                 off_royal = abs(s0 * s0 - 4.0 * p0) > RESIDUAL_TOL
                 assert reduced is den or not off_royal, (s0, p0)
                 assert off_royal or isinstance(h, RoyalRange), (s0, p0, h)
