@@ -29,8 +29,6 @@ from .polyrat import (
     _is_point,
     _stacked,
     _trim_coeffs,
-    joint_reduce_many,
-    poly_eval_many,
     poly_roots,
 )
 
@@ -164,9 +162,9 @@ class Parametrization:
         return max(p.degree for p in (self.a, self.b, self.c, self.d))
 
     def normalization_residual(self) -> float:
-        """The largest distance of (a, b, c, d)(tau) from (1, 0, 0, 1), in one four-row Horner pass."""
-        values = poly_eval_many((self.a, self.b, self.c, self.d), [self.tau])[:, 0]
-        return float(np.max(np.abs(values - [1.0, 0.0, 0.0, 1.0])))
+        """The largest distance of (a, b, c, d)(tau) from (1, 0, 0, 1), each by Horner's rule in Python complex."""
+        quad = (self.a, self.b, self.c, self.d)
+        return max(abs(_horner_at(q.coeffs.tolist(), self.tau) - one) for q, one in zip(quad, (1, 0, 0, 1)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -241,17 +239,37 @@ def build_parametrization(M: PickMatrix, data: BlaschkeData, tau: complex) -> Pa
         raise NumericalFailure(f"normalization at tau off by {res:.3e}")
     if param.degree != data.n:
         raise NumericalFailure(f"max degree {param.degree} != n = {data.n}")
-    _check_no_common_zero(param)
+    _check_no_common_zero(param, data)
     _check_c_dominated_by_d(param)
     return param
 
 
-def _check_no_common_zero(param: Parametrization) -> None:
-    """Ask the one root cancellation whether b, c and d share a zero of a; the
-    zero polynomial shares every zero, a nonzero constant none."""
-    [(_, den)] = joint_reduce_many([((param.b, param.c, param.d), param.a)])
-    if den is not param.a:
-        raise NumericalFailure(f"a, b, c, d share {param.a.degree - den.degree} of the {param.a.degree} zeros of a")
+def _check_no_common_zero(param: Parametrization, data: BlaschkeData) -> None:
+    """Raise where a, b, c and d vanish together: only at a node or an interior node's reflection can they, as
+    ad - bc = B/B(tau) with B(lambda) = prod_j (lambda - sigma_j)(1 - conj(sigma_j) lambda).
+
+    Proof: with P = prod_l (1 - conj(sigma_l) lambda), t = 1 - conj(tau) lambda, the Szego kernels x_z =
+    (1 / (1 - conj(sigma_i) z))_i, y_z = conj(eta) x_z and the Pick matrix M, [[a, b], [c, d]] = P/P(tau) (I - t UV),
+    U the rows x_lambda^T, y_lambda^T, V the columns M^-T conj(x_tau), -M^-T conj(y_tau).  Sylvester's
+    det(I - t UV) = det(I - t VU) is det(M^T - t C) / det M^T, C_ij = conj(x_tau,i) x_lambda,j (1 - eta_i conj(eta_j)),
+    and the Stein identity (1 - sigma_i conj(tau))(1 - conj(sigma_j) lambda) - t (1 - sigma_i conj(sigma_j)) =
+    (sigma_i - lambda)(conj(sigma_j) - conj(tau)) makes M^T - t C = D M^T E, D = diag((sigma_i - lambda) /
+    (1 - sigma_i conj(tau))), E = diag((conj(sigma_i) - conj(tau)) / (1 - conj(sigma_i) lambda)); at a boundary
+    node C_ii = 0 and D_ii E_ii = 1, so M_ii = rho_i fits too.  As |tau| = 1, P^2 det D det E / P(tau)^2 = B/B(tau)
+    (Sarason, Integral Equations Operator Theory 30, 1998; Ball, Gohberg and Rodman, 1990).  In floats it holds only
+    as well as the kernel solves do, so it is cited, not checked.
+
+    At a node (a, b) = eta_j (c, d), and at an interior node's reflection (c, d) = conj(eta_j) (a, b), where
+    P x_lambda keeps only its j-th entry: so c and d are tested at the nodes, a and b at the reflections (0 reflects
+    to infinity, where the degree check looks).  q vanishes at z when |q(z)| is within Horner's error bound
+    4 m u sum_j |c_j| |z|^j at degree m (Higham, section 5.1, as in ``_horner_at``), both from one Horner pass."""
+    points = np.array(data.sigma + tuple(1 / s.conjugate() for s in data.sigma[data.k:] if s))
+    rows = _stacked((param.a, param.b, param.c, param.d))
+    at = np.abs(_horner(np.concatenate((rows, np.abs(rows))), np.repeat([points, np.abs(points)], 4, axis=0)))
+    vanishing = at[:4] <= 4 * (rows.shape[1] - 1) * 2.0**-53 * at[4:]
+    common = np.concatenate((vanishing[2:, :data.n].all(axis=0), vanishing[:2, data.n:].all(axis=0)))
+    if common.any():
+        raise NumericalFailure(f"a, b, c, d share the zero {complex(points[np.argmax(common)])}")
 
 
 def _check_c_dominated_by_d(param: Parametrization) -> None:

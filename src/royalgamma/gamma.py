@@ -441,11 +441,12 @@ def _construct_many(param: Parametrization, base_values) -> list[GammaInnerFn | 
 
     Nothing is cancelled.  If den = s0 c - 2 d and num_s / 2 = 2 p0 c - s0 d
     vanish at lambda, then, as [[s0, -2], [2 p0, -s0]] has determinant
-    4 p0 - s0^2, s0^2 = 4 p0 or c(lambda) = d(lambda) = 0.  At a node
-    (a, b) = eta_j (c, d), so c = d = 0 there would make all four vanish,
-    which the parametrization's no-common-zero check excludes; that c and d
-    share no zero off the nodes is the claim ``TestConstructionCancelsNothing``
-    tests.  At s0^2 = 4 p0, num_s^2 - 4 num_p den = den^2 (s^2 - 4 p)
+    4 p0 - s0^2, s0^2 = 4 p0 or c(lambda) = d(lambda) = 0.  By the identity
+    ad - bc = B/B(tau) (``blaschke._check_no_common_zero``) c and d vanish
+    together only where all four do, which that check excludes, or at the
+    reflection of an interior node with eta_j = 0, where (c, d) = conj(eta_j)
+    (a, b); ``TestConstructionCancelsNothing`` is the oracle.  At
+    s0^2 = 4 p0, num_s^2 - 4 num_p den = den^2 (s^2 - 4 p)
     vanishes identically, shared factor or not: the royal-range test runs
     first, on the unreduced rows."""
     base = np.array(base_values, dtype=complex).reshape(-1, 2)

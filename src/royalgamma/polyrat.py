@@ -6,6 +6,7 @@ after construction and every operation is pure, so concurrent reads are safe.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -309,11 +310,19 @@ def poly_eval_compensated(polys: Sequence[Poly], z) -> np.ndarray:
     return _compensated_horner(_stacked(polys), np.asarray(z, dtype=complex))
 
 
+@functools.cache
+def _ramp(size: int) -> np.ndarray:
+    """1, 2, ..., size - 1, read-only: the factors j of a derivative's coefficients j c_j."""
+    out = np.arange(1, size)
+    out.setflags(write=False)
+    return out
+
+
 def poly_derivative(p: Poly) -> Poly:
     """Coefficient-shifted derivative; the zero and constant cases give zero."""
     if p.coeffs.size <= 1:
         return Poly([])
-    return Poly._untrimmed(p.coeffs[1:] * np.arange(1, p.coeffs.size))
+    return Poly._untrimmed(p.coeffs[1:] * _ramp(p.coeffs.size))
 
 
 class RootCluster(NamedTuple):
@@ -330,7 +339,8 @@ def _stacked_companion_roots(coeffs: np.ndarray, zeros: int) -> np.ndarray:
     if not n:
         return np.zeros((m, zeros), complex)
     top = coeffs[:, zeros:][:, ::-1]
-    companion = np.eye(n, k=-1, dtype=complex)[None].repeat(m, axis=0)
+    companion = np.zeros((m, n, n), complex)
+    companion.reshape(m, n * n)[:, n::n + 1] = 1.0  # the subdiagonal
     companion[:, 0, :] = -top[:, 1:] / top[:, :1]
     roots = np.linalg.eigvals(companion)
     return np.concatenate((roots, np.zeros((m, zeros), complex)), axis=1) if zeros else roots
@@ -415,7 +425,7 @@ def poly_roots_many(polys: Sequence[Poly]) -> list[list[RootCluster]]:
         # the polynomials, then their derivatives zero-padded on top
         coeffs = np.zeros((2 * m, size), complex)
         coeffs[:m] = [polys[i].coeffs for i in members]
-        coeffs[m:, :-1] = coeffs[:m, 1:] * np.arange(1, size)
+        coeffs[m:, :-1] = coeffs[:m, 1:] * _ramp(size)
         raw = _stacked_companion_roots(coeffs[:m], zeros)
         at_raw = _horner(coeffs, np.concatenate((raw, raw))).tolist()
         for i, row in zip(members, zip(raw.tolist(), at_raw[:m], at_raw[m:])):
@@ -583,7 +593,7 @@ def joint_reduce_many(items: Sequence[tuple[tuple[Poly, ...], Poly]]) -> list[tu
             row[: len(den_clusters[index])] = [rc.value for rc in den_clusters[index]]
     coeffs = _stacked(numerators)
     sizes, radii = np.abs(coeffs), np.abs(points) + ROOT_CLUSTER_TOL
-    slope = _horner(sizes[:, 1:] * np.arange(1, sizes.shape[1]), radii).real  # D of each numerator at each root
+    slope = _horner(sizes[:, 1:] * _ramp(sizes.shape[1]), radii).real  # D of each numerator at each root
     size = _horner(sizes, radii).real  # S
     vanishing = np.abs(_horner(coeffs, points)) <= 1e3 * (ROOT_CLUSTER_TOL * slope + TRIM_TOL * size)
     vanishing = iter(vanishing.tolist())

@@ -88,6 +88,59 @@ class ExactComplex:
         return (self.re * self.re + self.im * self.im) * Fraction(2) ** (2 * self.exp)
 
 
+class RationalComplex:
+    """A complex number with Fraction parts, for exact linear algebra on rational data, where
+    :class:`ExactComplex`, with no division, cannot go: sums, products and quotients are exact."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    @staticmethod
+    def _of(z) -> "RationalComplex":
+        return z if isinstance(z, RationalComplex) else RationalComplex(z)
+
+    def __add__(self, other):
+        other = self._of(other)
+        return RationalComplex(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RationalComplex(-self.re, -self.im)
+
+    def __sub__(self, other):
+        return self + -self._of(other)
+
+    def __rsub__(self, other):
+        return self._of(other) - self
+
+    def __mul__(self, other):
+        other = self._of(other)
+        return RationalComplex(self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._of(other)
+        size = other.re * other.re + other.im * other.im
+        return self * RationalComplex(other.re / size, -other.im / size)
+
+    def __rtruediv__(self, other):
+        return self._of(other) / self
+
+    def __eq__(self, other):
+        other = self._of(other)
+        return self.re == other.re and self.im == other.im
+
+    def conj(self) -> "RationalComplex":
+        return RationalComplex(self.re, -self.im)
+
+    def __repr__(self):
+        return f"({self.re} + {self.im}i)"
+
+
 def exact_horner(coeffs, z: ExactComplex) -> tuple[ExactComplex, ExactComplex]:
     """The polynomial with the float coefficients ``coeffs`` (ascending) and
     its derivative at ``z``, exactly."""
