@@ -232,6 +232,38 @@ def derivative_bound(coeffs, z) -> float:
     return 4 * max(n, 0) * UNIT_ROUNDOFF * size
 
 
+def exact_phasar(num, den, z: complex, quotient_error: float) -> tuple[Fraction, Fraction, float]:
+    """Re w and Im w, w = z (N'/N - D'/D) with N, N', D and D' the exact values at z of the polynomials
+    with the float coefficients ``num`` and ``den`` (ascending) and of their derivatives; and a bound on
+    |w^ - w| for w^ computed from the float values of the four by quotients that round within
+    ``quotient_error`` (``QUOTIENT_ERROR`` in Python, ``ARRAY_QUOTIENT_ERROR`` in numpy).
+
+    The values come from Horner's rule, within b = 4 n u sum_j |c_j| |z|^j of N or D
+    (:func:`horner_bound`) and b' = 4 n u sum_j j |c_j| |z|^(j-1) of N' or D' (:func:`derivative_bound`).
+    The quotient of the values of N' and N is within e = (b' + r b) / (|N| - b) of r = N'/N, and the
+    division rounds within q = ``quotient_error``, so the computed r is within E = e + q (|r| + e);
+    likewise for D'/D.  With g = N'/N - D'/D, the difference rounds within u:
+    F = E_N + E_D + u (|g| + E_N + E_D); and the product with z within PRODUCT_ERROR:
+    |w^ - w| <= |z| (F + PRODUCT_ERROR (|g| + F)), which bounds the error of Re w and of |Im w| too."""
+    z = complex(z)
+    point = ExactComplex.of(z)
+    spread, values = 0.0, []
+    for coeffs in (num, den):
+        at, slope = exact_horner(coeffs, point)
+        size, b = modulus(at), horner_bound(coeffs, z)
+        assert size > b
+        ratio = modulus(slope) / size
+        gap = (derivative_bound(coeffs, z) + ratio * b) / (size - b)
+        spread += gap + quotient_error * (ratio + gap)
+        values.append((at, slope))
+    (n0, n1), (d0, d1) = values
+    below = n0 * d0
+    difference = modulus(n1 * d0 - d1 * n0) / modulus(below)
+    spread += SUM_ERROR * (difference + spread)
+    top, bottom = point * (n1 * d0 - d1 * n0) * below.conj(), below.abs2()
+    return top.real() / bottom, top.imag() / bottom, abs(z) * (spread + PRODUCT_ERROR * (difference + spread))
+
+
 def gate_points(rng) -> list:
     """Points for the exact-oracle gates of the point path: 0, 1 and -i, then three
     random points inside the unit disc, three on the circle and three just outside it."""
@@ -288,6 +320,25 @@ def rotate_map(h: GammaInnerFn, angle: float) -> GammaInnerFn:
         return Poly(poly.coeffs * phase ** np.arange(poly.coeffs.size))
 
     return GammaInnerFn.from_numerators(twist(h.s.num), twist(h.p.num), twist(h.den))
+
+
+def precompose_automorphism(h: GammaInnerFn, a: float) -> GammaInnerFn:
+    """Precompose with the disc automorphism lambda -> (lambda + a)/(1 + a lambda), real a in (-1, 1):
+    each of num_s, num_p and den, q of degree at most m, becomes sum_j q_j (lambda + a)^j (1 + a lambda)^(m - j),
+    the common factor (1 + a lambda)^m cancelling in s and p."""
+    m = max(q.degree for q in (h.s.num, h.p.num, h.den))
+    up, down = Poly([a, 1.0]), Poly([1.0, a])
+
+    def compose(poly: Poly) -> Poly:
+        out = Poly([])
+        for j, c in enumerate(poly.coeffs.tolist()):
+            term = Poly([c])
+            for factor in [up] * j + [down] * (m - j):
+                term = term * factor
+            out = out + term
+        return out
+
+    return GammaInnerFn.from_numerators(compose(h.s.num), compose(h.p.num), compose(h.den))
 
 
 def _data_quality_ok(data: BlaschkeData) -> bool:

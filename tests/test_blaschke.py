@@ -20,12 +20,11 @@ from conftest import (
     blaschke_rational,
     boundary_example_data,
     boundary_example_target,
-    derivative_bound,
     exact_errors,
     exact_horner,
+    exact_phasar,
     fd_phasar,
     gate_points,
-    horner_bound,
     interior_example_data,
     modulus,
     poly_allclose,
@@ -87,34 +86,11 @@ def _one_at_a_time_phasar(f, z):
 def _phasar_error(f, z, value):
     """How far ``value``, phasar_derivative(f, z), and its imaginary-part residual lie from the exact
     Re w and |Im w|, w = z (N'/N - D'/D) with N, N', D and D' the exact values at z of f's float numerator,
-    denominator and their derivatives; and the bound on both.
-
-    At one point the four values come from Horner's rule in Python complex arithmetic, within
-    b = 4 n u sum_j |c_j| |z|^j of N or D (``horner_bound``) and b' = 4 n u sum_j j |c_j| |z|^(j-1) of N'
-    or D' (``derivative_bound``).  The quotient of the values of N' and N is within
-    e = (b' + r b) / (|N| - b) of r = N'/N, and the division rounds within QUOTIENT_ERROR, so the computed
-    r is within E = e + QUOTIENT_ERROR (|r| + e); likewise for D'/D.  With g = N'/N - D'/D, the difference
-    rounds within u: F = E_N + E_D + u (|g| + E_N + E_D); and the product with z within PRODUCT_ERROR:
-    |w^ - w| <= |z| (F + PRODUCT_ERROR (|g| + F)), which bounds the error of Re w and of |Im w| too."""
-    z = complex(z)
-    point = ExactComplex.of(z)
-    spread, values = 0.0, []
-    for coeffs in (f.num.coeffs.tolist(), f.den.coeffs.tolist()):
-        at, slope = exact_horner(coeffs, point)
-        size, b = modulus(at), horner_bound(coeffs, z)
-        assert size > b
-        ratio = modulus(slope) / size
-        gap = (derivative_bound(coeffs, z) + ratio * b) / (size - b)
-        spread += gap + QUOTIENT_ERROR * (ratio + gap)
-        values.append((at, slope))
-    (n0, n1), (d0, d1) = values
-    below = n0 * d0
-    difference = modulus(n1 * d0 - d1 * n0) / modulus(below)
-    spread += SUM_ERROR * (difference + spread)
-    top, bottom = point * (n1 * d0 - d1 * n0) * below.conj(), below.abs2()
-    error = max(abs(Fraction(float(value)) - top.real() / bottom),
-                abs(Fraction(value.imag_residual) - abs(top.imag() / bottom)))
-    return float(error), abs(z) * (spread + PRODUCT_ERROR * (difference + spread))
+    denominator and their derivatives; and the bound on both, ``exact_phasar``'s with the quotients of
+    Python complex arithmetic, within QUOTIENT_ERROR."""
+    real, imag, bound = exact_phasar(f.num.coeffs.tolist(), f.den.coeffs.tolist(), z, QUOTIENT_ERROR)
+    error = max(abs(Fraction(float(value)) - real), abs(Fraction(value.imag_residual) - abs(imag)))
+    return float(error), bound
 
 
 class TestPhasarDerivativesAreBitIdentical:
