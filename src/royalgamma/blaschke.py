@@ -37,7 +37,6 @@ __all__ = [
     "BlaschkeProduct",
     "Parametrization",
     "phasar_derivative",
-    "phasar_from_values",
     "build_parametrization",
     "solve_blaschke",
     "to_blaschke_product",
@@ -81,27 +80,19 @@ class PhasarValue(float):
 def phasar_derivative(f: RationalFn, z: complex) -> PhasarValue:
     """Rate of change of arg f(e^(i theta)) at z on the circle: Re(z f'(z)/f(z)).  The values of
     f.num, f.den and their derivatives at the one point z are taken in Python complex arithmetic,
-    each derivative's coefficients j c_j formed from f's kept lists of the c_j."""
+    each derivative's coefficients j c_j formed from f's kept lists of the c_j.  Raises where ``f``
+    vanishes or has a pole at z."""
     z = complex(z)
     num, den = f._coefficient_lists()
+    scale_n, scale_d = (max([1.0, *map(abs, coeffs)]) for coeffs in (num, den))
     slopes = ([j * c for j, c in enumerate(coeffs) if j] for coeffs in (num, den))
-    return phasar_from_values(f, [z], [[_horner_at(q, z)] for q in (num, den, *slopes)])[0]
-
-
-def phasar_from_values(f: RationalFn, zs, values) -> list[PhasarValue]:
-    """:func:`phasar_derivative` of ``f`` at each point of ``zs``, given the
-    values of f.num, f.den and their derivatives there as four lists of Python
-    complex numbers.  Raises at the first point where ``f`` vanishes or has a pole."""
-    scale_n, scale_d = (max([1.0, *map(abs, coeffs)]) for coeffs in f._coefficient_lists())
-    out = []
-    for z, nz, dz, dnz, ddz in zip([complex(z) for z in zs], *values):
-        if abs(nz) <= TRIM_TOL * scale_n * 1e3:
-            raise ZeroOrPoleAtPoint(f"function vanishes at {z}")
-        if abs(dz) <= TRIM_TOL * scale_d * 1e3:
-            raise ZeroOrPoleAtPoint(f"function has a pole at {z}")
-        w = z * (dnz / nz - ddz / dz)
-        out.append(PhasarValue(w.real, abs(w.imag)))
-    return out
+    nz, dz, dnz, ddz = (_horner_at(q, z) for q in (num, den, *slopes))
+    if abs(nz) <= TRIM_TOL * scale_n * 1e3:
+        raise ZeroOrPoleAtPoint(f"function vanishes at {z}")
+    if abs(dz) <= TRIM_TOL * scale_d * 1e3:
+        raise ZeroOrPoleAtPoint(f"function has a pole at {z}")
+    w = z * (dnz / nz - ddz / dz)
+    return PhasarValue(w.real, abs(w.imag))
 
 
 @dataclass(frozen=True)

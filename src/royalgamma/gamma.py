@@ -18,7 +18,6 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._crosscheck import _crosscheck, _phi_check_omegas
 from .basevalues import FamilyMember, S0P0Solution, solve_s0_p0
 from .blaschke import (
     Parametrization,
@@ -51,7 +50,6 @@ from .polyrat import (
     TRIM_TOL,
     Poly,
     RationalFn,
-    _compensated_horner,
     _horner,
     _products,
     _stacked,
@@ -561,14 +559,43 @@ def verify_royal_solution(
 ) -> VerificationReport:
     """Structured residuals for every requirement the constructed map must meet.
 
-    Checks, in order: interpolation of nodes and values, phasar derivative of
-    p at boundary nodes, the three boundary identities on a 256-point circle
-    grid, reduced degree, the linear-fractional cross-check at eight probe
-    parameters, and the pole test: the map's ``pole_margin``, found when it
-    was built, must be positive.  ``passed`` is true iff every
-    residual is at most ``pass_tol`` (by default ``RESIDUAL_TOL``) and the
-    structural checks hold.  This is the batch of one of the verification a
-    family's members go through.
+    Checks, in order: interpolation of nodes and values (``interp_s_max``,
+    ``interp_p_max``), the phasar derivatives of p and of s at the boundary
+    nodes (``phasar_p_max``, ``phasar_s_max``), the three boundary
+    identities on a 256-point circle grid, reduced degree, and the pole
+    test: the map's ``pole_margin``, found when it was built, must be
+    positive.  ``passed`` is true iff every residual is at most ``pass_tol``
+    (by default ``RESIDUAL_TOL``) and the structural checks hold.  This is
+    the batch of one of the verification a family's members go through.
+
+    ``phasar_s_max`` is the largest |z (num_s'/num_s - den'/den) - rho_j|
+    over the boundary nodes z = sigma_j, that is |z s'/s - rho_j|, a complex
+    modulus, so it checks both Re = rho_j and Im = 0.  Why this value, and
+    why no check of the paper's functionals
+    Phi_omega = (2 omega p - s)/(2 - omega s) at probe parameters omega is
+    needed:
+
+    - At a node, s = -2 eta and p = eta^2, so 2 omega p - s =
+      2 eta (1 + omega eta) and 2 - omega s = 2 (1 + omega eta): Phi_omega o h
+      takes the value eta wherever 1 + omega eta != 0, off by at most the
+      interpolation residuals over |1 + omega eta|.
+    - At a boundary node, |eta| = 1, and on the circle s = conj(s) p and
+      |s| <= 2, so |s| = 2 is a maximum along the circle.  Write A = i z s'
+      and P = i z p', the derivatives along the circle.  The maximum gives
+      Re(conj(s) A) = 0, so conj(eta) A is imaginary, and so
+      conj(A) = -conj(eta)^2 A.  Differentiating s = conj(s) p gives
+      A = conj(A) eta^2 - 2 conj(eta) P = -A - 2 conj(eta) P.  So
+      s' = -conj(eta) p', and z s'/s = z p'/(2 eta^2) = z p'/(2 p) = rho_j,
+      half of p's phasar derivative, which is real.
+    - With f = Phi_omega o h, f'/f = (2 omega p' - s')/(2 omega p - s)
+      + omega s'/(2 - omega s).  At a boundary node, with s' = -conj(eta) p'
+      and conj(eta) = 1/eta, this is p'/(2 (1 + omega eta)) times
+      (2 omega + 1/eta)/eta - omega/eta = (1 + omega eta)/eta^2, that is
+      p'/(2 p) = s'/s, for every omega.
+
+    So the composed functions add nothing at the nodes beyond s, p, s' and
+    p', which the residuals above check directly, and a check at probe
+    parameters would only divide those residuals by |1 + omega eta|.
     """
     return _verify_many([h], *_rows_of((h.s.num, h.p.num, h.den)), data, pass_tol)[0]
 
@@ -578,10 +605,13 @@ def _verify_many(maps: Sequence[GammaInnerFn], rows: np.ndarray, sizes: np.ndarr
     """:func:`verify_royal_solution` of each map, as (maps x nodes) array passes
     over the rows construction left: monic (num_s, num_p, den) in ``rows``
     (maps x 3 x coefficients, zero beyond the lengths ``sizes``).  The degree
-    is p's, max(size of num_p, size of den) - 1; the phasar derivative of p at
-    a boundary node z, Re(z (num_p'/num_p - den'/den)), is one array
-    expression, with :func:`blaschke.phasar_derivative`'s vanishing and pole
-    tests, raised at the first map and, in it, the first node."""
+    is p's, max(size of num_p, size of den) - 1; the phasar derivatives at a
+    boundary node z, Re(z (num_p'/num_p - den'/den)) of p and
+    z (num_s'/num_s - den'/den) of s, are array expressions, with
+    :func:`blaschke.phasar_derivative`'s vanishing and pole tests of p,
+    raised at the first map and, in it, the first node.  A NaN value or a
+    zero divisor at a node makes its residual NaN or infinite, which fails
+    the report."""
     pass_tol = RESIDUAL_TOL if pass_tol is None else float(pass_tol)
     sigma, eta, k = np.array(data.sigma), np.array(data.eta), data.k
     coeffs = rows.reshape(-1, rows.shape[2])
@@ -589,9 +619,6 @@ def _verify_many(maps: Sequence[GammaInnerFn], rows: np.ndarray, sizes: np.ndarr
     derivatives[:, :-1] = coeffs[:, 1:] * np.arange(1, coeffs.shape[1])
     values = _horner(np.concatenate((coeffs, derivatives)), sigma)
     num_s, num_p, den, d_num_s, d_num_p, d_den = values.reshape(2, -1, 3, sigma.size).transpose(0, 2, 1, 3).reshape(6, -1, sigma.size)
-    s_at_nodes, p_at_nodes = num_s / den, num_p / den
-    interp_s = np.max(np.abs(s_at_nodes + 2.0 * eta), axis=1).tolist()
-    interp_p = np.max(np.abs(p_at_nodes - eta * eta), axis=1).tolist()
     degrees = (np.maximum(sizes[:, 1], sizes[:, 2]) - 1).tolist()
     if k:
         top, bottom = num_p[:, :k], den[:, :k]
@@ -601,18 +628,18 @@ def _verify_many(maps: Sequence[GammaInnerFn], rows: np.ndarray, sizes: np.ndarr
             index, node = np.argwhere(vanishes | pole)[0]
             what = "vanishes" if vanishes[index, node] else "has a pole"
             raise ZeroOrPoleAtPoint(f"function {what} at {complex(sigma[node])}")
-        phasars = (sigma[:k] * (d_num_p[:, :k] / top - d_den[:, :k] / bottom)).real
-        phasar_p_max = np.max(np.abs(phasars - 2.0 * np.array(data.rho)), axis=1).tolist()
-
-    # the cross-check, for the maps off the royal variety
-    live = np.array([not h.royal_range for h in maps], bool)
-    live = slice(None) if live.all() else live
-    # compensated s and p keep their digits next to a denominator root; s', p' by the quotient rule
-    compensated = _compensated_horner(rows[live].reshape(-1, coeffs.shape[1]), sigma)
-    acc_s, acc_p, acc_den = compensated.reshape(-1, 3, sigma.size).transpose(1, 0, 2)
-    s, p = acc_s / acc_den, acc_p / acc_den
-    ds, dp = (d_num_s[live] - s * d_den[live]) / acc_den, (d_num_p[live] - p * d_den[live]) / acc_den
-    crosschecks = iter(_crosscheck(_phi_check_omegas(s_at_nodes[live], data), data, s, p, ds, dp))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        interp_s = np.max(np.abs(num_s / den + 2.0 * eta), axis=1).tolist()
+        interp_p = np.max(np.abs(num_p / den - eta * eta), axis=1).tolist()
+        if k:
+            z, rho, slope_den = sigma[:k], np.array(data.rho), d_den[:, :k] / bottom
+            # z times each slope in real arithmetic: numpy's complex product is fused on its SIMD loops, and
+            # which loop runs depends on how many maps the block holds, so a map's bits would depend on its block
+            slope = d_num_p[:, :k] / top - slope_den
+            phasar_p_max = np.max(np.abs(z.real * slope.real - z.imag * slope.imag - 2.0 * rho), axis=1).tolist()
+            slope = d_num_s[:, :k] / num_s[:, :k] - slope_den
+            phasar_s = np.hypot(z.real * slope.real - z.imag * slope.imag - rho, z.real * slope.imag + z.imag * slope.real)
+            phasar_s_max = np.max(phasar_s, axis=1).tolist()
 
     reports = []
     for index, h in enumerate(maps):
@@ -620,6 +647,7 @@ def _verify_many(maps: Sequence[GammaInnerFn], rows: np.ndarray, sizes: np.ndarr
         failures: list[str] = []
         if k:
             residuals["phasar_p_max"] = phasar_p_max[index]
+            residuals["phasar_s_max"] = phasar_s_max[index]
         p_uni, sym, s_excess = h.circle_residuals
         residuals["circle_p_unimodular_max"] = p_uni
         residuals["circle_s_symmetry_max"] = sym
@@ -628,12 +656,6 @@ def _verify_many(maps: Sequence[GammaInnerFn], rows: np.ndarray, sizes: np.ndarr
             failures.append(f"degree {degrees[index]} != {data.n}")
         if h.royal_range:
             failures.append("royal_range")
-        else:
-            outcome = next(crosschecks)
-            if isinstance(outcome, str):
-                failures.append(f"composed cross-check failed: {outcome}")
-            else:
-                residuals.update(outcome)
         if not h.pole_margin > 0.0:  # a NaN fails too
             failures.append(f"pole margin {h.pole_margin:.3e}: a denominator zero within radius 1 + ROOT_CLUSTER_TOL")
         for name, value in residuals.items():

@@ -23,7 +23,6 @@ __all__ = [
     "RootCluster",
     "poly_eval",
     "poly_eval_many",
-    "poly_eval_compensated",
     "poly_derivative",
     "poly_roots",
     "poly_roots_many",
@@ -250,64 +249,6 @@ def _products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     for power in range(left.shape[-1]):
         out[..., power:power + width] += left[..., power:power + 1] * right
     return out
-
-
-def _two_sum(a, b):
-    """a + b and its rounding error (Knuth's TwoSum)."""
-    s = a + b
-    t = s - a
-    return s, (a - (s - t)) + (b - t)
-
-
-def _halves(x):
-    """Dekker's split of x into a high half of 26 bits and the low rest (2**27 + 1 splits a double)."""
-    scaled = x * 134217729.0
-    high = scaled - (scaled - x)
-    return high, x - high
-
-
-def _product_error(a_halves, b_halves, p):
-    """The rounding error of the product p = a * b, from the halves of a and b (Dekker's TwoProduct)."""
-    (a1, a2), (b1, b2) = a_halves, b_halves
-    return ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
-
-
-def _compensated_horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Each row of ``coeffs`` at the points ``z`` by compensated Horner.
-
-    A step's value v is kept as two planes, its real and imaginary parts.
-    v z is v Re(z) plus (i v) Im(z), both products taken part by part in one
-    pass with their rounding errors; z's parts are split in halves once, and
-    v's once per step for both products."""
-    rows, size = coeffs.shape[0], z.size
-    # arrays over (part, row, point), the real part at index 0 and the imaginary part at 1
-    z_parts = np.empty((2, 1, rows, size))
-    z_parts[0], z_parts[1] = z.real, z.imag
-    z_halves = _halves(z_parts)
-    planes = np.empty((coeffs.shape[1], 2, rows, size))
-    planes[:, 0], planes[:, 1] = coeffs.T.real[:, :, None], coeffs.T.imag[:, :, None]
-    swap_sign = np.array([-1.0, 1.0])[:, None, None]  # v Im(z) swapped and so signed is (i v) Im(z)
-    out = np.zeros((2, rows, size))
-    err = np.zeros((rows, size), complex)
-    for c in planes[::-1]:
-        products = out * z_parts  # [v Re(z), v Im(z)], each as [real part, imaginary part]
-        errors = _product_error(_halves(out), z_halves, products)
-        out, e3 = _two_sum(products[0], products[1, ::-1] * swap_sign)
-        out, e4 = _two_sum(out, c)
-        errors = ((errors[0] + errors[1, ::-1] * swap_sign) + e3) + e4
-        err = err * z
-        err.real += errors[0]
-        err.imag += errors[1]
-    err.real += out[0]
-    err.imag += out[1]
-    return err
-
-
-def poly_eval_compensated(polys: Sequence[Poly], z) -> np.ndarray:
-    """Each polynomial at the points ``z`` by compensated Horner (Graillat and
-    Ménissier-Morain, 2008): as accurate as Horner in twice the working
-    precision rounded once, so a value next to a root keeps its leading digits."""
-    return _compensated_horner(_stacked(polys), np.asarray(z, dtype=complex))
 
 
 @functools.cache

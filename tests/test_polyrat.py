@@ -42,7 +42,6 @@ from royalgamma.polyrat import (
     pole_margins,
     poly_derivative,
     poly_eval,
-    poly_eval_compensated,
     poly_eval_many,
     poly_roots,
     poly_roots_many,
@@ -956,80 +955,6 @@ def test_clusters_that_grow_keep_the_sequential_centroids():
     for p, clusters in zip(polys, found):
         assert _cluster_bits(clusters) == _cluster_bits(_sequential_poly_roots(p))
         assert _cluster_bits(clusters) == _cluster_bits(_scalar_polish_roots(p))
-
-
-def _complex_compensated(polys, z):
-    """Compensated Horner on complex arrays, each product with z's real and
-    imaginary part split anew at every step: the formula poly_eval_compensated
-    had before it split z's parts once and each value once per step."""
-    def two_sum(a, b):
-        s = a + b
-        t = s - a
-        return s, (a - (s - t)) + (b - t)
-
-    def two_product(a, b):
-        a1, b1 = (x * 134217729.0 - (x * 134217729.0 - x) for x in (a, b))
-        p = a * b
-        return p, ((a1 * b1 - p) + a1 * (b - b1) + (a - a1) * b1) + (a - a1) * (b - b1)
-
-    z = np.asarray(z, dtype=complex)
-    size = max(q.coeffs.size for q in polys)
-    out = err = np.zeros((len(polys), z.size), complex)
-    for c in np.array([q.padded(size) for q in polys]).T[::-1, :, None]:
-        (p1, e1), (p2, e2) = two_product(out, z.real), two_product(1j * out, z.imag)
-        out, e3 = two_sum(p1, p2)
-        out, e4 = two_sum(out, c)
-        err = err * z + (e1 + e2 + e3 + e4)
-    return out + err
-
-
-class TestCompensatedEvaluation:
-    """poly_eval_compensated against exact evaluation of the same float coefficients."""
-
-    def test_values_match_the_complex_formula_bit_for_bit(self):
-        rng = np.random.default_rng(67)
-        for trial in range(300):
-            polys = [Poly(_random_coeffs(rng, int(n))) for n in rng.integers(1, 32, rng.integers(1, 5))]
-            if trial % 3 == 1:
-                # real coefficients, some exactly zero, at real points and the roots of unity of order four
-                polys = [Poly(np.where(rng.random(q.coeffs.size) < 0.3, 0.0, q.coeffs.real)) for q in polys]
-                points = np.concatenate((rng.normal(size=4), [1.0, -1.0, 1j, -1j]))
-            elif trial % 3 == 2:
-                # next to the roots of a product of linear factors, and on them
-                roots = _random_coeffs(rng, int(rng.integers(1, 31)))
-                polys.append(Poly.from_roots(roots, leading=_random_coeffs(rng, 1)[0]))
-                points = np.concatenate((roots + 1e-9 * np.exp(1j * rng.uniform(0, 2 * np.pi, roots.size)), roots))
-            else:
-                points = _random_coeffs(rng, 6)
-            polys = [q for q in polys if not q.is_zero] or [Poly([1.0])]
-            ours, reference = poly_eval_compensated(polys, points), _complex_compensated(polys, points)
-            assert np.array_equal(ours.view(np.uint64), reference.view(np.uint64))
-
-    @staticmethod
-    def _relative_errors(polys, points, values):
-        out = []
-        for q, row in zip(polys, values):
-            for z, value in zip(points.tolist(), row.tolist()):
-                exact, _ = exact_horner(q.coeffs, ExactComplex.of(z))
-                out.append(float(((exact - value).abs2() / exact.abs2()) ** 0.5))
-        return np.array(out)
-
-    def test_values_are_rounded_once(self):
-        rng = np.random.default_rng(61)
-        polys = [Poly(_random_coeffs(rng, n)) for n in (1, 2, 5, 9, 17, 30)]
-        points = np.concatenate((np.exp(1j * rng.uniform(0, 2 * np.pi, 6)), _random_coeffs(rng, 3)))
-        errors = self._relative_errors(polys, points, poly_eval_compensated(polys, points))
-        assert errors.max() <= 2.0 ** -52
-
-    def test_values_next_to_a_root_keep_their_digits(self):
-        # a fivefold root next to the points: Horner's terms cancel to 1e-15 of their size
-        root = 0.7 + 0.2j
-        polys = [Poly.from_roots([root] * 5), Poly.from_roots([0.3j, -1.1, root])]
-        points = root + 1e-3 * np.exp(1j * np.array([0.3, 1.7, 4.0]))
-        compensated = self._relative_errors(polys, points, poly_eval_compensated(polys, points))
-        plain = self._relative_errors(polys, points, poly_eval_many(polys, points))
-        assert compensated.max() <= 2.0 ** -52
-        assert plain.max() >= 1e-2
 
 
 def test_compose_phi_omega_is_the_reduced_composition():
