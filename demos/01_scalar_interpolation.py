@@ -54,7 +54,7 @@ def run():
             continue
         product = to_blaschke_product(phi)
         interp = max(abs(phi(s) - e) for s, e in zip(data.sigma, data.eta))
-        slope = float(phasar_derivative(phi, data.sigma[0]))
+        slope = phasar_derivative(phi, data.sigma[0])
         print(
             f"  zeta = {zeta:+.3f}: degree {phi.num.degree}, "
             f"zeros {[f'{z:.3f}' for z in product.zeros]}, "

@@ -33,7 +33,6 @@ from .polyrat import (
 )
 
 __all__ = [
-    "PhasarValue",
     "BlaschkeProduct",
     "Parametrization",
     "phasar_derivative",
@@ -62,22 +61,7 @@ def disc_grid(m: int) -> np.ndarray:
     return (radii[:, None] * np.exp(angles)[None, :]).ravel()
 
 
-class PhasarValue(float):
-    """Phasar derivative as a plain float, carrying the imaginary-part diagnostic.
-
-    For an inner function the quantity z f'(z)/f(z) is real on the circle;
-    ``imag_residual`` records how far from real it actually was.
-    """
-
-    __slots__ = ("imag_residual",)
-
-    def __new__(cls, value: float, imag_residual: float):
-        obj = super().__new__(cls, value)
-        obj.imag_residual = float(imag_residual)
-        return obj
-
-
-def phasar_derivative(f: RationalFn, z: complex) -> PhasarValue:
+def phasar_derivative(f: RationalFn, z: complex) -> float:
     """Rate of change of arg f(e^(i theta)) at z on the circle: Re(z f'(z)/f(z)).  The values of
     f.num, f.den and their derivatives at the one point z are taken in Python complex arithmetic,
     each derivative's coefficients j c_j formed from f's kept lists of the c_j.  Raises where ``f``
@@ -92,7 +76,7 @@ def phasar_derivative(f: RationalFn, z: complex) -> PhasarValue:
     if abs(dz) <= TRIM_TOL * scale_d * 1e3:
         raise ZeroOrPoleAtPoint(f"function has a pole at {z}")
     w = z * (dnz / nz - ddz / dz)
-    return PhasarValue(w.real, abs(w.imag))
+    return w.real
 
 
 @dataclass(frozen=True)

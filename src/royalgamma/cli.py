@@ -144,10 +144,6 @@ def _obtain_h(args: argparse.Namespace):
     """The map of ``--generator`` or ``--input``, and the "data" object that an
     {"h", "data"} input file carries (None otherwise)."""
     if args.generator is not None:
-        if not 0.0 < args.r < 1.0:
-            raise InvalidData("--r must lie strictly between 0 and 1")
-        if args.nu < 0:
-            raise InvalidData("--nu must be a non-negative integer")
         return generate_h_nu(args.nu, args.r), None
     payload, data = _read_json(args.input), None
     if isinstance(payload, dict) and "h" in payload:
@@ -299,7 +295,7 @@ def cmd_blaschke(args: argparse.Namespace) -> int:
         interp = max(abs(phi(s) - e) for s, e in zip(data.sigma, data.eta))
         phasar = 0.0
         for j in range(data.k):
-            phasar = max(phasar, abs(float(phasar_derivative(phi, data.sigma[j])) - data.rho[j]))
+            phasar = max(phasar, abs(phasar_derivative(phi, data.sigma[j]) - data.rho[j]))
         entry = {
             "zeta": _c(complex(zeta)),
             "rational": phi.to_json_dict(),

@@ -54,7 +54,7 @@ from .polyrat import (
     _products,
     _stacked,
     _trimmed_sizes,
-    joint_reduce_many,
+    joint_reduce,
     pole_margins,
     poly_roots,
 )
@@ -167,11 +167,11 @@ class GammaInnerFn:
     def from_numerators(cls, num_s: Poly, num_p: Poly, den: Poly) -> "GammaInnerFn":
         """Build from the shared-denominator representation.
 
-        The input may share factors: the joint reduction cancels a denominator
-        root both numerators share, and the reduced triple, after its
-        royal-range test, is validated as a family's members are.
+        The input may share factors: :func:`polyrat.joint_reduce` cancels a
+        denominator root both numerators share, and the reduced triple, after
+        its royal-range test, is validated as a family's members are.
         """
-        [((num_s, num_p), den)] = joint_reduce_many([((num_s, num_p), den)])
+        (num_s, num_p), den = joint_reduce((num_s, num_p), den)
         rows, sizes = _rows_of((num_s, num_p, den))
         return _raised(_maps_from_numerators(rows, sizes, _royal_ranges(rows)).items[0])
 
@@ -329,9 +329,9 @@ def royal_polynomial(h: GammaInnerFn) -> tuple[Poly, float]:
 def compose_phi_omega(omega: complex, h: GammaInnerFn) -> RationalFn:
     """The rational function (2 omega p - s)/(2 - omega s), reduced, with a
     monic denominator.  At omega = -conj(eta), eta the value at a boundary
-    node, both vanish at the node: the joint reduction removes the singularity."""
+    node, both vanish at the node: :func:`polyrat.joint_reduce` removes the singularity."""
     omega = complex(omega)
-    [((num,), den)] = joint_reduce_many([((2.0 * omega * h.p.num - h.s.num,), 2.0 * h.den - omega * h.s.num)])
+    (num,), den = joint_reduce((2.0 * omega * h.p.num - h.s.num,), 2.0 * h.den - omega * h.s.num)
     return RationalFn(num / den.leading, den / den.leading)
 
 
@@ -409,7 +409,7 @@ def royal_nodes(h: GammaInnerFn) -> RoyalData:
             raise NumericalFailure(f"p(node) != value^2 at {node}: off by {square_gap:.3e}")
         values.append(eta)
         if on_circle:
-            rho.append(0.5 * float(phasar_derivative(h.p, node)))
+            rho.append(0.5 * phasar_derivative(h.p, node))
     return RoyalData(
         nodes=nodes,
         values=tuple(values),

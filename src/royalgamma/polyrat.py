@@ -11,7 +11,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import NumericalFailure, ZeroPolynomial
+from .errors import ZeroPolynomial
 
 __all__ = [
     "TRIM_TOL",
@@ -22,12 +22,11 @@ __all__ = [
     "RationalFn",
     "RootCluster",
     "poly_eval",
-    "poly_eval_many",
     "poly_derivative",
     "poly_roots",
     "poly_roots_many",
     "pole_margins",
-    "joint_reduce_many",
+    "joint_reduce",
 ]
 
 
@@ -224,18 +223,10 @@ def poly_eval(p: Poly, z):
     return out
 
 
-def poly_eval_many(polys: Sequence[Poly], z) -> np.ndarray:
-    """Each polynomial at the points ``z``, or at its own row of a 2-D ``z``,
-    in one row-wise Horner pass: bit for bit the values :func:`poly_eval`
-    gives.  The zero padding on top of a shorter row keeps its Horner value
-    at +0 until the first true coefficient."""
-    return _horner(_stacked(polys), z)
-
-
-def _stacked(polys: Sequence[Poly], width: int = 1) -> np.ndarray:
+def _stacked(polys: Sequence[Poly]) -> np.ndarray:
     """The coefficients of each polynomial as a row, zero-padded on top to a
-    common width of at least ``width``."""
-    coeffs = np.zeros((len(polys), max([width] + [q.coeffs.size for q in polys])), complex)
+    common width of at least 1."""
+    coeffs = np.zeros((len(polys), max([1] + [q.coeffs.size for q in polys])), complex)
     for row, q in zip(coeffs, polys):
         row[: q.coeffs.size] = q.coeffs
     return coeffs
@@ -500,60 +491,25 @@ def _pair_roots(den_clusters, num_clusters):
     return expand(den_left), [None if left is None else expand(left) for left in nums_left], cancelled
 
 
-def joint_reduce_many(items: Sequence[tuple[tuple[Poly, ...], Poly]]) -> list[tuple[tuple[Poly, ...], Poly]]:
-    """Cancel, for each (numerators, denominator) pair, the denominator roots
-    shared by every numerator.
+def joint_reduce(nums: Sequence[Poly], den: Poly) -> tuple[tuple[Poly, ...], Poly]:
+    """Cancel the denominator roots that every numerator shares.
 
-    A zero numerator shares every root.  Each stripped polynomial keeps its
-    leading coefficient, and no sampled check compares the stripped pair with
-    the input: this is the package's one root cancellation.
-    Returns (numerators, denominator) per pair: the inputs themselves when
-    nothing cancels.
-
-    Every denominator's roots come from one :func:`poly_roots_many` call.  A
-    pair can cancel only where each numerator q = sum_j c_j lambda^j has a
-    found root w within delta = ``ROOT_CLUSTER_TOL`` of a denominator root z.
-    With r = |z| + delta, |q'| <= D = sum_j j |c_j| r^(j-1) between w and z,
-    so |q(z)| <= |q(w)| + delta D.  The residual of a Newton-polished root
-    and Horner's rounding in q(z) are each about 2 sqrt(2) n u S, with
-    S = sum_j |c_j| r^j and u the unit roundoff: at most TRIM_TOL S / 2 up
-    to degree 1500.  So the screen |q(z)| <= 1e3 (delta D + TRIM_TOL S)
-    passes such a pair with a margin of 1e3, and only for pairs it passes at
-    some root are the numerators' roots found, in one more call, and paired.
-    A bound through (|z| + 1)^j would grow like 2^n near the circle.
+    A zero numerator shares every root.  The roots of ``den`` and of each
+    nonconstant numerator come from one :func:`poly_roots_many` call and pair
+    as :func:`_pair_roots` pairs them.  Each stripped polynomial keeps its
+    leading coefficient, and no sampled check compares the stripped function
+    with the input: this is the package's one root cancellation.
+    Returns (numerators, denominator): the inputs themselves when nothing
+    cancels, or when a coefficient is not finite and no root can be found.
     """
-    pairs = [index for index, (_, den) in enumerate(items) if den.degree >= 1]
-    den_clusters = dict(zip(pairs, poly_roots_many([items[index][1] for index in pairs])))
-    numerators = [q for index in pairs for q in items[index][0]]
-    width = max([1] + [len(clusters) for clusters in den_clusters.values()])
-    points = np.zeros((len(numerators), width), complex)
-    rows = iter(points)
-    for index in pairs:
-        for _ in items[index][0]:
-            row = next(rows)
-            row[: len(den_clusters[index])] = [rc.value for rc in den_clusters[index]]
-    coeffs = _stacked(numerators)
-    sizes, radii = np.abs(coeffs), np.abs(points) + ROOT_CLUSTER_TOL
-    slope = _horner(sizes[:, 1:] * _ramp(sizes.shape[1]), radii).real  # D of each numerator at each root
-    size = _horner(sizes, radii).real  # S
-    vanishing = np.abs(_horner(coeffs, points)) <= 1e3 * (ROOT_CLUSTER_TOL * slope + TRIM_TOL * size)
-    vanishing = iter(vanishing.tolist())
-    cancelling = set()
-    for index in pairs:
-        nums = items[index][0]
-        together = [all(column) for column in zip(*(next(vanishing) for _ in nums))]
-        if not nums or any(together[: len(den_clusters[index])]):
-            cancelling.add(index)
-    paired = [q for index in sorted(cancelling) for q in items[index][0] if q.degree >= 1]
-    found = iter(poly_roots_many(paired) if paired else [])
-    out = []
-    for index, (nums, den) in enumerate(items):
-        if index in cancelling:
-            num_clusters = [None if q.is_zero else next(found) if q.degree >= 1 else [] for q in nums]
-            den_roots, num_roots, cancelled = _pair_roots(den_clusters[index], num_clusters)
-            if cancelled:
-                nums = tuple(q if roots is None else Poly.from_roots(roots, leading=q.leading)
-                             for q, roots in zip(nums, num_roots))
-                den = Poly.from_roots(den_roots, leading=den.leading)
-        out.append((nums, den))
-    return out
+    nums = tuple(nums)
+    if den.degree < 1 or not all(np.isfinite(q.coeffs).all() for q in (den, *nums)):
+        return nums, den
+    den_clusters, *found = poly_roots_many([den, *(q for q in nums if q.degree >= 1)])
+    found = iter(found)
+    num_clusters = [None if q.is_zero else next(found) if q.degree >= 1 else [] for q in nums]
+    den_roots, num_roots, cancelled = _pair_roots(den_clusters, num_clusters)
+    if not cancelled:
+        return nums, den
+    return (tuple(q if roots is None else Poly.from_roots(roots, leading=q.leading) for q, roots in zip(nums, num_roots)),
+            Poly.from_roots(den_roots, leading=den.leading))

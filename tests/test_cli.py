@@ -136,6 +136,10 @@ class TestVerifyCommand:
         assert payload["pass"] is True
         assert payload["boundary_classification_counts"].get("distinguished_bGamma") == 256
 
+    def test_negative_nu_is_input_error(self, capsys):
+        assert main(["verify", "--generator", "h_nu", "--nu", "-1"]) == 1
+        assert "input error: nu must be a non-negative integer" in capsys.readouterr().err
+
     def test_output_in_missing_directory_is_input_error(self, tmp_path, capsys):
         out = tmp_path / "nodir" / "out.json"
         assert main(["verify", "--generator", "h_nu", "--nu", "0", "--output", str(out)]) == 1

@@ -51,7 +51,7 @@ from royalgamma.gamma import (
     verify_royal_solution,
 )
 from royalgamma.pick import BlaschkeData, build_pick_matrix, choose_tau
-from royalgamma.polyrat import RESIDUAL_TOL, ROOT_CLUSTER_TOL, TRIM_TOL, Poly, _stacked, joint_reduce_many, pole_margins, poly_roots
+from royalgamma.polyrat import RESIDUAL_TOL, ROOT_CLUSTER_TOL, TRIM_TOL, Poly, _stacked, joint_reduce, pole_margins, poly_roots
 
 
 def pipeline_parts(data):
@@ -246,6 +246,16 @@ class TestConstructH:
         # s is NaN on the whole circle, so two of the three circle residuals are NaN
         with pytest.raises(NumericalFailure, match="boundary identities violated"):
             GammaInnerFn.from_numerators(Poly([np.nan, 0.5]), Poly([0.0, 1.0]), Poly([1.0]))
+
+    @pytest.mark.parametrize("triple, message", [
+        (([np.nan, 1.0], [0.0, 1.0], [2.0, 1.0]), "boundary identities violated"),
+        (([0.0, 1.0], [np.nan, 0.0, 1.0], [2.0, 1.0]), "boundary identities violated"),
+        (([0.0, 1.0], [0.0, 0.0, 1.0], [2.0, np.nan, 1.0]), "pole margin nan"),
+    ])
+    def test_a_nan_coefficient_over_a_nonconstant_denominator_is_rejected(self, triple, message):
+        # the joint reduction finds no roots of a non-finite polynomial; validation names the fault
+        with pytest.raises(RoyalGammaError, match=message):
+            GammaInnerFn.from_numerators(*map(Poly, triple))
 
     def test_a_nan_anchor_gap_fails(self, monkeypatch):
         import royalgamma.gamma
@@ -449,7 +459,7 @@ class TestFamilyVerificationMatchesSingleMaps:
         original_phasar = royalgamma.blaschke.phasar_derivative
         for module in (royalgamma.blaschke, royalgamma.gamma):
             monkeypatch.setattr(module, "phasar_derivative", lambda *args: phasar_calls.append(args) or original_phasar(*args))
-        # poly_eval_many stacks its polynomials with polyrat._stacked, so its calls are recorded too
+        # RationalFn.values stacks num and den with polyrat._stacked, so its calls are recorded too
         for module in (royalgamma.gamma, royalgamma.polyrat):
             def recording(polys, *rest, original=module._stacked):
                 stacked.append(list(polys))
@@ -928,7 +938,7 @@ class TestConstructionCancelsNothing:
                 triples.append(((param.c * (4.0 * p0) - param.d * (2.0 * s0), param.a * (-2.0 * p0) + param.b * s0),
                                 param.c * s0 - param.d * 2.0))
             built = _construct_many(param, pairs).items
-            for (s0, p0), (_, den), (_, reduced), h in zip(pairs, triples, joint_reduce_many(triples), built):
+            for (s0, p0), (_, den), (_, reduced), h in zip(pairs, triples, (joint_reduce(*triple) for triple in triples), built):
                 off_royal = abs(s0 * s0 - 4.0 * p0) > RESIDUAL_TOL
                 assert reduced is den or not off_royal, (s0, p0)
                 assert off_royal or isinstance(h, RoyalRange), (s0, p0, h)
@@ -955,7 +965,7 @@ class TestConstructionCancelsNothing:
             p0 = s0p0.p0 / abs(s0p0.p0)
             den = param.c * s0p0.s0 - param.d * 2.0
             triple = ((param.c * (4.0 * p0) - param.d * (2.0 * s0p0.s0), param.a * (-2.0 * p0) + param.b * s0p0.s0), den)
-            [(_, reduced)] = joint_reduce_many([triple])
+            _, reduced = joint_reduce(*triple)
             assert reduced is den
             # the solve builds that member, recovers the source, and the map verifies
             [sol] = result.solutions

@@ -38,11 +38,10 @@ from royalgamma.polyrat import (
     _schur_parameters,
     _stacked_companion_roots,
     _trim_coeffs,
-    joint_reduce_many,
+    joint_reduce,
     pole_margins,
     poly_derivative,
     poly_eval,
-    poly_eval_many,
     poly_roots,
     poly_roots_many,
 )
@@ -174,7 +173,7 @@ def test_derivative_matches_finite_difference(coeffs, angle, radius):
 
 class TestJointReduction:
     def test_shared_linear_factor(self):
-        [((num,), den)] = joint_reduce_many([((Poly([-1.0, 0.0, 1.0]),), Poly([-1.0, 1.0]))])
+        (num,), den = joint_reduce((Poly([-1.0, 0.0, 1.0]),), Poly([-1.0, 1.0]))
         assert poly_allclose(num, Poly([1.0, 1.0]), atol=1e-9)
         assert poly_allclose(den, Poly([1.0]), atol=1e-12)
 
@@ -194,13 +193,13 @@ class TestJointReduction:
         assert reduced.den.coeffs.tolist() == [1.0]
 
     def test_zero_numerator(self):
-        [((num,), den)] = joint_reduce_many([((Poly([]),), Poly([2.0, 1.0]))])
+        (num,), den = joint_reduce((Poly([]),), Poly([2.0, 1.0]))
         assert num.is_zero
         assert den.coeffs.tolist() == [1.0]
 
     def test_true_common_root_is_cancelled(self):
         a = 0.3 + 0.4j
-        [((num,), den)] = joint_reduce_many([((Poly.from_roots([a, 0.7j]),), Poly.from_roots([a, -0.5]))])
+        (num,), den = joint_reduce((Poly.from_roots([a, 0.7j]),), Poly.from_roots([a, -0.5]))
         assert (num.degree, den.degree) == (1, 1)
         assert abs(num.coeffs[0] + 0.7j) < 1e-12
         assert abs(den.coeffs[0] - 0.5) < 1e-12
@@ -208,7 +207,7 @@ class TestJointReduction:
     def test_pair_within_root_cluster_tol_is_cancelled(self):
         # 5e-8 apart pairs at ROOT_CLUSTER_TOL, and no sampled check backs the pairing off
         a = 0.3 + 0.4j
-        [((num,), den)] = joint_reduce_many([((Poly.from_roots([a + 5e-8, 0.7j]),), Poly.from_roots([a, -0.5]))])
+        (num,), den = joint_reduce((Poly.from_roots([a + 5e-8, 0.7j]),), Poly.from_roots([a, -0.5]))
         assert (num.degree, den.degree) == (1, 1)
         assert abs(den.coeffs[0] - 0.5) < 1e-12
 
@@ -222,16 +221,16 @@ class TestJointReduction:
         nums = tuple(Poly.from_roots([den_roots[0] + 0.5 * ROOT_CLUSTER_TOL * np.exp(1j * rng.uniform(0.0, 6.3))]
                                      + list(rng.uniform(0.5, 0.98, degree - 1) * np.exp(1j * angles[1:] + 0.3j)),
                                      leading=_random_coeffs(rng, 1)[0]) for _ in range(3))
-        items = [(nums, Poly.from_roots(den_roots, leading=0.5j))]
-        [(_, den)] = joint_reduce_many(items)
+        out_nums, den = joint_reduce(nums, Poly.from_roots(den_roots, leading=0.5j))
         assert den.degree == degree - 1 and min(abs(rc.value - den_roots[0]) for rc in poly_roots(den)) > 1e-3
-        assert _same_reduction(joint_reduce_many(items), _joint_reduce_all_roots(items))
+        assert all(q.degree == degree - 1 for q in out_nums)
+        _assert_reduced((out_nums, den))
 
     def test_near_common_root_is_not_cancelled(self):
         # 1e-5 apart is farther than ROOT_CLUSTER_TOL: the inputs come back themselves
         a = 0.3 + 0.4j
         nums, den = (Poly.from_roots([a + 1e-5, 0.7j]),), Poly.from_roots([a, -0.5])
-        [(out_nums, out_den)] = joint_reduce_many([(nums, den)])
+        out_nums, out_den = joint_reduce(nums, den)
         assert out_nums is nums and out_den is den
 
     def test_scaling_made_monic(self):
@@ -240,7 +239,7 @@ class TestJointReduction:
         # the joint reduction keeps leading coefficients; the composition divides them out
         h = generate_h_nu(2, 0.35)
         for omega in (1.0, -1j, 2.5 - 0.5j):
-            [((num,), den)] = joint_reduce_many([((2.0 * omega * h.p.num - h.s.num,), 2.0 * h.den - omega * h.s.num)])
+            (num,), den = joint_reduce((2.0 * omega * h.p.num - h.s.num,), 2.0 * h.den - omega * h.s.num)
             assert den.leading != 1.0
             composed = compose_phi_omega(omega, h)
             assert composed.den.leading == 1.0
@@ -248,7 +247,7 @@ class TestJointReduction:
 
 
 class TestPairRoots:
-    """_pair_roots, the pairing behind joint_reduce_many, on hand-made clusters."""
+    """_pair_roots, the pairing behind joint_reduce, on hand-made clusters."""
 
     def test_multiplicities_bound_the_cancellation(self):
         den = [RootCluster(0.5, 2), RootCluster(-0.2j, 1)]
@@ -517,25 +516,14 @@ def _same_function(ours, ref):
     return all(np.array_equal(_bits(a.coeffs), _bits(b.coeffs)) for a, b in ((ours.num, ref.num), (ours.den, ref.den)))
 
 
-def _joint_reduce_all_roots(items):
-    """joint_reduce_many as it was before the screen: every numerator's roots found and paired."""
-    found = iter(poly_roots_many([q for nums, den in items if den.degree >= 1
-                                  for q in (den, *nums) if q.degree >= 1]))
-    out = []
-    for nums, den in items:
-        if den.degree >= 1:
-            den_clusters = next(found)
-            num_clusters = [None if q.is_zero else next(found) if q.degree >= 1 else [] for q in nums]
-            den_roots, num_roots, cancelled = _pair_roots(den_clusters, num_clusters)
-            if cancelled:
-                nums = tuple(q if roots is None else Poly.from_roots(roots, leading=q.leading)
-                             for q, roots in zip(nums, num_roots))
-                den = Poly.from_roots(den_roots, leading=den.leading)
-        out.append((nums, den))
-    return out
+def _assert_reduced(reduced):
+    """A reduced function reduces no further: a second reduction returns it itself."""
+    nums, den = reduced
+    again = joint_reduce(nums, den)
+    assert again[0] is nums and again[1] is den
 
 
-def test_joint_reduction_finds_numerator_roots_only_where_they_can_pair():
+def test_joint_reduction_cancels_shared_factors_within_root_cluster_tol():
     # shared factors exact and off by 1e-12 to 1e-2, double roots, zero and constant numerators
     rng = np.random.default_rng(93)
     items = []
@@ -550,18 +538,19 @@ def test_joint_reduction_finds_numerator_roots_only_where_they_can_pair():
               ((Poly([2.0]), Poly(_random_coeffs(rng, 3))), Poly.from_roots([0.5, -0.2j])),
               ((Poly([]), Poly([])), Poly.from_roots([0.5, 0.5])),
               ((Poly(_random_coeffs(rng, 2)), Poly(_random_coeffs(rng, 2))), Poly([1.5]))]
-    reference = _joint_reduce_all_roots(items)
-    assert _same_reduction(joint_reduce_many(items), reference)
-    assert sum(out_den.degree < in_den.degree for (_, in_den), (_, out_den) in zip(items, reference)) >= 10
+    dropped = 0
+    for nums, den in items:
+        reduced = joint_reduce(nums, den)
+        cut = den.degree - reduced[1].degree
+        # a cancelled root leaves every nonzero numerator too
+        assert all(q.is_zero or q.degree == out.degree + cut for q, out in zip(nums, reduced[0]))
+        _assert_reduced(reduced)
+        dropped += cut > 0
+    assert dropped >= 10
 
 
-def _same_reduction(ours, ref):
-    return all([_bits(q.coeffs).tolist() for q in (*nums, den)] == [_bits(q.coeffs).tolist() for q in (*ref_nums, ref_den)]
-               for (nums, den), (ref_nums, ref_den) in zip(ours, ref, strict=True))
-
-
-class TestJointReductionMatchesTheAllRootsReduction:
-    """joint_reduce_many gives exactly what pairing every numerator's roots gives."""
+class TestJointReductionOutcomes:
+    """What joint_reduce cancels, and that it returns its inputs themselves when nothing cancels."""
 
     def _cases(self):
         a = 0.3 + 0.4j
@@ -572,53 +561,41 @@ class TestJointReductionMatchesTheAllRootsReduction:
         plain = [((Poly(_random_coeffs(rng, n)),), Poly(_random_coeffs(rng, n + d))) for n in (1, 3, 5) for d in (0, 2)]
         return {"near": near, "common": common, "zero": zero, "plain": plain}
 
-    @pytest.mark.parametrize("case", ["near", "common", "zero"])
-    def test_joint_reduce_many_matches_the_all_roots_reduction(self, case):
-        items = [self._cases()[case]]
-        assert _same_reduction(joint_reduce_many(items), _joint_reduce_all_roots(items))
+    @pytest.mark.parametrize("case, degrees", [("near", (1, 1)), ("common", (1, 1)), ("zero", (-1, 0))])
+    def test_a_shared_root_cancels(self, case, degrees):
+        reduced = joint_reduce(*self._cases()[case])
+        assert (reduced[0][0].degree, reduced[1].degree) == degrees
+        _assert_reduced(reduced)
+
+    def test_nothing_to_pair_returns_the_inputs(self):
+        for nums, den in self._cases()["plain"]:
+            out_nums, out_den = joint_reduce(nums, den)
+            assert out_nums is nums and out_den is den
+
+    @pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.nan)])
+    def test_a_non_finite_function_comes_back_as_it_is(self, bad):
+        # eigvals takes no NaN (a Poly keeps no infinity): no root is found, and nothing cancels
+        for nums, den in (((Poly([bad, 1.0]),), Poly([0.5, 1.0])), ((Poly([0.5, 1.0]),), Poly([bad, 0.5, 1.0]))):
+            out_nums, out_den = joint_reduce(nums, den)
+            assert out_nums is nums and out_den is den
 
     @pytest.mark.parametrize("seed", [95, 96, 97])
-    def test_joint_reduce_many_matches_the_all_roots_reduction_on_random_functions(self, seed):
+    def test_random_functions_lose_their_common_factor(self, seed):
         rng = np.random.default_rng(seed)
-        items = []
         for _ in range(32):
             n = int(rng.integers(1, 6))
             num, den = Poly(_random_coeffs(rng, n)), Poly(_random_coeffs(rng, n + int(rng.integers(0, 3))))
-            if rng.uniform() < 0.5:
+            shared = rng.uniform() < 0.5
+            if shared:
                 common = Poly.from_roots([_random_coeffs(rng, 1)[0]])
                 num, den = num * common, den * common
-            items.append(((num,), den))
-        reference = _joint_reduce_all_roots(items)
-        assert _same_reduction(joint_reduce_many(items), reference)
-        assert any(out_den.degree < den.degree for (_, den), (_, out_den) in zip(items, reference))
-
-    def test_each_function_is_reduced_alone(self):
-        # a batch gives each function what a call of its own gives
-        cases = self._cases()
-        items = [cases["near"], *cases["plain"], cases["common"], cases["zero"]]
-        batch = joint_reduce_many(items)
-        assert _same_reduction(batch, [joint_reduce_many([item])[0] for item in items])
-
-    def test_nothing_to_pair_finds_no_numerator_roots(self, monkeypatch):
-        import royalgamma.polyrat
-
-        calls = []
-
-        def recording(polys):
-            calls.append(len(polys))
-            return poly_roots_many(polys)
-
-        items = self._cases()["plain"]
-        monkeypatch.setattr(royalgamma.polyrat, "poly_roots_many", recording)
-        out = joint_reduce_many(items)
-        # one call for the nonconstant denominators; none of the numerators can pair, so no second call
-        assert calls == [sum(den.degree >= 1 for _, den in items)]
-        for (nums, den), (out_nums, out_den) in zip(items, out):
-            assert out_nums is nums and out_den is den
+            reduced = joint_reduce((num,), den)
+            assert (reduced[0][0].degree, reduced[1].degree) == (num.degree - shared, den.degree - shared)
+            _assert_reduced(reduced)
 
 
 class TestBatchKernelsAreBitIdentical:
-    """poly_roots_many and poly_eval_many give exactly what the one-at-a-time kernels gave."""
+    """poly_roots_many gives exactly what the one-at-a-time kernel gave."""
 
     def _mixed_polys(self):
         rng = np.random.default_rng(90)
@@ -637,14 +614,12 @@ class TestBatchKernelsAreBitIdentical:
         assert any(rc.value == 0 for clusters in batch for rc in clusters)
         assert [_cluster_bits(poly_roots(p)) for p in polys] == [_cluster_bits(c) for c in batch]
 
-    def test_poly_eval_many_matches_poly_eval(self):
+    def test_poly_eval_at_a_point_matches_poly_eval_on_an_array(self):
         rng = np.random.default_rng(96)
         polys = [Poly([]), Poly([-0.0]), Poly([1.5j])] + [Poly(_random_coeffs(rng, n)) for n in (2, 3, 5, 9, 14)]
         points = np.concatenate(([0.0, -1.0, 1j], np.exp(1j * rng.uniform(0, 2 * np.pi, 5)), _random_coeffs(rng, 4)))
-        batch = poly_eval_many(polys, points)
-        for p, row in zip(polys, batch):
-            assert np.array_equal(_bits(row), _bits(poly_eval(p, points)))
-            assert np.array_equal(_bits(row), _bits([poly_eval(p, z) for z in points.tolist()]))
+        for p in polys:
+            assert np.array_equal(_bits(poly_eval(p, points)), _bits([poly_eval(p, z) for z in points.tolist()]))
 
     def test_poly_roots_many_rejects_a_zero_polynomial(self):
         with pytest.raises(ZeroPolynomial):
@@ -970,7 +945,7 @@ def test_compose_phi_omega_is_the_reduced_composition():
     for h in maps:
         for omega in omegas:
             composed = ((2.0 * complex(omega) * h.p.num - h.s.num,), 2.0 * h.den - complex(omega) * h.s.num)
-            [((num,), den)] = _joint_reduce_all_roots([composed])
+            (num,), den = joint_reduce(*composed)
             assert _same_function(compose_phi_omega(omega, h), RationalFn(num / den.leading, den / den.leading))
             cancelled += den.degree < composed[1].degree
     assert cancelled >= 1
@@ -1013,13 +988,13 @@ def test_derivative_keeps_a_top_coefficient_at_the_trim_threshold():
     num=st.lists(st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False), min_size=1, max_size=6),
     den=st.lists(st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False), min_size=1, max_size=6),
 )
-def test_joint_reduce_many_idempotent(num, den):
+def test_joint_reduce_idempotent(num, den):
     from hypothesis import assume
 
     den_poly = Poly(den)
     assume(not den_poly.is_zero)
-    [((once_num,), once_den)] = joint_reduce_many([((Poly(num),), den_poly)])
-    [((twice_num,), twice_den)] = joint_reduce_many([((once_num,), once_den)])
+    (once_num,), once_den = joint_reduce((Poly(num),), den_poly)
+    (twice_num,), twice_den = joint_reduce((once_num,), once_den)
     # agreement is relative to the coefficient scale, as in the trim rule
     scale = max(1.0, *(np.max(np.abs(p.coeffs)) for p in (once_num, once_den) if not p.is_zero))
     assert poly_allclose(once_num, twice_num, atol=1e-9 * scale)
