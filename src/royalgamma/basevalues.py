@@ -11,8 +11,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .blaschke import Parametrization
-from .errors import InvalidData
-from .pick import BlaschkeData
 from .polyrat import PD_TOL, RESIDUAL_TOL, TRIM_TOL
 
 
@@ -71,8 +69,9 @@ class S0P0Solution:
         return FamilyMember(omega, t, 2.0 * t * omega, u)
 
 
-def solve_s0_p0(param: Parametrization, data: BlaschkeData) -> S0P0Solution:
-    """Solve for base values (s0, p0) on the distinguished boundary with |s0| < 2.
+def solve_s0_p0(param: Parametrization) -> S0P0Solution:
+    """Solve for base values (s0, p0) on the distinguished boundary with |s0| < 2,
+    for the interpolation data ``param.data`` the parametrization was built from.
 
     Writing s0 = 2 t omega, p0 = omega^2, the degree-(n-1) coefficient
     polynomials of the defining identity stack into an n x 3 system
@@ -91,11 +90,9 @@ def solve_s0_p0(param: Parametrization, data: BlaschkeData) -> S0P0Solution:
     x_tau is nonzero, so then every eta_j is 0, n_yy vanishes too, and
     Q_g = n_xx + n_yy = n_xx is nonzero because wx = M^-1 x_tau is.
     """
-    if param.data_hash != data.canonical_digest():
-        raise InvalidData("parametrization was built from different interpolation data")
     n_xx, n_xy, n_yx, n_yy = param.kernel_numerators
     q_g = n_xx + n_yy
-    stacked = np.column_stack([poly.padded(data.n) for poly in (n_yx, q_g, n_xy)])
+    stacked = np.column_stack([poly.padded(param.data.n) for poly in (n_yx, q_g, n_xy)])
 
     sv_full = np.linalg.svd(stacked, compute_uv=False)
     scale = float(sv_full[0])

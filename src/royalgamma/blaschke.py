@@ -117,10 +117,11 @@ class Parametrization:
 
     For every unimodular zeta off the exceptional set, (a zeta + b)/(c zeta + d)
     is the unique degree-n solution of the interpolation problem taking the
-    value zeta at tau.  ``exceptional`` caches the defining scalars so
-    membership can be tested without the original Pick matrix,
-    ``kernel_numerators`` keeps (n_xx, n_xy, n_yx, n_yy), the kernel sums at
-    tau over the common product, from which (a, b, c, d) were assembled.
+    value zeta at tau.  ``data`` is the interpolation data it was built
+    from, ``exceptional`` caches the defining scalars so membership can be
+    tested without the original Pick matrix, ``kernel_numerators`` keeps
+    (n_xx, n_xy, n_yx, n_yy), the kernel sums at tau over the common
+    product, from which (a, b, c, d) were assembled.
     """
 
     a: Poly
@@ -128,7 +129,7 @@ class Parametrization:
     c: Poly
     d: Poly
     tau: complex
-    data_hash: str
+    data: BlaschkeData
     exceptional: ExceptionalSet
     kernel_numerators: tuple[Poly, Poly, Poly, Poly]
 
@@ -205,7 +206,7 @@ def build_parametrization(M: PickMatrix, data: BlaschkeData, tau: complex) -> Pa
     quad /= complex(_horner(rows[4], tau))
 
     param = Parametrization(
-        *map(Poly, quad), tau=tau, data_hash=data.canonical_digest(), exceptional=exc,
+        *map(Poly, quad), tau=tau, data=data, exceptional=exc,
         kernel_numerators=tuple(map(Poly, rows[:4])),
     )
 
@@ -214,12 +215,12 @@ def build_parametrization(M: PickMatrix, data: BlaschkeData, tau: complex) -> Pa
         raise NumericalFailure(f"normalization at tau off by {res:.3e}")
     if param.degree != data.n:
         raise NumericalFailure(f"max degree {param.degree} != n = {data.n}")
-    _check_no_common_zero(param, data)
+    _check_no_common_zero(param)
     _check_c_dominated_by_d(param)
     return param
 
 
-def _check_no_common_zero(param: Parametrization, data: BlaschkeData) -> None:
+def _check_no_common_zero(param: Parametrization) -> None:
     """Raise where a, b, c and d vanish together: only at a node or an interior node's reflection can they, as
     ad - bc = B/B(tau) with B(lambda) = prod_j (lambda - sigma_j)(1 - conj(sigma_j) lambda).
 
@@ -238,6 +239,7 @@ def _check_no_common_zero(param: Parametrization, data: BlaschkeData) -> None:
     P x_lambda keeps only its j-th entry: so c and d are tested at the nodes, a and b at the reflections (0 reflects
     to infinity, where the degree check looks).  q vanishes at z when |q(z)| is within Horner's error bound
     4 m u sum_j |c_j| |z|^j at degree m (Higham, section 5.1, as in ``_horner_at``), both from one Horner pass."""
+    data = param.data
     points = np.array(data.sigma + tuple(1 / s.conjugate() for s in data.sigma[data.k:] if s))
     rows = _stacked((param.a, param.b, param.c, param.d))
     at = np.abs(_horner(np.concatenate((rows, np.abs(rows))), np.repeat([points, np.abs(points)], 4, axis=0)))

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,15 +160,6 @@ class BlaschkeData:
         eta = [b[1] for b in boundary] + [i[1] for i in interior]
         rho = [b[2] for b in boundary]
         return cls(tuple(sigma), tuple(eta), tuple(rho), k=len(boundary))
-
-    def canonical_digest(self) -> str:
-        """A short hash of the serialized data, computed once per data object."""
-        return self._digest
-
-    @functools.cached_property
-    def _digest(self) -> str:
-        payload = json.dumps(self.to_json_dict(), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True, eq=False)

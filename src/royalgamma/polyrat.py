@@ -59,6 +59,8 @@ def _trim_coeffs(coeffs: np.ndarray) -> np.ndarray:
     scale = np.abs(coeffs).max()
     if scale == 0.0:
         return coeffs[:0]
+    if not scale < np.inf:  # a NaN or infinite scale trims nothing
+        return coeffs.copy()
     keep = coeffs.size
     # the scalar abs: numpy's array abs rounds some complex moduli differently
     while keep > 0 and abs(coeffs[keep - 1]) <= TRIM_TOL * scale:
@@ -79,8 +81,9 @@ def _trimmed_sizes(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """How many coefficients ``Poly`` keeps of each row's first ``sizes``
     entries, decided as :func:`_trim_coeffs` decides it; the entries beyond
     them must be zero."""
-    kept = ~(np.hypot(rows.real, rows.imag) <= TRIM_TOL * np.abs(rows).max(axis=1, keepdims=True))
-    # beyond its size a row keeps nothing, unless a NaN scale keeps everything
+    scale = np.abs(rows).max(axis=1, keepdims=True)
+    kept = ~(np.hypot(rows.real, rows.imag) <= TRIM_TOL * scale) | ~(scale < np.inf)
+    # beyond its size a row keeps nothing, unless a NaN or infinite scale keeps everything
     return np.minimum(np.where(kept, np.arange(1, rows.shape[1] + 1), 0).max(axis=1), sizes)
 
 

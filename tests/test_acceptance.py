@@ -278,7 +278,7 @@ def test_criterion_8_scalar_identities(solvable_instances):
             pick = build_pick_matrix(data)
             tau = choose_tau(pick, data)
             param = build_parametrization(pick, data, tau)
-            sol = solve_s0_p0(param, data)
+            sol = solve_s0_p0(param)
             if sol.kind == "unique":
                 s0, p0 = sol.s0, sol.p0
             elif sol.kind == "family":

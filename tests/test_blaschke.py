@@ -760,9 +760,9 @@ def _joint_reduction_raises(param):
     return den is not param.a
 
 
-def _check_raises(param, data):
+def _check_raises(param):
     try:
-        _check_no_common_zero(param, data)
+        _check_no_common_zero(param)
     except NumericalFailure:
         return True
     return False
@@ -783,31 +783,31 @@ class TestNoCommonZeroCheck:
             param = build_for(data)
             for node in data.sigma:
                 with pytest.raises(NumericalFailure, match="a, b, c, d share the zero"):
-                    _check_no_common_zero(_shared(param, node), data)
+                    _check_no_common_zero(_shared(param, node))
 
     def test_a_factor_shared_at_a_reflection_raises(self):
         data, param = self._case()
         for reflection in (1 / node.conjugate() for node in data.sigma):
             with pytest.raises(NumericalFailure, match=re.escape(f"share the zero {reflection}")):
-                _check_no_common_zero(_shared(param, reflection), data)
+                _check_no_common_zero(_shared(param, reflection))
 
     def test_a_zero_polynomial_shares_every_zero(self):
         data, param = self._case()
         reflection = 1 / np.conj(data.sigma[0])
         with pytest.raises(NumericalFailure, match="share"):
-            _check_no_common_zero(dataclasses.replace(_shared(param, reflection, "acd"), b=Poly([])), data)
+            _check_no_common_zero(dataclasses.replace(_shared(param, reflection, "acd"), b=Poly([])))
 
     def test_a_nonzero_constant_shares_none(self):
         data, param = self._case()
         node, reflection = data.sigma[0], 1 / np.conj(data.sigma[0])
-        _check_no_common_zero(dataclasses.replace(_shared(param, node, "abd"), c=Poly([0.25])), data)
-        _check_no_common_zero(dataclasses.replace(_shared(param, reflection, "bcd"), a=Poly([0.25])), data)
-        _check_no_common_zero(param, data)
+        _check_no_common_zero(dataclasses.replace(_shared(param, node, "abd"), c=Poly([0.25])))
+        _check_no_common_zero(dataclasses.replace(_shared(param, reflection, "bcd"), a=Poly([0.25])))
+        _check_no_common_zero(param)
 
     def test_only_the_zeros_of_ad_minus_bc_are_looked_at(self):
         # a factor shared elsewhere cannot come out of the assembly, and the check does not look for it
         data, param = self._case()
-        _check_no_common_zero(_shared(param, 0.05 + 0.02j), data)
+        _check_no_common_zero(_shared(param, 0.05 + 0.02j))
         assert _joint_reduction_raises(_shared(param, 0.05 + 0.02j))
 
     def test_a_zero_value_at_a_node_leaves_c_and_d_sharing_its_reflection(self):
@@ -815,7 +815,7 @@ class TestNoCommonZeroCheck:
         data = BlaschkeData(sigma=(0.5, -0.3j), eta=(0.0, 0.2), rho=(), k=0)
         param = build_for(data)
         assert max(abs(param.c(2.0)), abs(param.d(2.0))) <= 1e-15 and min(abs(param.a(2.0)), abs(param.b(2.0))) > 1
-        _check_no_common_zero(param, data)
+        _check_no_common_zero(param)
         assert not _joint_reduction_raises(param)
 
     @pytest.mark.parametrize("nu", [5, 6, 7])
@@ -840,11 +840,11 @@ class TestNoCommonZeroCheck:
         shared = 0
         for data in cases:
             param = build_for(data)
-            assert not _check_raises(param, data) and not _joint_reduction_raises(param)
+            assert not _check_raises(param) and not _joint_reduction_raises(param)
             points = [data.sigma[0]] + [1 / np.conj(s) for s in data.sigma[data.k:] if s != 0][:1]
             if data.n <= 12:
                 for point in points:
-                    assert _check_raises(_shared(param, point), data) == _joint_reduction_raises(_shared(param, point))
+                    assert _check_raises(_shared(param, point)) == _joint_reduction_raises(_shared(param, point))
                     shared += 1
         assert shared >= 40
 

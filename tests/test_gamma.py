@@ -109,7 +109,7 @@ class TestSolveS0P0:
     def test_interior_example_family(self):
         data = interior_example_data()
         _, _, param = pipeline_parts(data)
-        sol = solve_s0_p0(param, data)
+        sol = solve_s0_p0(param)
         assert sol.kind == "family"
         mem = sol.member(1.0)
         assert mem.s0 == pytest.approx(-8.0 / 5.0)
@@ -118,7 +118,7 @@ class TestSolveS0P0:
     def test_boundary_example_family(self):
         data = boundary_example_data()
         _, _, param = pipeline_parts(data)
-        sol = solve_s0_p0(param, data)
+        sol = solve_s0_p0(param)
         assert sol.kind == "family"
         mem = sol.member(1.0)
         assert abs(mem.s0) <= 1e-12
@@ -131,7 +131,7 @@ class TestSolveS0P0:
     def test_rejecting_member_at_extreme_t(self):
         data = boundary_example_data()
         _, _, param = pipeline_parts(data)
-        sol = solve_s0_p0(param, data)
+        sol = solve_s0_p0(param)
         # t = -Im(omega) hits -1 at omega = i, which is rejected
         assert sol.member(1j) is None
 
@@ -139,7 +139,7 @@ class TestSolveS0P0:
         h = generate_h_nu(0, 0.5)
         data = extract_royal_data(h)
         _, tau, param = pipeline_parts(data)
-        sol = solve_s0_p0(param, data)
+        sol = solve_s0_p0(param)
         assert sol.kind == "unique"
         assert sol.s0 == pytest.approx(h.s(tau))
         assert sol.p0 == pytest.approx(h.p(tau))
@@ -150,7 +150,7 @@ class TestSolveS0P0:
         sigma = tuple(complex(0.8 * (j + 1) / (n + 1) * np.exp(2j * np.pi * j / n)) for j in range(n))
         data = BlaschkeData(sigma=sigma, eta=(0j,) * n, rho=(), k=0)
         _, _, param = pipeline_parts(data)
-        sol = solve_s0_p0(param, data)
+        sol = solve_s0_p0(param)
         assert sol.singular_values[0] > 0
         assert sol.kind != "none"
 
@@ -161,23 +161,16 @@ class TestSolveS0P0:
             rho=(data.rho[0] + 0.5,) + data.rho[1:], k=data.k,
         )
         _, _, param = pipeline_parts(bad)
-        sol = solve_s0_p0(param, bad)
+        sol = solve_s0_p0(param)
         assert sol.kind == "none"
         assert sol.residual > 1e-4
-
-    def test_data_hash_guard(self):
-        data = interior_example_data()
-        _, _, param = pipeline_parts(data)
-        other = boundary_example_data()
-        with pytest.raises(InvalidData):
-            solve_s0_p0(param, other)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("omega", [0.0, float("nan"), complex(float("nan"), 0.0),
                                        float("inf"), complex(0.0, float("inf"))])
     def test_a_zero_or_non_finite_parameter_gives_no_member(self, omega):
         data = interior_example_data()
-        sol = solve_s0_p0(pipeline_parts(data)[2], data)
+        sol = solve_s0_p0(pipeline_parts(data)[2])
         assert sol.member(omega) is None
         # the solve keeps every valid member of its grid
         result = solve_royal_problem(data, omega_grid=8, extra_omegas_fn=lambda tau: (omega,))
@@ -189,7 +182,7 @@ class TestConstructH:
     def test_interior_example_member(self):
         data = interior_example_data()
         _, tau, param = pipeline_parts(data)
-        sol = solve_s0_p0(param, data)
+        sol = solve_s0_p0(param)
         target = interior_example_target(0.5, 1.0)
         omega = complex(np.sqrt(target.p(tau)))
         mem = sol.member(omega)
@@ -202,7 +195,7 @@ class TestConstructH:
     def test_boundary_example_member(self):
         data = boundary_example_data()
         _, tau, param = pipeline_parts(data)
-        sol = solve_s0_p0(param, data)
+        sol = solve_s0_p0(param)
         target = boundary_example_target(1j, 1.0, 1.0)
         omega = complex(np.sqrt(target.p(tau)))
         mem = sol.member(omega)
@@ -215,7 +208,7 @@ class TestConstructH:
     def test_base_values_anchored_at_tau(self):
         data = boundary_example_data()
         _, tau, param = pipeline_parts(data)
-        sol = solve_s0_p0(param, data)
+        sol = solve_s0_p0(param)
         mem = sol.member(np.exp(0.51j))
         h = construct_h(param, mem.s0, mem.p0)
         assert abs(h.s(tau) - mem.s0) <= 1e-12
@@ -247,13 +240,18 @@ class TestConstructH:
         with pytest.raises(NumericalFailure, match="boundary identities violated"):
             GammaInnerFn.from_numerators(Poly([np.nan, 0.5]), Poly([0.0, 1.0]), Poly([1.0]))
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("triple, message", [
         (([np.nan, 1.0], [0.0, 1.0], [2.0, 1.0]), "boundary identities violated"),
         (([0.0, 1.0], [np.nan, 0.0, 1.0], [2.0, 1.0]), "boundary identities violated"),
         (([0.0, 1.0], [0.0, 0.0, 1.0], [2.0, np.nan, 1.0]), "pole margin nan"),
+        (([np.inf, 1.0], [0.0, 1.0], [2.0, 1.0]), "boundary identities violated"),
+        (([0.0, 1.0], [np.inf, 0.0, 1.0], [2.0, 1.0]), "boundary identities violated"),
+        (([0.0, 1.0], [0.0, 0.0, 1.0], [2.0, np.inf, 1.0]), "pole margin nan"),
     ])
     def test_a_nan_coefficient_over_a_nonconstant_denominator_is_rejected(self, triple, message):
-        # the joint reduction finds no roots of a non-finite polynomial; validation names the fault
+        # the joint reduction finds no roots of a non-finite polynomial, and an infinite coefficient trims
+        # nothing; validation names the fault, without a warning
         with pytest.raises(RoyalGammaError, match=message):
             GammaInnerFn.from_numerators(*map(Poly, triple))
 
@@ -262,7 +260,7 @@ class TestConstructH:
 
         data = interior_example_data()
         _, _, param = pipeline_parts(data)
-        mem = solve_s0_p0(param, data).member(np.exp(0.51j))
+        mem = solve_s0_p0(param).member(np.exp(0.51j))
         original = royalgamma.gamma._horner
 
         def nan_at_tau(coeffs, z):
@@ -314,8 +312,7 @@ class TestRoyalNodes:
             p = blaschke_rational(zeros, complex(np.exp(2j * np.pi * rng.uniform())))
             beta = complex(np.exp(2j * np.pi * rng.uniform()))
             h = superficial_map(p, beta)
-            royal, _ = royal_polynomial(h)
-            for rc in poly_roots(royal):
+            for rc in poly_roots(royal_polynomial(h)):
                 if abs(abs(rc.value) - 1.0) <= 1e-6:
                     assert rc.multiplicity % 2 == 0
 
@@ -398,6 +395,26 @@ class TestVerify:
         assert np.isnan(report.residuals["phasar_p_max"])
         assert "phasar_p_max = nan exceeds 1.0e-08" in report.failures and not report.passed
         assert report.residuals["interp_s_max"] <= RESIDUAL_TOL
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("part, interp_p_max", [(1, 1.0), (2, np.inf)])
+    def test_a_zero_divisor_at_a_boundary_node_fails_its_own_report(self, part, interp_p_max):
+        from royalgamma.gamma import _verify_many
+
+        # num_p (part 1) or den (part 2) replaced by lambda - 1, which vanishes exactly at the boundary node 1
+        data = boundary_example_data()
+        maps = [sol.h for sol in solve_royal_problem(data, omega_grid=8).solutions[:3]]
+        rows, sizes = _numerator_rows([(h.s.num, h.p.num, h.den) for h in maps])
+        rows[1, part] = 0.0
+        rows[1, part, :2] = -1.0, 1.0
+        sizes[1, part] = 2
+        reports = _verify_many(maps, rows, sizes, data, None)
+        # |0 / den - eta^2| = 1 as |eta| = 1, and num_p / 0 is infinite
+        assert reports[1].residuals["interp_p_max"] == interp_p_max
+        assert f"interp_p_max = {interp_p_max:.3e} exceeds 1.0e-08" in reports[1].failures and not reports[1].passed
+        # the block's other maps get the reports they get alone
+        for index in (0, 2):
+            assert reports[index] == verify_royal_solution(maps[index], data) and reports[index].passed
 
 
 def _alone(result, data):
@@ -770,7 +787,7 @@ class TestBatchedConstructionMatchesSingleMembers:
 
         data = boundary_example_data()
         param = pipeline_parts(data)[2]
-        family = solve_s0_p0(param, data)
+        family = solve_s0_p0(param)
         good = [family.member(omega) for omega in (np.exp(0.3j), np.exp(2.0j))]
         pairs = [(0.1, 0.5), (good[0].s0, good[0].p0), (2.5, 1.0), (0.2j, 1.0), (good[1].s0, good[1].p0), (0.3, 1.0)]
         batch = _construct_many(param, pairs).items
@@ -797,7 +814,7 @@ class TestBatchedConstructionMatchesSingleMembers:
 
         data = boundary_example_data()
         param = pipeline_parts(data)[2]
-        family = solve_s0_p0(param, data)
+        family = solve_s0_p0(param)
         grid = circle_grid(32)
         # in the middle: no member at NaN, infinite and zero omega; the grid's omega = +-i (grid[8], grid[24])
         # are members up to rounding, and their maps fall into the royal variety
@@ -1181,7 +1198,7 @@ class TestPipelineComputesOnce:
         # x_tau and y_tau are the two columns of one solve
         assert len(calls) == 1 and calls[0][1].shape == (data.n, 2)
 
-    def test_the_data_is_serialized_once_per_solve(self, monkeypatch):
+    def test_a_solve_never_serializes_the_data(self, monkeypatch):
         serialized = []
         original = BlaschkeData.to_json_dict
 
@@ -1192,10 +1209,8 @@ class TestPipelineComputesOnce:
         monkeypatch.setattr(BlaschkeData, "to_json_dict", counting)
         data = extract_royal_data(generate_h_nu(1, 0.5))
         assert solve_royal_problem(data).status == "solved"
-        # the parametrization and the base-value solve both read the digest
-        assert serialized == [data]
-        assert solve_royal_problem(data).status == "solved"
-        assert serialized == [data]
+        # the parametrization carries its data, and nothing serializes them
+        assert serialized == []
 
     def test_one_base_point_per_solve(self):
         seen = []
@@ -1211,7 +1226,7 @@ class TestPipelineComputesOnce:
         data = interior_example_data()
         m = build_pick_matrix(data)
         param = build_parametrization(m, data, choose_tau(m, data))
-        sol = solve_s0_p0(param, data)
+        sol = solve_s0_p0(param)
         assert sol.kind == "family"
         assert sol.member(1.0) is not None
         with pytest.raises(TypeError):
@@ -1298,7 +1313,7 @@ class TestConstructionInvariants:
             m = build_pick_matrix(data)
             tau = choose_tau(m, data)
             param = build_parametrization(m, data, tau)
-            sol = solve_s0_p0(param, data)
+            sol = solve_s0_p0(param)
             if sol.kind == "unique":
                 s0, p0 = sol.s0, sol.p0
             elif sol.kind == "family":

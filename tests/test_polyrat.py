@@ -36,8 +36,10 @@ from royalgamma.polyrat import (
     _horner_at,
     _pair_roots,
     _schur_parameters,
+    _stacked,
     _stacked_companion_roots,
     _trim_coeffs,
+    _trimmed_sizes,
     joint_reduce,
     pole_margins,
     poly_derivative,
@@ -66,6 +68,13 @@ class TestPoly:
         assert Poly([]).is_zero
         assert Poly([0.0, 0.0]).is_zero
         assert Poly([]).degree == -1
+
+    def test_a_non_finite_scale_trims_nothing(self):
+        # an infinite or a NaN scale trims nothing: every coefficient stays, an overflowing product's too
+        polys = [Poly([np.inf, 1.0]), Poly([1.0, 2.0, np.inf]), Poly([1e308, 1e308]) * Poly([10.0]), Poly([np.nan, 0.0])]
+        assert [p.coeffs.size for p in polys] == [2, 3, 2, 2]
+        rows, sizes = _stacked(polys), np.array([2, 3, 2, 2])
+        assert _trimmed_sizes(rows, sizes).tolist() == [2, 3, 2, 2]
 
     def test_eval_constant(self):
         assert poly_eval(Poly([1.0]), 7 + 2j) == 1.0
