@@ -56,48 +56,6 @@ from .polyrat import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "errors",
-    "Poly",
-    "RationalFn",
-    "RootCluster",
-    "poly_eval",
-    "poly_derivative",
-    "poly_roots",
-    "BlaschkeData",
-    "PickMatrix",
-    "PositivityResult",
-    "ExceptionalSet",
-    "build_pick_matrix",
-    "check_positive_definite",
-    "exceptional_set",
-    "choose_tau",
-    "BlaschkeProduct",
-    "Parametrization",
-    "phasar_derivative",
-    "build_parametrization",
-    "solve_blaschke",
-    "to_blaschke_product",
-    "circle_grid",
-    "disc_grid",
-    "GammaPoint",
-    "PointClass",
-    "classify_point",
-    "phi_omega",
-    "compose_phi_omega",
-    "GammaInnerFn",
-    "RoyalData",
-    "FamilyMember",
-    "S0P0Solution",
-    "VerificationReport",
-    "RoyalSolution",
-    "RoyalPipelineResult",
-    "solve_s0_p0",
-    "construct_h",
-    "royal_nodes",
-    "extract_royal_data",
-    "verify_royal_solution",
-    "generate_h_nu",
-    "solve_royal_problem",
-    "gamma_inner_distance",
-]
+# the errors module and every name imported above
+__all__ = ["errors", *(name for name, value in globals().items()
+                       if not name.startswith("_") and not isinstance(value, type(errors)))]

@@ -28,7 +28,7 @@ from .polyrat import (
     _horner_at,
     _is_point,
     _stacked,
-    _trim_coeffs,
+    _trimmed,
     poly_roots,
 )
 
@@ -63,14 +63,12 @@ def disc_grid(m: int) -> np.ndarray:
 
 def phasar_derivative(f: RationalFn, z: complex) -> float:
     """Rate of change of arg f(e^(i theta)) at z on the circle: Re(z f'(z)/f(z)).  The values of
-    f.num, f.den and their derivatives at the one point z are taken in Python complex arithmetic,
-    each derivative's coefficients j c_j formed from f's kept lists of the c_j.  Raises where ``f``
-    vanishes or has a pole at z."""
+    f.num, f.den and their derivatives at the one point z are taken in Python complex arithmetic, on
+    the coefficient lists f keeps, and so are the scales of the vanishing and pole tests.  Raises where
+    ``f`` vanishes or has a pole at z."""
     z = complex(z)
-    num, den = f._coefficient_lists()
-    scale_n, scale_d = (max([1.0, *map(abs, coeffs)]) for coeffs in (num, den))
-    slopes = ([j * c for j, c in enumerate(coeffs) if j] for coeffs in (num, den))
-    nz, dz, dnz, ddz = (_horner_at(q, z) for q in (num, den, *slopes))
+    num, den, num_slope, den_slope, scale_n, scale_d = f._derivative_lists()
+    nz, dz, dnz, ddz = (_horner_at(q, z) for q in (num, den, num_slope, den_slope))
     if abs(nz) <= TRIM_TOL * scale_n * 1e3:
         raise ZeroOrPoleAtPoint(f"function vanishes at {z}")
     if abs(dz) <= TRIM_TOL * scale_d * 1e3:
@@ -276,14 +274,16 @@ def solve_blaschke(param: Parametrization, zeta: complex) -> RationalFn:
     if not abs(abs(zeta) - 1.0) <= 1e-6:  # a NaN fails too
         raise InvalidData(f"parameter zeta must be unimodular, |zeta| = {abs(zeta):.12g}")
     zeta = zeta / abs(zeta)
-    for alpha, beta in param.exceptional.pairs:
-        if abs(alpha - zeta * beta) <= EXCEPTIONAL_SCALAR_TOL * max(1.0, abs(alpha), abs(beta)):
-            raise ExceptionalZeta(f"zeta = {zeta} is within tolerance of the exceptional set")
-    # Poly's steps on the bare coefficients: each product, sum and quotient is trimmed as Poly trims it
-    num, den = (_trim_coeffs(_added(_trim_coeffs(p.coeffs * zeta), q.coeffs))
+    for j, (alpha, beta) in enumerate(param.exceptional.pairs):
+        gap, band = abs(alpha - zeta * beta), EXCEPTIONAL_SCALAR_TOL * max(1.0, abs(alpha), abs(beta))
+        if gap <= band:
+            raise ExceptionalZeta(f"zeta = {zeta} is exceptional at boundary node {j}, sigma = {param.data.sigma[j]}: "
+                                  f"|alpha - zeta beta| = {gap:.3e} is within the band {band:.3e}")
+    # Poly's steps on the bare coefficients: each product, sum and quotient is a fresh array, trimmed as Poly trims
+    num, den = (_trimmed(_added(_trimmed(p.coeffs * zeta), q.coeffs))
                 for p, q in ((param.a, param.b), (param.c, param.d)))
     lead = complex(den[-1]) if den.size else 0j
-    return RationalFn(*(Poly._untrimmed(_trim_coeffs(coeffs / lead)) for coeffs in (num, den)))
+    return RationalFn(*(Poly._untrimmed(_trimmed(coeffs / lead)) for coeffs in (num, den)))
 
 
 @functools.cache
@@ -351,11 +351,10 @@ def to_blaschke_product(f: RationalFn) -> BlaschkeProduct:
         raise NotInner(f"not unimodular on the circle: off by {worst:.3e}")
 
     zeros: list[complex] = []
-    if f.num.degree >= 1:
-        for rc in poly_roots(f.num):
-            if abs(rc.value) >= 1.0:
-                raise NotInner(f"numerator zero {rc.value} is not inside the open disc")
-            zeros.extend([rc.value] * rc.multiplicity)
+    for rc in poly_roots(f.num):  # a zero numerator failed the unimodularity test
+        if abs(rc.value) >= 1.0:
+            raise NotInner(f"numerator zero {rc.value} is not inside the open disc")
+        zeros.extend([rc.value] * rc.multiplicity)
 
     # the first circle point away from the zeros; with none the constant is NaN and fails
     candidates = enumerate(map(complex, points[:261]))

@@ -286,11 +286,12 @@ def cmd_blaschke(args: argparse.Namespace) -> int:
         print(f"not solvable at step 1: Pick matrix is {positivity.kind}", file=sys.stderr)
         return EXIT_UNSOLVABLE
     param = build_parametrization(M, data, choose_tau(M, data))
-    solutions = []
+    solutions, skipped = [], []
     for zeta in circle_grid(min(args.omega_grid, 64)):
         try:
             phi = solve_blaschke(param, zeta)
-        except ExceptionalZeta:
+        except ExceptionalZeta as exc:
+            skipped.append({"zeta": _c(complex(zeta)), "error": str(exc)})
             continue
         interp = max(abs(phi(s) - e) for s, e in zip(data.sigma, data.eta))
         phasar = 0.0
@@ -314,6 +315,7 @@ def cmd_blaschke(args: argparse.Namespace) -> int:
         "parametrization": param.to_json_dict(),
         "exceptional_points": [_c(z) for z in param.exceptional.points],
         "solutions": solutions,
+        "skipped": skipped,
     }
     _write_text(args.output, _dump(payload))
     return EXIT_OK

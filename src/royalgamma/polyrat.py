@@ -50,22 +50,14 @@ RESIDUAL_TOL = 1e-8
 PD_TOL = 1e-10
 
 
-def _trim_coeffs(coeffs: np.ndarray) -> np.ndarray:
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.ndim != 1:
-        coeffs = np.atleast_1d(coeffs).ravel()
-    if coeffs.size == 0:
-        return coeffs
-    scale = np.abs(coeffs).max()
-    if scale == 0.0:
-        return coeffs[:0]
-    if not scale < np.inf:  # a NaN or infinite scale trims nothing
-        return coeffs.copy()
-    keep = coeffs.size
+def _trimmed(coeffs: np.ndarray) -> np.ndarray:
+    """The 1-D complex ``coeffs`` without the trailing ones at most ``TRIM_TOL`` times the largest, as a view
+    of them; a NaN or infinite largest one trims nothing."""
+    keep, scale = coeffs.size, np.abs(coeffs).max(initial=0.0)
     # the scalar abs: numpy's array abs rounds some complex moduli differently
-    while keep > 0 and abs(coeffs[keep - 1]) <= TRIM_TOL * scale:
+    while keep > 0 and scale < np.inf and abs(coeffs[keep - 1]) <= TRIM_TOL * scale:
         keep -= 1
-    return coeffs[:keep].copy()
+    return coeffs[:keep]
 
 
 def _added(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -79,7 +71,7 @@ def _added(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _trimmed_sizes(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """How many coefficients ``Poly`` keeps of each row's first ``sizes``
-    entries, decided as :func:`_trim_coeffs` decides it; the entries beyond
+    entries, decided as :func:`_trimmed` decides it; the entries beyond
     them must be zero."""
     scale = np.abs(rows).max(axis=1, keepdims=True)
     kept = ~(np.hypot(rows.real, rows.imag) <= TRIM_TOL * scale) | ~(scale < np.inf)
@@ -102,7 +94,8 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[complex]):
-        trimmed = _trim_coeffs(coeffs if isinstance(coeffs, np.ndarray) else np.asarray(list(coeffs)))
+        coeffs = np.asarray(coeffs if isinstance(coeffs, np.ndarray) else list(coeffs), dtype=complex)
+        trimmed = _trimmed(coeffs.ravel()).copy()  # a copy: the caller's array is never frozen
         trimmed.setflags(write=False)
         object.__setattr__(self, "coeffs", trimmed)
 
@@ -267,23 +260,40 @@ class RootCluster(NamedTuple):
     multiplicity: int
 
 
+@functools.cache
+def _shift(n: int) -> np.ndarray:
+    """The n x n matrix with ones on its subdiagonal, read-only: a companion matrix but for its first row."""
+    out = np.eye(n, k=-1, dtype=complex)
+    out.setflags(write=False)
+    return out
+
+
 def _stacked_companion_roots(coeffs: np.ndarray, zeros: int) -> np.ndarray:
     """Row i is ``np.roots(coeffs[i, ::-1])``, for rows of degree >= 1 with
     exactly ``zeros`` zero low coefficients: one stacked eigvals call."""
     m, n = coeffs.shape[0], coeffs.shape[1] - zeros - 1
-    if not n:
-        return np.zeros((m, zeros), complex)
-    top = coeffs[:, zeros:][:, ::-1]
-    companion = np.zeros((m, n, n), complex)
-    companion.reshape(m, n * n)[:, n::n + 1] = 1.0  # the subdiagonal
-    companion[:, 0, :] = -top[:, 1:] / top[:, :1]
+    top = coeffs[:, None, zeros:][..., ::-1]
+    companion = np.array([_shift(n)] * m)
+    companion[:, :1] = -top[..., 1:] / top[..., :1]  # the first row; for n = 0 the matrices are empty
     roots = np.linalg.eigvals(companion)
     return np.concatenate((roots, np.zeros((m, zeros), complex)), axis=1) if zeros else roots
 
 
-def _clusters(p: Poly, raw: list, values: list, slopes: list) -> tuple[list[complex], list[int]]:
-    """Centroids and sizes of the clusters of the raw roots of ``p``, given p
-    and p' there (``values``, ``slopes``)."""
+def _apart(roots: list) -> bool:
+    """Whether no two of ``roots``, sorted by real part, lie within ``ROOT_CLUSTER_TOL``: a sweep that
+    compares each root with the next ones up to that far to its right.  A NaN compares as near."""
+    for i, r in enumerate(roots):
+        for w in roots[i + 1:]:
+            if w.real - r.real > ROOT_CLUSTER_TOL:
+                break
+            if not abs(w - r) > ROOT_CLUSTER_TOL:
+                return False
+    return True
+
+
+def _clusters(p: Poly, raw: list, values: list, slopes: list) -> list[RootCluster]:
+    """The clusters of the raw roots of ``p``, given p and p' there (``values``, ``slopes``), in the order of
+    their centroids' real, then imaginary parts."""
     # step in Python complex: numpy's complex division rounds differently
     polished = []
     for r, fr, dfr in zip(raw, values, slopes):
@@ -293,6 +303,10 @@ def _clusters(p: Poly, raw: list, values: list, slopes: list) -> tuple[list[comp
                 r = r - step
         polished.append(complex(r))
     polished.sort(key=lambda w: (w.real, w.imag))
+    if _apart(polished):
+        # the greedy pass below would make each root a cluster, in this order; its centroid sum([r]) / 1
+        # turns -0.0 into 0.0
+        return [RootCluster(sum([r]) / 1, 1) for r in polished]
 
     # each cluster's centroid is kept, and recomputed only when the cluster grows
     clusters: list[list[complex]] = []
@@ -308,7 +322,7 @@ def _clusters(p: Poly, raw: list, values: list, slopes: list) -> tuple[list[comp
         clusters[k].append(r)
         means[k] = sum(clusters[k]) / len(clusters[k])
 
-    centroids = []
+    out = []
     for members, centroid in zip(clusters, means):
         m = len(members)
         if m >= 2:
@@ -326,8 +340,31 @@ def _clusters(p: Poly, raw: list, values: list, slopes: list) -> tuple[list[comp
                 if abs(step) > 1e-3:
                     break
                 centroid -= step
-        centroids.append(centroid)
-    return centroids, [len(members) for members in clusters]
+        out.append(RootCluster(centroid, m))
+    return sorted(out, key=lambda rc: (rc.value.real, rc.value.imag))
+
+
+def _root_shape(p: Poly) -> tuple[int, int]:
+    """p's coefficient count, 1 for a constant, which has no root, and its number of zero low coefficients."""
+    if p.is_zero:
+        raise ZeroPolynomial("roots of the zero polynomial are undefined")
+    zeros = 0
+    while p.coeffs[zeros] == 0:
+        zeros += 1
+    return p.coeffs.size, zeros
+
+
+def _group_roots(polys: Sequence[Poly], zeros: int) -> list[list[RootCluster]]:
+    """The root clusters of polynomials of degree >= 1, of one coefficient count and ``zeros`` zero low
+    coefficients: one stacked eigvals call, one row-wise Horner pass of them and their derivatives at the raw
+    roots, then the polish and the clustering of each."""
+    m, size = len(polys), polys[0].coeffs.size
+    coeffs = np.zeros((2 * m, size), complex)  # the polynomials, then their derivatives zero-padded on top
+    coeffs[:m] = [p.coeffs for p in polys]
+    coeffs[m:, :-1] = coeffs[:m, 1:] * _ramp(size)
+    raw = _stacked_companion_roots(coeffs[:m], zeros)
+    at_raw = _horner(coeffs, np.concatenate((raw, raw))).tolist()
+    return [_clusters(p, *row) for p, row in zip(polys, zip(raw.tolist(), at_raw[:m], at_raw[m:]))]
 
 
 def poly_roots_many(polys: Sequence[Poly]) -> list[list[RootCluster]]:
@@ -336,9 +373,9 @@ def poly_roots_many(polys: Sequence[Poly]) -> list[list[RootCluster]]:
     Roots come from the eigenvalues of the balanced companion matrix, each
     polished with one Newton step.  Roots closer than ``ROOT_CLUSTER_TOL``
     are merged into a single cluster whose size is the reported multiplicity
-    and whose centroid is the reported value.  Polynomials of one coefficient
-    count and one number of zero low coefficients share a stacked eigvals call
-    and one row-wise Horner pass, of them and their derivatives at the raw roots.
+    and whose centroid is the reported value.  The polynomials of one shape,
+    coefficient count and number of zero low coefficients, are one call of
+    :func:`_group_roots`.
 
     Raises
     ------
@@ -348,30 +385,17 @@ def poly_roots_many(polys: Sequence[Poly]) -> list[list[RootCluster]]:
     out: list[list[RootCluster]] = [[] for _ in polys]
     groups: dict[tuple[int, int], list[int]] = {}
     for index, p in enumerate(polys):
-        if p.is_zero:
-            raise ZeroPolynomial("roots of the zero polynomial are undefined")
-        if p.degree >= 1:
-            zeros = 0
-            while p.coeffs[zeros] == 0:
-                zeros += 1
-            groups.setdefault((p.coeffs.size, zeros), []).append(index)
+        groups.setdefault(_root_shape(p), []).append(index)
     for (size, zeros), members in groups.items():
-        m = len(members)
-        # the polynomials, then their derivatives zero-padded on top
-        coeffs = np.zeros((2 * m, size), complex)
-        coeffs[:m] = [polys[i].coeffs for i in members]
-        coeffs[m:, :-1] = coeffs[:m, 1:] * _ramp(size)
-        raw = _stacked_companion_roots(coeffs[:m], zeros)
-        at_raw = _horner(coeffs, np.concatenate((raw, raw))).tolist()
-        for i, row in zip(members, zip(raw.tolist(), at_raw[:m], at_raw[m:])):
-            clusters = map(RootCluster, *_clusters(polys[i], *row))
-            out[i] = sorted(clusters, key=lambda rc: (rc.value.real, rc.value.imag))
+        for i, clusters in zip(members, _group_roots([polys[i] for i in members], zeros) if size > 1 else ()):
+            out[i] = clusters
     return out
 
 
 def poly_roots(p: Poly) -> list[RootCluster]:
-    """The root clusters of ``p``: :func:`poly_roots_many` of one polynomial."""
-    return poly_roots_many([p])[0]
+    """The root clusters of ``p``, as :func:`poly_roots_many` finds them: :func:`_group_roots` of the one row."""
+    size, zeros = _root_shape(p)
+    return _group_roots([p], zeros)[0] if size > 1 else []
 
 
 def _schur_parameters(coeffs: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -416,7 +440,7 @@ class RationalFn:
     den are evaluated in Python complex arithmetic, on their coefficient lists, kept from the first point
     call, and divided in Python; on an array of points in one two-row Horner pass, with nothing kept."""
 
-    __slots__ = ("num", "den", "_lists")
+    __slots__ = ("num", "den", "_lists", "_slopes")
 
     def __init__(self, num: Poly, den: Poly):
         if den.is_zero:
@@ -436,6 +460,14 @@ class RationalFn:
         if not hasattr(self, "_lists"):
             object.__setattr__(self, "_lists", (self.num.coeffs.tolist(), self.den.coeffs.tolist()))
         return self._lists
+
+    def _derivative_lists(self) -> tuple[list, ...]:
+        """The lists of :meth:`_coefficient_lists`, then num's and den's derivatives' (j c_j) and the largest of
+        1 and the |c_j| of num and of den: made on the first call, as only phasar derivatives read them, and kept."""
+        if not hasattr(self, "_slopes"):
+            slopes = [[j * c for j, c in enumerate(q) if j] for q in self._coefficient_lists()]
+            object.__setattr__(self, "_slopes", (*slopes, *(max([1.0, *map(abs, q)]) for q in self._lists)))
+        return (*self._lists, *self._slopes)
 
     def values(self, z) -> np.ndarray:
         """num and den at every point of ``z`` in one two-row Horner pass, bit

@@ -260,6 +260,16 @@ class TestBlaschkeCommand:
             assert sol["max_phasar_residual"] <= 1e-6
             assert len(sol["blaschke"]["zeros"]) == 1
 
+    def test_exceptional_parameters_are_listed_as_skipped(self, boundary_file, tmp_path):
+        # the boundary example's exceptional parameter, i, is the fifth point of the 16-point grid
+        out = tmp_path / "bl.json"
+        assert main(["blaschke", "--input", boundary_file, "--output", str(out), "--omega-grid", "16"]) == 0
+        payload = json.loads(out.read_text())
+        (skipped,) = payload["skipped"]
+        assert skipped["zeta"] == pytest.approx([0.0, 1.0], abs=1e-15) and len(payload["solutions"]) == 15
+        assert "boundary node 0, sigma = (1+0j)" in skipped["error"]
+        assert "|alpha - zeta beta| = " in skipped["error"] and "within the band 1.000e-08" in skipped["error"]
+
     def test_indefinite_exits_2(self, tmp_path):
         obj = {"nodes": [
             {"sigma": [1.0, 0.0], "eta": [1.0, 0.0], "rho": 0.1},

@@ -33,12 +33,13 @@ from royalgamma.polyrat import (
     Poly,
     RationalFn,
     RootCluster,
+    _apart,
+    _clusters,
     _horner_at,
     _pair_roots,
     _schur_parameters,
     _stacked,
     _stacked_companion_roots,
-    _trim_coeffs,
     _trimmed_sizes,
     joint_reduce,
     pole_margins,
@@ -396,11 +397,12 @@ class TestArrayEvaluationIsBitIdentical:
                 coeffs = np.concatenate((head, np.asarray(tail, dtype=complex)))
                 inputs += [coeffs, coeffs.tolist(), coeffs[::-1], coeffs.real, -coeffs]
         for coeffs in inputs:
-            ours, ref = _trim_coeffs(coeffs), _reference_trim_coeffs(coeffs)
-            assert ours.shape == ref.shape and ours.ndim == 1
-            assert np.array_equal(_bits(ours), _bits(ref))
+            ref = _reference_trim_coeffs(coeffs)
             poly = Poly(coeffs if isinstance(coeffs, np.ndarray) else list(np.atleast_1d(coeffs)))
+            assert poly.coeffs.shape == ref.shape and poly.coeffs.ndim == 1
             assert np.array_equal(_bits(poly.coeffs), _bits(ref))
+            # Poly keeps a trimmed copy: a caller's array is neither frozen nor shared
+            assert not isinstance(coeffs, np.ndarray) or (coeffs.flags.writeable and not np.shares_memory(coeffs, poly.coeffs))
 
     def test_subtraction_is_addition_of_the_negation(self):
         rng = np.random.default_rng(78)
@@ -479,8 +481,13 @@ def _sequential_poly_roots(p):
         raw = np.concatenate((raw, np.zeros(zeros, complex))) if zeros else raw
     values = _sequential_horner(coeffs, raw).tolist()
     slopes = _sequential_horner(coeffs[1:] * np.arange(1, coeffs.size), raw).tolist()
+    return _sequential_clusters(p, raw.tolist(), values, slopes)
+
+
+def _sequential_clusters(p, raw, values, slopes):
+    """_clusters as it was before the sweep: the greedy pass over every root, each centroid recomputed."""
     polished = []
-    for r, fr, dfr in zip(raw.tolist(), values, slopes):
+    for r, fr, dfr in zip(raw, values, slopes):
         if dfr != 0:
             step = fr / dfr
             if abs(step) < 1e-4:
@@ -630,6 +637,55 @@ class TestBatchKernelsAreBitIdentical:
         for p in polys:
             assert np.array_equal(_bits(poly_eval(p, points)), _bits([poly_eval(p, z) for z in points.tolist()]))
 
+    @pytest.mark.parametrize("factor, merged", [(0.9, True), (1.1, False)])
+    def test_a_root_pair_on_either_side_of_the_cluster_radius(self, factor, merged):
+        polys = [Poly.from_roots([base, base + factor * ROOT_CLUSTER_TOL * step, -0.6 + 0.1j, 0.8j], leading=1.5 - 0.5j)
+                 for base, step in ((0.5, 1.0), (0.3 + 0.2j, np.exp(0.7j)), (-0.4j, 1j))]
+        for p, clusters in zip(polys, poly_roots_many(polys)):
+            assert _cluster_bits(clusters) == _cluster_bits(poly_roots(p)) == _cluster_bits(_sequential_poly_roots(p))
+            assert (max(rc.multiplicity for rc in clusters) == 2) == merged
+
+    def test_triple_roots(self):
+        polys = [Poly([-0.125, 0.75, -1.5, 1.0]), Poly.from_roots([0.2 - 0.3j] * 3 + [0.7, -0.5j], leading=2.0),
+                 Poly.from_roots([0.0] * 3 + [0.4 + 0.1j, -0.9], leading=1j)]
+        for p, clusters in zip(polys, poly_roots_many(polys)):
+            assert _cluster_bits(clusters) == _cluster_bits(poly_roots(p)) == _cluster_bits(_sequential_poly_roots(p))
+        assert sum(rc.multiplicity for rc in poly_roots(polys[0])) == 3
+        assert RootCluster(0j, 3) in poly_roots(polys[2])
+
+    def test_zero_coefficients_at_either_end(self):
+        # roots at zero from zero low coefficients, and a top coefficient just above the trim, whose roots are huge
+        rng = np.random.default_rng(91)
+        polys = [Poly(np.concatenate((np.zeros(k), _random_coeffs(rng, n + 1)))) for k in (1, 2, 3) for n in (0, 1, 5)]
+        for n in (2, 6):
+            coeffs = _random_coeffs(rng, n + 1)
+            coeffs[-1] = 2 * TRIM_TOL * np.max(np.abs(coeffs[:-1]))
+            polys += [Poly(coeffs), Poly(np.concatenate(([0.0], coeffs)))]
+        assert all(p.coeffs[0] == 0 for p in polys[:9]) and max(abs(rc.value) for rc in poly_roots(polys[-1])) > 1e10
+        for p, clusters in zip(polys, poly_roots_many(polys)):
+            assert _cluster_bits(clusters) == _cluster_bits(poly_roots(p)) == _cluster_bits(_sequential_poly_roots(p))
+
+    @pytest.mark.parametrize("raw, apart", [
+        ([complex(-0.0, 0.5)], True),
+        ([complex(-0.0, 0.5), complex(-0.0, -0.5), 0.25 + 0j], True),
+        ([complex(-0.0, 0.5), 0.25 + 0j, 0.25 + 5e-8j], False),
+        # sorted by real part, a root between two near ones is far from both
+        ([0j, 5e-8 + 1j, 9e-8 + 0j], False),
+        ([0j, 5e-8 + 1j, 1.1e-7 + 0j], True),
+    ])
+    def test_clusters_match_the_greedy_pass_down_to_signed_zeros(self, raw, apart):
+        # p and p' are zero and one at each raw root, so each polished root keeps the raw root's bits
+        at_raw = (Poly([0.5, 1.0]), raw, [0j] * len(raw), [1 + 0j] * len(raw))
+        clusters = _clusters(*at_raw)
+        assert _apart(sorted(raw, key=lambda w: (w.real, w.imag))) == apart
+        assert _cluster_bits(clusters) == _cluster_bits(_sequential_clusters(*at_raw))
+        # a singleton's centroid sum([r]) / 1 has a +0.0 real part
+        assert all(np.copysign(1.0, rc.value.real) == 1.0 for rc in clusters if rc.value.real == 0)
+
+    def test_a_nan_root_is_near_every_root(self):
+        assert not _apart([complex(np.nan, 0.0), 1 + 0j]) and not _apart([1 + 0j, complex(0.5, np.nan)])
+        assert _apart([complex(np.nan, 0.0)]) and _apart([])
+
     def test_poly_roots_many_rejects_a_zero_polynomial(self):
         with pytest.raises(ZeroPolynomial):
             poly_roots_many([Poly([1.0, 2.0]), Poly([])])
@@ -706,9 +762,14 @@ class TestRationalEvaluationIsBitIdentical:
         lists = f._lists
         assert lists == ([1.0 + 0j, 2.0j], [3.0 + 0j]) and all(type(c) is complex for q in lists for c in q)
         f(np.complex128(0.25j))
+        assert not hasattr(f, "_slopes")
         phasar_derivative(f, 1.0)
+        # the derivatives' lists and the scales of the vanishing and pole tests are kept beside them
+        slopes = f._slopes
+        assert slopes == ([2j], [], 2.0, 3.0) and f._derivative_lists() == (*lists, *slopes)
+        phasar_derivative(f, -1.0)
         f(np.arange(2.0))
-        assert f._lists is lists
+        assert f._lists is lists and f._slopes is slopes
 
 
 class TestPointEvaluationMatchesAnExactOracle:
