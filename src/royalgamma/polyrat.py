@@ -260,20 +260,13 @@ class RootCluster(NamedTuple):
     multiplicity: int
 
 
-@functools.cache
-def _shift(n: int) -> np.ndarray:
-    """The n x n matrix with ones on its subdiagonal, read-only: a companion matrix but for its first row."""
-    out = np.eye(n, k=-1, dtype=complex)
-    out.setflags(write=False)
-    return out
-
-
 def _stacked_companion_roots(coeffs: np.ndarray, zeros: int) -> np.ndarray:
     """Row i is ``np.roots(coeffs[i, ::-1])``, for rows of degree >= 1 with
     exactly ``zeros`` zero low coefficients: one stacked eigvals call."""
     m, n = coeffs.shape[0], coeffs.shape[1] - zeros - 1
     top = coeffs[:, None, zeros:][..., ::-1]
-    companion = np.array([_shift(n)] * m)
+    companion = np.zeros((m, n, n), complex)
+    companion.reshape(m, n * n)[:, n::n + 1] = 1.0  # the subdiagonal
     companion[:, :1] = -top[..., 1:] / top[..., :1]  # the first row; for n = 0 the matrices are empty
     roots = np.linalg.eigvals(companion)
     return np.concatenate((roots, np.zeros((m, zeros), complex)), axis=1) if zeros else roots

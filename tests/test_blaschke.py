@@ -826,13 +826,21 @@ class TestNoCommonZeroCheck:
         m = build_pick_matrix(data)
         tau = choose_tau(m, data)
         calls = []
-        kernel = royalgamma.polyrat._group_roots
-        # poly_roots and poly_roots_many both find roots in this kernel
-        monkeypatch.setattr(royalgamma.polyrat, "_group_roots", lambda polys, zeros: calls.append(polys) or kernel(polys, zeros))
+
+        def recorder(name, find):
+            return lambda *args: calls.append((name, *args)) or find(*args)
+
+        # the two entry points, wherever a module binds them, and the kernel they share, which a constant and an
+        # empty list never reach
+        for module in (royalgamma, royalgamma.polyrat, royalgamma.blaschke, royalgamma.gamma, royalgamma.pick):
+            for name in ("poly_roots", "poly_roots_many", "_group_roots"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, recorder(name, getattr(module, name)))
         param = build_parametrization(m, data, tau)
         assert calls == []
-        poly_roots(param.a)
-        assert calls == [[param.a]]
+        royalgamma.polyrat.poly_roots(param.a)
+        royalgamma.polyrat.poly_roots_many([])
+        assert [call[:2] for call in calls] == [("poly_roots", param.a), ("_group_roots", [param.a]), ("poly_roots_many", [])]
 
     def test_decisions_agree_with_the_joint_reduction(self):
         # h_nu up to degree 30, the worked examples, and random data up to degree 30 with interior and with
